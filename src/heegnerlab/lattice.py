@@ -1,11 +1,11 @@
 """Period lattices and the Weierstrass uniformization C/Lambda -> E(C).
 
-Periods come from the AGM when the curve has three real 2-division values
-and from tanh-sinh quadrature between the branch points otherwise.  The
-Weierstrass functions are evaluated by the absolutely convergent q-series
-in u = e^(2 pi i z / w1), after reducing z against a Gauss-reduced basis.
-The elliptic logarithm inverts the map by coarse localization on the
-fundamental parallelogram followed by a Newton precision ladder.
+Periods of every curve come from the real AGM, for either sign of the
+discriminant.  The Weierstrass functions are evaluated by the absolutely
+convergent q-series in u = e^(2 pi i z / w1), after reducing z against a
+Gauss-reduced basis.  The elliptic logarithm is Carlson's closed form
+z = R_F(x - e1, x - e2, x - e3), certified against p and p' at working
+precision; it raises rather than return an uncertified value.
 """
 
 from __future__ import annotations
@@ -25,9 +25,6 @@ class Lattice:
     omega1: mpc
     omega2: mpc
     precision_bits: int
-
-    def basis(self) -> tuple[mpc, mpc]:
-        return (self.omega1, self.omega2)
 
     def reduced_basis(self) -> tuple[mpc, mpc]:
         """Gauss-reduced basis (w1, w2) with Im(w2/w1) > 0 and |w2/w1|
@@ -78,9 +75,6 @@ class Lattice:
         dists.sort()
         return (dists[0], dists[1])
 
-    def contains(self, z: mpc, tol) -> bool:
-        return self.distance(z) < tol
-
 
 def _two_division_values(E: CurveModel, prec: int):
     # roots of 4t^3 - g2 t - g3, the 2-division values of the p-function
@@ -93,11 +87,15 @@ def _two_division_values(E: CurveModel, prec: int):
 
 
 def periods(E: CurveModel, precision_bits: int) -> Lattice:
-    """Lattice of the invariant differential dx / (2y + a1 x + a3).
+    """Lattice of the invariant differential dx / (2y + a1 x + a3), by the AGM
+    (Cohen, GTM 138, Alg. 7.4.7).
 
-    Three real 2-division values (disc > 0): both periods by the AGM.
-    Otherwise: real period by AGM-grade quadrature on [e1, inf), second
-    period by quadrature between the conjugate branch points.
+    Three real 2-division values e1 > e2 > e3 (disc > 0): a real and a purely
+    imaginary period.  One real value e1 (disc < 0): with
+    beta = |e1 - e2| = sqrt(3 e1^2 - g2/4), the real period
+    w1 = 2 pi / AGM(2 sqrt(beta), sqrt(2 beta + 3 e1)) and
+    w2 = w1/2 + i pi / AGM(2 sqrt(beta), sqrt(2 beta - 3 e1)).
+    Either way Im(w2/w1) > 0.
     """
     if not 53 <= precision_bits <= 1000:
         raise PrecisionUnachievable("precision_bits must be in 53..1000")
@@ -112,50 +110,13 @@ def periods(E: CurveModel, precision_bits: int) -> Lattice:
                 mp.sqrt(e1 - e3), mp.sqrt(e2 - e3)
             )
         else:
-            reals = [r for r in roots if abs(mp.im(r)) < mp.mpf(2) ** (-work // 2)]
-            assert len(reals) == 1
-            e1 = mp.re(reals[0])
-            pair = [r for r in roots if abs(mp.im(r)) >= mp.mpf(2) ** (-work // 2)]
-            p_re = mp.re(pair[0])
-            q_im = abs(mp.im(pair[0]))
-
-            # real period: 2 * int_{e1}^inf dt / sqrt(4(t-e1)((t-p)^2+q^2)),
-            # desingularized by t = e1 + s^2.
-            def f_real(s):
-                return 1 / mp.sqrt((s * s + e1 - p_re) ** 2 + q_im**2)
-
-            w1, err1 = mp.quad(
-                f_real, [0, 1, 10, mp.inf], maxdegree=10, error=True
+            e1 = mp.re(min(roots, key=lambda r: abs(mp.im(r))))
+            beta = mp.sqrt(3 * e1 * e1 - g2 / 4)
+            w1 = 2 * mp.pi / mp.agm(2 * mp.sqrt(beta), mp.sqrt(2 * beta + 3 * e1))
+            w2 = w1 / 2 + mp.mpc(0, 1) * mp.pi / mp.agm(
+                2 * mp.sqrt(beta), mp.sqrt(2 * beta - 3 * e1)
             )
-            w1 *= 2
-
-            # second generator: i * (AJ(e2) - AJ(e1)) along the straight
-            # path t = e1 + lam*v, v = (p - e1) + i q.  There
-            # (t-e1)(t-e2) = -lam(1-lam) v^2 and t - e3 stays in the right
-            # half-plane, so every square root below is branch-continuous.
-            # lam = sin(theta)^2 removes the endpoint singularities, leaving
-            # an analytic integrand that Gauss-Legendre resolves fully.
-            def f_conn(theta):
-                lam = mp.sin(theta) ** 2
-                w3 = (1 - lam) * (e1 - p_re) + mp.mpc(0, 1) * q_im * (1 + lam)
-                return 2 / mp.sqrt(w3)
-
-            w2, err2 = mp.quad(
-                f_conn,
-                [0, mp.pi / 2],
-                method="gauss-legendre",
-                maxdegree=12,
-                error=True,
-            )
-            w2 *= mp.mpc(0, 1)
-            if max(err1, err2) > mp.mpf(2) ** (-(precision_bits + 10)):
-                raise PrecisionUnachievable(
-                    "period quadrature did not reach the requested precision"
-                )
-        lat = Lattice(+w1, +w2, precision_bits)
-        if mp.im(lat.omega2 / lat.omega1) < 0:
-            lat = Lattice(lat.omega1, -lat.omega2, precision_bits)
-        return lat
+        return Lattice(+w1, +w2, precision_bits)
 
 
 def _u_q(z: mpc, L: Lattice, prec: int) -> tuple[mpc, mpc, mpc]:
@@ -238,126 +199,39 @@ def embed(value, prec: int) -> mpc:
 
 
 def elliptic_log(P: CurvePoint, E: CurveModel, L: Lattice) -> mpc:
-    """z in the fundamental parallelogram with weierstrass_map(z) = P.
-
-    Coarse grid localization at low precision, then a Newton ladder on
-    p(z) = x + b2/12, sign fixed against p'(z) = 2y + a1 x + a3.
-    """
+    """z in the fundamental parallelogram with weierstrass_map(z) = P."""
     if P.is_infinity:
         raise ValueError("elliptic log of the identity is the lattice itself")
-    prec = L.precision_bits
-    b2 = E.b_invariants[0]
-    with mp.workprec(prec + 20):
-        xw = embed(P.x, prec + 20) + mpf(b2) / 12
-        yw = 2 * embed(P.y, prec + 20) + E.a1 * embed(P.x, prec + 20) + E.a3
-        hp = _half_period_log(xw, yw, L, prec + 20)
-        if hp is not None:
-            return L.reduce(hp)
-        z = _invert_p(xw, L, prec + 20)
-        # choose between z and -z via p'
-        _, dp = weierstrass_p(z, L, prec + 20)
-        if abs(dp - yw) > abs(-dp - yw):
-            z = -z
-        return L.reduce(z)
+    prec = L.precision_bits + 20
+    return complex_log_embedding(embed(P.x, prec), embed(P.y, prec), E, L)
 
 
 def complex_log_embedding(x: mpc, y: mpc, E: CurveModel, L: Lattice) -> mpc:
-    """elliptic_log for a numerically given complex point (x, y)."""
+    """z in the fundamental parallelogram with weierstrass_map(z) = (x, y).
+
+    Carlson's inverse of p (DLMF 19.25.35): z = R_F(xw - e1, xw - e2, xw - e3)
+    with xw = x + b2/12 satisfies p(z) = xw.  One evaluation of p' fixes the
+    sign against yw = 2y + a1 x + a3 and certifies both coordinates.  Near a
+    half period p' vanishes, so xw fixes z only to half precision; there one
+    Newton step on p'(z) = yw, with p'' = 6p^2 - g2/2 nonzero, restores it
+    and is certified in turn.  A point that fails raises PrecisionUnachievable.
+    """
     prec = L.precision_bits
     b2 = E.b_invariants[0]
+    roots, g2, _ = _two_division_values(E, prec + 20)
     with mp.workprec(prec + 20):
         xw = x + mpf(b2) / 12
         yw = 2 * y + E.a1 * x + E.a3
-        hp = _half_period_log(xw, yw, L, prec + 20)
-        if hp is not None:
-            return L.reduce(hp)
-        z = _invert_p(xw, L, prec + 20)
-        _, dp = weierstrass_p(z, L, prec + 20)
+        tol = mp.mpf(2) ** (-(prec - 20)) * (1 + abs(xw))
+        z = mp.elliprf(*(xw - e for e in roots))
+        p, dp = weierstrass_p(z, L, prec + 20)
         if abs(dp - yw) > abs(-dp - yw):
-            z = -z
+            z, dp = -z, -dp
+        if abs(dp - yw) > tol:
+            z += (yw - dp) / (6 * p * p - g2 / 2)
+            p, dp = weierstrass_p(z, L, prec + 20)
+        if abs(p - xw) > tol or abs(dp - yw) > tol:
+            raise PrecisionUnachievable(
+                "elliptic logarithm misses the point at working precision"
+            )
         return L.reduce(z)
-
-
-def _half_period_log(xw: mpc, yw: mpc, L: Lattice, prec: int) -> mpc | None:
-    # 2-torsion sits at the half periods, where p' = 0 and Newton on p
-    # degenerates; match x against p(half period) directly instead.
-    if abs(yw) > mp.mpf(2) ** (-(prec - 20)) * (1 + abs(xw)):
-        return None
-    w1, w2 = L.reduced_basis()
-    for hp in (w1 / 2, w2 / 2, (w1 + w2) / 2):
-        p, _ = weierstrass_p(hp, L, prec)
-        if abs(p - xw) < mp.mpf(2) ** (-(prec - 20)) * (1 + abs(xw)):
-            return hp
-    return None
-
-
-def _invert_p(target: mpc, L: Lattice, prec: int) -> mpc:
-    # localize p(z) = target on a coarse grid, refine by Newton doubling
-    grid_prec = 60
-    grid = _coarse_grid(L, grid_prec)
-    with mp.workprec(grid_prec):
-        best = sorted(((abs(p - target), z0) for p, z0 in grid),
-                      key=lambda t: t[0])
-    for _, z0 in best[:6]:
-        z = _newton_ladder(z0, target, L, prec)
-        if z is not None:
-            return z
-    raise PrecisionUnachievable("could not invert the Weierstrass function")
-
-
-_GRID_CACHE: dict[tuple, tuple] = {}
-
-
-def _coarse_grid(L: Lattice, grid_prec: int) -> tuple:
-    # p-values on a 28x28 sample of the fundamental parallelogram; the grid
-    # depends only on the lattice, so it is shared across inversions
-    key = (str(L.omega1), str(L.omega2), grid_prec)
-    cached = _GRID_CACHE.get(key)
-    if cached is not None:
-        return cached
-    vals = []
-    with mp.workprec(grid_prec):
-        w1, w2 = L.reduced_basis()
-        n = 28
-        for i in range(1, n):
-            for j in range(1, n):
-                z0 = (mpf(i) / n) * w1 + (mpf(j) / n) * w2
-                try:
-                    p, _ = weierstrass_p(z0, L, grid_prec)
-                except IdentityPoint:
-                    continue
-                vals.append((p, z0))
-    if len(_GRID_CACHE) > 32:
-        _GRID_CACHE.clear()
-    _GRID_CACHE[key] = tuple(vals)
-    return _GRID_CACHE[key]
-
-
-def _newton_ladder(z0: mpc, target: mpc, L: Lattice, prec: int) -> mpc | None:
-    cur = 60
-    z = z0
-    while True:
-        cur = min(2 * cur, prec + 10)
-        with mp.workprec(cur + 10):
-            z = mpc(z)
-            converged = False
-            for _ in range(60):
-                try:
-                    p, dp = weierstrass_p(z, L, cur + 10)
-                except IdentityPoint:
-                    return None
-                if abs(dp) == 0:
-                    return None
-                step = (p - target) / dp
-                z = z - step
-                if abs(step) < mp.mpf(2) ** (-cur):
-                    converged = True
-                    break
-            if not converged:
-                return None
-        if cur >= prec + 10:
-            with mp.workprec(prec + 10):
-                p, _ = weierstrass_p(z, L, prec + 10)
-                if abs(p - target) < mp.mpf(2) ** (-(prec - 20)) * (1 + abs(target)):
-                    return z
-            return None

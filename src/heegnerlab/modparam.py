@@ -18,7 +18,7 @@ from sympy import factorint
 from .ellcurve import CurveModel, QuadElt, an_coeffs
 from .errors import ConvergenceTooSlow, RecognitionFailed
 from .heegner import heegner_condition, heegner_fiber
-from .lattice import Lattice, periods, weierstrass_map
+from .lattice import Lattice, embed, periods, weierstrass_map
 from .qform import enumerate_reduced
 
 _M_CAP = 10**6
@@ -312,17 +312,6 @@ def _isqrt_exact(n: int) -> int | None:
     return r if r * r == n else None
 
 
-def _embed_quad(v, prec: int) -> mpc:
-    if isinstance(v, Fraction):
-        return mp.mpf(v.numerator) / v.denominator
-    with mp.workprec(prec):
-        s = mp.sqrt(mp.mpc(v.d)) if v.d < 0 else mp.sqrt(mp.mpf(v.d))
-        return (
-            mp.mpf(v.x.numerator) / v.x.denominator
-            + mp.mpf(v.y.numerator) / v.y.denominator * s
-        )
-
-
 def _match_embedding(xq, yq, x1, y1, d):
     prec = mp.prec
     best = None
@@ -330,7 +319,7 @@ def _match_embedding(xq, yq, x1, y1, d):
         for sy in (1, -1):
             xc = _flip(xq, sx)
             yc = _flip(yq, sy)
-            err = abs(_embed_quad(xc, prec) - x1) + abs(_embed_quad(yc, prec) - y1)
+            err = abs(embed(xc, prec) - x1) + abs(embed(yc, prec) - y1)
             if best is None or err < best[2]:
                 best = (xc, yc, err)
     return best

@@ -4,11 +4,13 @@ One test per criterion; each prints a single PASS/FAIL line (with its
 runtime) directly to the terminal and enforces its time budget.
 """
 
+import functools
 import math
 import random
 import time
 from fractions import Fraction
 
+import pytest
 from mpmath import mp
 from sympy import isprime
 
@@ -275,7 +277,23 @@ def test_criterion_08_orbit_degree_tower(capfd):
             assert d1 // dn <= n * n
 
 
-def test_criterion_09_relation_machinery(capfd):
+@pytest.fixture(scope="module")
+def reports():
+    """The 37a and 32a reports of criteria 9 and 10.  They are built on the
+    first call, so whichever criterion runs first pays for them inside its
+    own budget, and either criterion can run alone."""
+
+    @functools.cache
+    def build():
+        return (
+            independence_report(E37, [-7, -11], 20, PREC),
+            independence_report(E32, [-7, -15], 8, PREC),
+        )
+
+    return build
+
+
+def test_criterion_09_relation_machinery(capfd, reports):
     with _Budget(capfd, 9, 120):
         L = periods(E37, PREC)
         P = point(0, 0)
@@ -302,8 +320,7 @@ def test_criterion_09_relation_machinery(capfd):
             "relation_found_numerical",
             "no_relation_up_to_bound",
         }
-        rep37 = independence_report(E37, [-7, -11], 20, PREC)
-        rep32 = independence_report(E32, [-7, -15], 8, PREC)
+        rep37, rep32 = reports()
         for rep in (rep37, rep32):
             assert rep.verdict in verdicts
             if rep.relation is not None:
@@ -312,13 +329,11 @@ def test_criterion_09_relation_machinery(capfd):
                     "relation_found_numerical",
                 )
         assert rep37.verdict == "relation_found_verified"
-        global _REPORTS
-        _REPORTS = (rep37, rep32)
 
 
-def test_criterion_10_odd_part_instrumentation(capfd):
+def test_criterion_10_odd_part_instrumentation(capfd, reports):
     with _Budget(capfd, 10, 60):
-        rep37, rep32 = _REPORTS
+        rep37, rep32 = reports()
         for rep, E in ((rep37, E37), (rep32, E32)):
             for e in rep.entries:
                 if not e.admissible or e.error:

@@ -2,9 +2,11 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from mpmath import mp
 
-from heegnerlab.ellcurve import CurveModel, point, point_add
+from heegnerlab.ellcurve import CurveModel, point, point_add, point_mul
 from heegnerlab.errors import IdentityPoint, PrecisionUnachievable
 from heegnerlab.lattice import (
     Lattice,
@@ -41,6 +43,52 @@ def quadrature_real_period(E, workprec):
         return 2 * mp.quad(f, [0, 1, 10, mp.inf], maxdegree=10)
 
 
+def quadrature_periods_negative_disc(E, workprec):
+    """Quadrature oracle for (w1, w2) of a curve with one real 2-division
+    value, independent of the AGM: tanh-sinh for the real period, and
+    Gauss-Legendre between e1 and the conjugate branch points for w2."""
+    with mp.workprec(workprec):
+        c4, c6 = E.c_invariants
+        g2, g3 = mp.mpf(c4) / 12, mp.mpf(c6) / 216
+        roots = mp.polyroots([4, 0, -g2, -g3], extraprec=workprec // 2 + 40)
+        roots = sorted(roots, key=lambda r: abs(mp.im(r)))
+        e1 = mp.re(roots[0])
+        p_re, q_im = mp.re(roots[1]), abs(mp.im(roots[1]))
+
+        # real period: 2 * int_{e1}^inf dt / sqrt(4(t-e1)((t-p)^2+q^2)),
+        # desingularized by t = e1 + s^2.
+        def f_real(s):
+            return 1 / mp.sqrt((s * s + e1 - p_re) ** 2 + q_im**2)
+
+        w1, err1 = mp.quad(f_real, [0, 1, 10, mp.inf], maxdegree=10, error=True)
+
+        # second generator: i * (AJ(e2) - AJ(e1)) along the straight path
+        # t = e1 + lam*v, v = (p - e1) + i q.  There
+        # (t-e1)(t-e2) = -lam(1-lam) v^2 and t - e3 stays in the right
+        # half-plane, so every square root below is branch-continuous.
+        # lam = sin(theta)^2 removes the endpoint singularities, leaving an
+        # analytic integrand that Gauss-Legendre resolves fully.
+        def f_conn(theta):
+            lam = mp.sin(theta) ** 2
+            w3 = (1 - lam) * (e1 - p_re) + mp.mpc(0, 1) * q_im * (1 + lam)
+            return 2 / mp.sqrt(w3)
+
+        w2, err2 = mp.quad(
+            f_conn, [0, mp.pi / 2], method="gauss-legendre", maxdegree=12,
+            error=True,
+        )
+        assert max(err1, err2) < mp.mpf(2) ** -(workprec - 30)
+        return 2 * w1, mp.mpc(0, 1) * w2
+
+
+def two_torsion(E, prec):
+    """The three complex points of order 2 on E, from the 2-division values."""
+    b2, b4, b6, _ = E.b_invariants
+    with mp.workprec(prec):
+        xs = mp.polyroots([4, b2, 2 * b4, b6], extraprec=prec)
+        return [(x, -(E.a1 * x + E.a3) / 2) for x in xs]
+
+
 class TestPeriods:
     def test_37a_values(self):
         L = periods(E37, PREC)
@@ -68,6 +116,16 @@ class TestPeriods:
             s = L.omega2 + mp.conj(L.omega2)
             k = mp.nint(mp.re(s / L.omega1))
             assert abs(s - k * L.omega1) < mp.mpf(2) ** -180
+
+    def test_49a_agm_matches_quadrature_oracle(self):
+        L = periods(E49, PREC)
+        o1, o2 = quadrature_periods_negative_disc(E49, PREC + 40)
+        with mp.workprec(PREC + 40):
+            oracle = Lattice(o1, o2, PREC)
+            tol = mp.mpf(2) ** -(PREC - 8)
+            for w, (s0, t0) in ((L.omega1, (1, 0)), (L.omega2, (0, 1))):
+                s, t = oracle.coordinates(w)
+                assert abs(s - s0) < tol and abs(t - t0) < tol
 
     def test_bad_precision_rejected(self):
         with pytest.raises(PrecisionUnachievable):
@@ -185,3 +243,47 @@ class TestLatticeOps:
             d0, d1 = L.nearest_distances(0.3 * L.omega1 + 0.4 * L.omega2)
             assert d0 <= d1
             assert d0 > 0
+
+
+LATTICES = {E: periods(E, PREC) for E in (E37, E32, E49)}
+
+
+class TestLogProperties:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        E=st.sampled_from([E37, E32, E49]),
+        s=st.floats(0.02, 0.98),
+        t=st.floats(0.02, 0.98),
+    )
+    @example(E=E37, s=0.5, t=0.5)  # a half period, where p' vanishes
+    def test_map_log_round_trip(self, E, s, t):
+        L = LATTICES[E]
+        with mp.workprec(PREC + 40):
+            z = s * L.omega1 + t * L.omega2
+            x, y = weierstrass_map(z, E, L)
+            z2 = complex_log_embedding(x, y, E, L)
+            assert L.distance(z - z2) < mp.mpf(2) ** -(PREC - 12)
+
+    @pytest.mark.parametrize("E", [E37, E32, E49])
+    def test_two_torsion_logs(self, E):
+        L = LATTICES[E]
+        with mp.workprec(PREC + 20):
+            for x, y in two_torsion(E, PREC + 20):
+                z = complex_log_embedding(x, y, E, L)
+                assert L.distance(2 * z) < mp.mpf(2) ** -(PREC - 20)
+                x2, _ = weierstrass_map(z, E, L)
+                assert abs(x2 - x) < mp.mpf(2) ** -(PREC - 20) * (1 + abs(x))
+
+    @pytest.mark.parametrize("n", [-8, -3, -1, 1, 2, 3, 4, 5, 6, 7, 8])
+    def test_multiples_on_37a(self, n):
+        # several multiples of (0, 0) lie on the real egg
+        L = LATTICES[E37]
+        Q = point_mul(n, point(F(0), F(0)), E37)
+        with mp.workprec(PREC + 20):
+            qx = mp.mpf(Q.x.numerator) / Q.x.denominator
+            qy = mp.mpf(Q.y.numerator) / Q.y.denominator
+            z = elliptic_log(Q, E37, L)
+            x, y = weierstrass_map(z, E37, L)
+            tol = mp.mpf(2) ** -(PREC - 20) * (1 + abs(qx))
+            assert abs(x - qx) < tol
+            assert abs(y - qy) < tol * (1 + abs(qx))
