@@ -20,10 +20,11 @@ from .errors import (
     ClusterAmbiguous,
     FieldMismatch,
     HeegnerConditionFailed,
+    HeegnerlabError,
     RecognitionFailed,
 )
 from .heegner import heegner_condition
-from .lattice import Lattice
+from .lattice import Lattice, weierstrass_map
 from .modparam import OrbitEvaluation, orbit_points, recognize, trace_point
 
 _CLUSTER_TOL = 1e-10
@@ -49,30 +50,29 @@ def _cluster_count(values, tol: float) -> int:
 
 def orbit_degree(E: CurveModel, D: int, n: int, precision_bits: int) -> int:
     """Distinct x-coordinates among {x(n * P^sigma)} over the full conjugate
-    orbit; n-multiplication is done on the torus as n*z mod the lattice."""
+    orbit of discriminant D."""
     if not 1 <= n <= _TORSION_CAP:
         raise ValueError("n must be in 1..12")
     if not heegner_condition(D, E.conductor):
         raise HeegnerConditionFailed(f"D={D} inadmissible for level {E.conductor}")
-    orbit = orbit_points(E, D, precision_bits)
+    return _orbit_degree(orbit_points(E, D, precision_bits), n)
+
+
+def _orbit_degree(orbit: OrbitEvaluation, n: int) -> int:
+    # n-multiplication is done on the torus as n*z mod the lattice
+    prec = orbit.precision_bits
     L = orbit.lattice
     xs = []
-    with mp.workprec(precision_bits + 20):
+    has_identity = False
+    with mp.workprec(prec + 20):
         for z in orbit.points_z:
             nz = L.reduce(n * z)
-            if L.distance(nz) < mp.mpf(2) ** (-(precision_bits // 2)):
-                # n*P is the identity; count it as one shared value
-                xs.append(mp.mpc(mp.inf))
-                continue
-            from .lattice import weierstrass_map
-
-            x, _ = weierstrass_map(nz, E, L)
-            xs.append(x)
-        finite = [x for x in xs if x != mp.mpc(mp.inf)]
-        count = _cluster_count(finite, _CLUSTER_TOL) if finite else 0
-        if len(finite) < len(xs):
-            count += 1
-        return count
+            if L.distance(nz) < mp.mpf(2) ** (-(prec // 2)):
+                has_identity = True  # n*P is the identity; one shared value
+            else:
+                xs.append(weierstrass_map(nz, orbit.curve, L)[0])
+        count = _cluster_count(xs, _CLUSTER_TOL) if xs else 0
+        return count + has_identity
 
 
 @dataclass(frozen=True)
@@ -114,10 +114,27 @@ def relation_search(points, B: int, precision_bits: int) -> Relation | None:
     """Exhaustive box search for integer dependence among base points.
 
     points: sequence of EmbeddingSet (or OrbitEvaluation).  A candidate
-    (n_1..n_r, t) passes only if t * sum n_i z_i^(sigma) is within
-    2^-(precision_bits/2) of the lattice at every combination of available
-    conjugate embeddings, with the next-nearest lattice point at least
-    2^10 times farther.  First passing candidate in lexicographic order wins.
+    (n_1..n_r, t), 0 <= n_1 <= B, |n_i| <= B, 1 <= t <= 12, is accepted only
+    if z = t * sum n_i z_i^(sigma) is within tol * scale of the lattice L of
+    the first point at every combination of available conjugate embeddings,
+    with the next-nearest lattice point at least 2^10 times farther; here
+    tol = 2^-(precision_bits/2) and scale = max(|w1|, |w2|).  The first
+    accepted candidate in lexicographic order (vector, then t) wins.
+
+    That mpmath test runs only on the candidates that pass an exact integer
+    sieve.  With K = precision_bits + 20, every embedding z_i is stored as
+    its lattice coordinates (a_i, b_i) rounded to integers A_i = round(a_i
+    2^K), B_i = round(b_i 2^K), and a candidate survives only if, at every
+    combination, t * sum n_i A_i and t * sum n_i B_i both lie within sigma
+    of a multiple of 2^K.  The sieve never rejects an accepted candidate:
+    if |z - m| = |w| < tol * scale for a lattice point m, the coordinates
+    (s, t') of w satisfy |s| <= |w2| |w| / |det| and |t'| <= |w1| |w| / |det|
+    (det = Im(conj(w1) w2)), so both are below scale^2 tol / |det|.  sigma
+    is twice that in units of 2^-K, plus 2^13 units: rounding the A_i
+    contributes at most t * sum |n_i| <= 2,400 half units, and the float
+    error of both sides at K bits is far below the spare scale^2 tol / |det|
+    >= 2^(K - precision_bits/2) units.  So the result equals that of the
+    plain box search, at a tiny fraction of its mpmath work.
     """
     sets = [
         EmbeddingSet.from_orbit(p) if isinstance(p, OrbitEvaluation) else p
@@ -129,29 +146,57 @@ def relation_search(points, B: int, precision_bits: int) -> Relation | None:
     if not 1 <= B <= 50:
         raise ValueError("B must be in 1..50")
     tol = mp.mpf(2) ** (-(precision_bits // 2))
-    with mp.workprec(precision_bits + 20):
+    K = precision_bits + 20
+    mask = (1 << K) - 1
+    # all embeddings share the first point's lattice when the points sit on
+    # one curve; use that lattice for the sum
+    L = sets[0].lattice
+    with mp.workprec(K):
         combos = list(itertools.product(*(range(len(s.zs)) for s in sets)))
-        scale = [
-            max(abs(s.lattice.omega1), abs(s.lattice.omega2)) for s in sets
+        scale = max(abs(L.omega1), abs(L.omega2))
+        det = abs(mp.im(mp.conj(L.omega1) * L.omega2))
+        sigma = int(mp.ceil(mp.ldexp(2 * scale**2 * tol / det, K))) + 2**13
+        fixed = [
+            [tuple(int(mp.nint(mp.ldexp(c, K))) for c in L.coordinates(z))
+             for z in s.zs]
+            for s in sets
         ]
         for vec in _coefficient_vectors(r, B):
+            sums = []  # integer coordinate sums, one per combination as needed
             for t in range(1, _TORSION_CAP + 1):
-                ok = True
-                for combo in combos:
-                    # all embeddings share the first point's lattice when the
-                    # points sit on one curve; use that lattice for the sum
-                    L = sets[0].lattice
-                    z = mp.mpc(0)
-                    for i, (s, ci) in enumerate(zip(sets, combo)):
-                        z += vec[i] * s.zs[ci]
-                    z *= t
-                    d0, d1 = L.nearest_distances(z)
-                    if d0 >= tol * scale[0] or d1 < (2**10) * tol * scale[0]:
-                        ok = False
+                for k, combo in enumerate(combos):
+                    if k == len(sums):
+                        sums.append(_coordinate_sums(vec, combo, fixed))
+                    a, b = sums[k]
+                    if ((t * a + sigma) & mask) > 2 * sigma or (
+                        (t * b + sigma) & mask
+                    ) > 2 * sigma:
                         break
-                if ok:
-                    return Relation(coefficients=vec, torsion_slack=t)
+                else:
+                    if _near_lattice_everywhere(vec, t, sets, combos, L, tol * scale):
+                        return Relation(coefficients=vec, torsion_slack=t)
     return None
+
+
+def _coordinate_sums(vec, combo, fixed) -> tuple[int, int]:
+    a = b = 0
+    for n, coords, ci in zip(vec, fixed, combo):
+        a += n * coords[ci][0]
+        b += n * coords[ci][1]
+    return a, b
+
+
+def _near_lattice_everywhere(vec, t, sets, combos, L, bound) -> bool:
+    # the acceptance test: z within bound of L, next-nearest 2^10 farther
+    for combo in combos:
+        z = mp.mpc(0)
+        for i, (s, ci) in enumerate(zip(sets, combo)):
+            z += vec[i] * s.zs[ci]
+        z *= t
+        d0, d1 = L.nearest_distances(z)
+        if d0 >= bound or d1 < (2**10) * bound:
+            return False
+    return True
 
 
 def verify_relation(exact_points, rel: Relation, E: CurveModel) -> bool:
@@ -208,8 +253,10 @@ def independence_report(
     conductor: int | None = None,
 ) -> IndependenceReport:
     """Run the whole pipeline over several imaginary quadratic fields and
-    assemble the three-valued verdict.  Per-field failures are recorded in
-    the entries, never raised."""
+    assemble the three-valued verdict.  A domain error (HeegnerlabError) in
+    one field is recorded in its entry as "<stage>: <type>: <message>", with
+    stage one of orbit, degree, trace, recognize; any other exception
+    propagates."""
     if len(set(discs)) != len(discs):
         raise ValueError("discriminants must be distinct")
     entries = []
@@ -225,12 +272,11 @@ def independence_report(
                 )
             )
             continue
-        try:
-            entries.append(_field_entry(E, D, precision_bits, conductor, orbits, exact, B))
-        except Exception as exc:  # per-entry failures are data, not crashes
-            entries.append(
-                FieldEntry(discriminant=D, admissible=True, error=repr(exc))
-            )
+        entry, orbit, exact_pt = _field_entry(E, D, precision_bits, conductor, B)
+        entries.append(entry)
+        if orbit is not None:
+            orbits.append(orbit)
+            exact.append(exact_pt)
     relation = None
     verdict = "no_relation_up_to_bound"
     if len(orbits) >= 2:
@@ -262,50 +308,32 @@ def independence_report(
     )
 
 
-def _field_entry(E, D, precision_bits, conductor, orbits, exact, B):
-    cg = qform.enumerate_reduced(D)
-    h = len(cg.forms)
-    orbit = orbit_points(E, D, precision_bits)
-    orbits.append(orbit)
-    degs = tuple(orbit_degree(E, D, n, precision_bits) for n in (1, 2, 3))
-    tr = trace_point(orbit)
-    recog = None
-    exact_pt = None
-    if tr.is_identity:
-        recog = "trace is the identity"
-    else:
-        try:
-            if tr.is_real:
-                rec = recognize([tr.xy], 10**6, E, precision_bits=precision_bits)
-            else:
-                x, y = tr.xy
-                with mp.workprec(precision_bits + 20):
-                    conj = (mp.conj(x), mp.conj(y))
-                rec = recognize(
-                    [(x, y), conj],
-                    10**6,
-                    E,
-                    precision_bits=precision_bits,
-                )
-            if rec.kind == "rational":
-                rx, ry = rec.value
-                exact_pt = point(rx, ry)
-                recog = f"rational ({rx}, {ry})"
-            else:
-                if rec.kind == "quadratic":
-                    exact_pt = CurvePoint(rec.value[0], rec.value[1])
-                recog = f"{rec.kind} {rec.value}"
-        except RecognitionFailed as exc:
-            recog = f"unrecognized: {exc}"
-    exact.append(exact_pt)
-    rc = rc_odd = None
-    if conductor is not None:
-        rc = qform.ring_class_number(D, conductor)
-        rc_odd = arith.odd_part(rc).odd_part
+def _field_entry(E, D, precision_bits, conductor, B):
+    """(entry, orbit, exact trace point) for one admissible field.  An orbit
+    that was evaluated joins the relation search even if a later stage
+    fails; the exact point is then None."""
+    stage = "orbit"
+    orbit = None
+    try:
+        h = len(qform.enumerate_reduced(D).forms)
+        rc = rc_odd = None
+        if conductor is not None:
+            rc = qform.ring_class_number(D, conductor)
+            rc_odd = arith.odd_part(rc).odd_part
+        orbit = orbit_points(E, D, precision_bits)
+        stage = "degree"
+        degs = tuple(_orbit_degree(orbit, n) for n in (1, 2, 3))
+        stage = "trace"
+        tr = trace_point(orbit)
+        stage = "recognize"
+        recog, exact_pt = _recognize_trace(tr, E, precision_bits)
+    except HeegnerlabError as exc:
+        error = f"{stage}: {type(exc).__name__}: {exc}"
+        return FieldEntry(discriminant=D, admissible=True, error=error), orbit, None
     div_ok = None
     if E.modular_degree is not None:
         div_ok = (degs[0] * math.factorial(E.modular_degree)) % h == 0
-    return FieldEntry(
+    entry = FieldEntry(
         discriminant=D,
         admissible=True,
         class_number=h,
@@ -318,3 +346,27 @@ def _field_entry(E, D, precision_bits, conductor, orbits, exact, B):
         ring_class_odd_part=rc_odd,
         divisibility_ok=div_ok,
     )
+    return entry, orbit, exact_pt
+
+
+def _recognize_trace(tr, E, precision_bits):
+    # (human-readable outcome, exact point or None) for a trace point
+    if tr.is_identity:
+        return "trace is the identity", None
+    try:
+        if tr.is_real:
+            rec = recognize([tr.xy], 10**6, E, precision_bits=precision_bits)
+        else:
+            x, y = tr.xy
+            with mp.workprec(precision_bits + 20):
+                conj = (mp.conj(x), mp.conj(y))
+            rec = recognize([(x, y), conj], 10**6, E, precision_bits=precision_bits)
+    except RecognitionFailed as exc:
+        return f"unrecognized: {exc}", None
+    if rec.kind == "rational":
+        rx, ry = rec.value
+        return f"rational ({rx}, {ry})", point(rx, ry)
+    exact_pt = None
+    if rec.kind == "quadratic":
+        exact_pt = CurvePoint(rec.value[0], rec.value[1])
+    return f"{rec.kind} {rec.value}", exact_pt

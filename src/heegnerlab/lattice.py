@@ -11,6 +11,7 @@ precision; it raises rather than return an uncertified value.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from mpmath import mp, mpc, mpf
 
@@ -26,10 +27,12 @@ class Lattice:
     omega2: mpc
     precision_bits: int
 
+    @cached_property
     def reduced_basis(self) -> tuple[mpc, mpc]:
         """Gauss-reduced basis (w1, w2) with Im(w2/w1) > 0 and |w2/w1|
-        in the usual fundamental domain; used for series evaluation."""
-        with mp.workprec(self.precision_bits):
+        in the usual fundamental domain; used for series evaluation.  It
+        keeps the 40 guard bits that periods computes."""
+        with mp.workprec(self.precision_bits + 40):
             w1, w2 = self.omega1, self.omega2
             if abs(w2) < abs(w1):
                 w1, w2 = w2, w1
@@ -121,7 +124,7 @@ def periods(E: CurveModel, precision_bits: int) -> Lattice:
 
 def _u_q(z: mpc, L: Lattice, prec: int) -> tuple[mpc, mpc, mpc]:
     # reduce z against the Gauss-reduced basis; return (u, q, w1_reduced)
-    w1, w2 = L.reduced_basis()
+    w1, w2 = L.reduced_basis
     tau = w2 / w1
     x1, y1 = mp.re(w1), mp.im(w1)
     x2, y2 = mp.re(w2), mp.im(w2)

@@ -1,12 +1,19 @@
 """Tests for orbit degrees, relation search/verification, and reports."""
 
+import functools
+import itertools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp
 
+from heegnerlab import analysis
 from heegnerlab.analysis import (
     EmbeddingSet,
     Relation,
     _cluster_count,
+    _coefficient_vectors,
     independence_report,
     orbit_degree,
     relation_search,
@@ -14,13 +21,47 @@ from heegnerlab.analysis import (
 )
 from heegnerlab.db import find_curve
 from heegnerlab.ellcurve import point, point_mul, point_neg
-from heegnerlab.errors import ClusterAmbiguous, HeegnerConditionFailed
+from heegnerlab.errors import (
+    ClusterAmbiguous,
+    ConvergenceTooSlow,
+    HeegnerConditionFailed,
+)
+from heegnerlab.lattice import periods
 from heegnerlab.modparam import orbit_points
 
 PREC = 200
 
 E37 = find_curve("37a").curve()
 E32 = find_curve("32a").curve()
+E49 = find_curve("49a").curve()
+
+
+def box_search_oracle(sets, B, precision_bits):
+    """The plain box search: the mpmath test on every candidate, in the
+    order relation_search must reproduce."""
+    r = len(sets)
+    tol = mp.mpf(2) ** (-(precision_bits // 2))
+    with mp.workprec(precision_bits + 20):
+        combos = list(itertools.product(*(range(len(s.zs)) for s in sets)))
+        scale = [
+            max(abs(s.lattice.omega1), abs(s.lattice.omega2)) for s in sets
+        ]
+        for vec in _coefficient_vectors(r, B):
+            for t in range(1, 13):
+                ok = True
+                for combo in combos:
+                    L = sets[0].lattice
+                    z = mp.mpc(0)
+                    for i, (s, ci) in enumerate(zip(sets, combo)):
+                        z += vec[i] * s.zs[ci]
+                    z *= t
+                    d0, d1 = L.nearest_distances(z)
+                    if d0 >= tol * scale[0] or d1 < (2**10) * tol * scale[0]:
+                        ok = False
+                        break
+                if ok:
+                    return Relation(coefficients=vec, torsion_slack=t)
+    return None
 
 
 class TestClusterCount:
@@ -182,3 +223,182 @@ class TestIndependenceReport:
         rep = independence_report(E37, [-7, -11], 5, PREC)
         for e in rep.entries:
             assert e.divisibility_ok is True
+
+
+CURVES = {"37a": E37, "32a": E32, "49a": E49}
+# (r, B) boxes that the oracle scans in well under a second
+BOXES = [(2, 1), (2, 2), (2, 4), (3, 1), (3, 2), (4, 1)]
+EXTRA_EMBEDDINGS = ["none", "shift", "half", "generic", "negated"]
+
+
+@functools.cache
+def _lattice(label, prec):
+    return periods(CURVES[label], prec)
+
+
+def _generic_point(L, rng):
+    # transcendental lattice coordinates: no small relation with anything
+    s = mp.frac(mp.sqrt(rng.randrange(2, 10**6)) * mp.pi)
+    t = mp.frac(mp.sqrt(rng.randrange(2, 10**6)) * mp.e)
+    return s * L.omega1 + t * L.omega2
+
+
+def _extra_embedding(kind, z, L, rng):
+    if kind == "shift":  # the same point mod L, left unreduced
+        return (z + L.omega2,)
+    if kind == "half":  # moved by a 2-torsion point
+        return (L.reduce(z + L.omega1 / 2),)
+    if kind == "generic":
+        return (_generic_point(L, rng),)
+    if kind == "negated":
+        return (L.reduce(-z),)
+    return ()
+
+
+@st.composite
+def planted_sets(draw):
+    """Points with slack * sum n_i z_i within near * tol * scale of L for a
+    drawn (n, slack) in the box, each point with an optional second
+    embedding.  near < 1 is inside the acceptance radius, near = 1.5
+    outside it but inside the sieve's slack."""
+    label = draw(st.sampled_from(sorted(CURVES)))
+    prec = draw(st.sampled_from([53, 100, 200]))
+    r, B = draw(st.sampled_from(BOXES))
+    slack = draw(st.integers(1, 4))
+    vec = draw(st.lists(st.integers(-B, B), min_size=r, max_size=r))
+    j = draw(st.integers(0, r - 1))
+    vec[j] = draw(st.sampled_from([1, -1]))
+    if vec[0] < 0:
+        vec = [-n for n in vec]
+    lam = draw(st.tuples(st.integers(0, slack - 1), st.integers(0, slack - 1)))
+    extras = draw(
+        st.lists(st.sampled_from(EXTRA_EMBEDDINGS), min_size=r, max_size=r)
+    )
+    near = draw(st.sampled_from([0, 0, 0.5, 0.99, 1.5]))
+    rng = draw(st.randoms(use_true_random=False))
+    L = _lattice(label, prec)
+    with mp.workprec(prec + 20):
+        zs = [_generic_point(L, rng) for _ in range(r)]
+        radius = mp.mpf(2) ** (-(prec // 2)) * max(abs(L.omega1), abs(L.omega2))
+        miss = near * radius / slack * mp.expjpi(2 * mp.mpf(rng.random()))
+        target = (lam[0] * L.omega1 + lam[1] * L.omega2) / slack + miss
+        rest = sum(vec[i] * zs[i] for i in range(r) if i != j)
+        zs[j] = L.reduce(vec[j] * (target - rest))
+        sets = [
+            EmbeddingSet(zs=(z,) + _extra_embedding(kind, z, L, rng), lattice=L)
+            for z, kind in zip(zs, extras)
+        ]
+    planted_holds = near < 1 and all(kind in ("none", "shift") for kind in extras)
+    return sets, B, prec, planted_holds
+
+
+@st.composite
+def generic_sets(draw):
+    """Points with transcendental coordinates, one or two embeddings each."""
+    label = draw(st.sampled_from(sorted(CURVES)))
+    prec = draw(st.sampled_from([53, 100, 200]))
+    r, B = draw(st.sampled_from(BOXES))
+    sizes = draw(st.lists(st.integers(1, 2), min_size=r, max_size=r))
+    rng = draw(st.randoms(use_true_random=False))
+    L = _lattice(label, prec)
+    with mp.workprec(prec + 20):
+        sets = [
+            EmbeddingSet(zs=tuple(_generic_point(L, rng) for _ in range(k)), lattice=L)
+            for k in sizes
+        ]
+    return sets, B, prec
+
+
+class TestSieveMatchesOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(case=planted_sets())
+    def test_planted_relations(self, case):
+        sets, B, prec, planted_holds = case
+        expected = box_search_oracle(sets, B, prec)
+        if planted_holds:
+            assert expected is not None
+        assert relation_search(sets, B, prec) == expected
+
+    @settings(max_examples=25, deadline=None)
+    @given(case=generic_sets())
+    def test_transcendental_sets(self, case):
+        sets, B, prec = case
+        assert relation_search(sets, B, prec) == box_search_oracle(sets, B, prec)
+
+    def test_known_relations_unchanged(self):
+        orb = orbit_points(E37, -7, PREC)
+        L = orb.lattice
+        z = orb.points_z[0]
+        with mp.workprec(PREC + 20):
+            base = EmbeddingSet.from_orbit(orb)
+            doubled = EmbeddingSet(zs=(L.reduce(2 * z),), lattice=L)
+            negated = EmbeddingSet(zs=(L.reduce(-z),), lattice=L)
+        for other, coefficients in ((doubled, (2, -1)), (negated, (1, 1))):
+            rel = relation_search([base, other], 5, PREC)
+            assert rel == Relation(coefficients=coefficients, torsion_slack=1)
+            assert rel == box_search_oracle([base, other], 5, PREC)
+
+
+class TestFieldFailures:
+    def _fail_for(self, monkeypatch, name, exc):
+        # make analysis.<name> raise exc for the field D = -11 only
+        real = getattr(analysis, name)
+
+        def patched(*args):
+            D = args[1] if name == "orbit_points" else args[0].discriminant
+            if D == -11:
+                raise exc
+            return real(*args)
+
+        monkeypatch.setattr(analysis, name, patched)
+
+    @pytest.mark.parametrize(
+        "name, stage",
+        [("orbit_points", "orbit"), ("_orbit_degree", "degree"),
+         ("trace_point", "trace")],
+    )
+    def test_domain_error_records_stage(self, monkeypatch, name, stage):
+        self._fail_for(monkeypatch, name, ConvergenceTooSlow("forced"))
+        rep = independence_report(E37, [-7, -11], 2, PREC)
+        assert rep.entries[0].error is None
+        assert rep.entries[1].admissible is True
+        assert rep.entries[1].error == f"{stage}: ConvergenceTooSlow: forced"
+        if stage == "orbit":
+            assert rep.relation is None
+        else:
+            # the evaluated orbit still joins the search; with no exact
+            # point the relation stays numerical
+            assert rep.relation == Relation(coefficients=(1, 1), torsion_slack=1)
+            assert rep.verdict == "relation_found_numerical"
+
+    def test_recognize_stage(self, monkeypatch):
+        real = analysis.recognize
+        calls = []
+
+        def patched(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 2:  # the second field, D = -11
+                raise ConvergenceTooSlow("forced")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(analysis, "recognize", patched)
+        rep = independence_report(E37, [-7, -11], 2, PREC)
+        assert rep.entries[0].error is None
+        assert rep.entries[1].error == "recognize: ConvergenceTooSlow: forced"
+
+    def test_non_domain_error_propagates(self, monkeypatch):
+        self._fail_for(monkeypatch, "trace_point", TypeError("bug"))
+        with pytest.raises(TypeError):
+            independence_report(E37, [-7, -11], 2, PREC)
+
+    def test_each_orbit_evaluated_once(self, monkeypatch):
+        real = analysis.orbit_points
+        seen = []
+
+        def counting(E, D, precision_bits):
+            seen.append(D)
+            return real(E, D, precision_bits)
+
+        monkeypatch.setattr(analysis, "orbit_points", counting)
+        independence_report(E37, [-7, -11, -47], 2, PREC)
+        assert seen == [-7, -11, -47]

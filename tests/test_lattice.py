@@ -153,6 +153,21 @@ class TestWeierstrassP:
             assert abs(p1 - p2) < mp.mpf(2) ** -(PREC - 15)
             assert abs(dp1 + dp2) < mp.mpf(2) ** -(PREC - 15)
 
+    @pytest.mark.parametrize("E", [E37, E32])
+    def test_half_period_keeps_guard_bits(self, E):
+        # p((w1 + w2)/2) = e2, the middle 2-division value, to 2^-(PREC+10):
+        # the reduced basis carries the guard bits that periods computes
+        L = periods(E, PREC)
+        c4, c6 = E.c_invariants
+        with mp.workprec(PREC + 60):
+            roots = mp.polyroots(
+                [4, 0, -mp.mpf(c4) / 12, -mp.mpf(c6) / 216], extraprec=PREC
+            )
+            e2 = sorted(mp.re(r) for r in roots)[1]
+        with mp.workprec(PREC + 20):
+            p, _ = weierstrass_p((L.omega1 + L.omega2) / 2, L, PREC + 20)
+            assert abs(p - e2) < mp.mpf(2) ** -(PREC + 10)
+
     def test_identity_raises(self):
         L = periods(E37, PREC)
         with pytest.raises(IdentityPoint):
