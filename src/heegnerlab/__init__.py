@@ -32,6 +32,9 @@ from .modparam import (
     eval_phi,
     orbit_points,
     recognize,
+    recognize_minpoly,
+    recognize_quadratic,
+    recognize_trace,
     trace_point,
 )
 from .qform import (
@@ -83,6 +86,9 @@ __all__ = [
     "prime_to_B_part",
     "principal_form",
     "recognize",
+    "recognize_minpoly",
+    "recognize_quadratic",
+    "recognize_trace",
     "reduce",
     "relation_search",
     "ring_class_number",

@@ -9,8 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 
 from mpmath import mp, mpc
 
@@ -25,7 +24,8 @@ from .errors import (
 )
 from .heegner import heegner_condition
 from .lattice import Lattice, weierstrass_map
-from .modparam import OrbitEvaluation, orbit_points, recognize, trace_point
+from .modparam import (OrbitEvaluation, orbit_points, recognize_trace,
+                       trace_point)
 
 _CLUSTER_TOL = 1e-10
 _TORSION_CAP = 12
@@ -253,17 +253,23 @@ def independence_report(
     conductor: int | None = None,
 ) -> IndependenceReport:
     """Run the whole pipeline over several imaginary quadratic fields and
-    assemble the three-valued verdict.  A domain error (HeegnerlabError) in
-    one field is recorded in its entry as "<stage>: <type>: <message>", with
-    stage one of orbit, degree, trace, recognize; any other exception
-    propagates."""
+    assemble the three-valued verdict.  At most four discriminants may be
+    admissible, the relation search's limit.  A domain error
+    (HeegnerlabError) in one field is recorded in its entry as
+    "<stage>: <type>: <message>", with stage one of orbit, degree, trace,
+    recognize; any other exception propagates.  The relation's coefficients
+    are aligned with discs, 0 for a field that did not join the search."""
     if len(set(discs)) != len(discs):
         raise ValueError("discriminants must be distinct")
+    admissible = [heegner_condition(D, E.conductor) for D in discs]
+    if sum(admissible) > 4:
+        raise ValueError("the relation search takes at most 4 admissible fields")
     entries = []
     orbits = []
     exact = []  # recognized rational points, aligned with orbits; None gaps
-    for D in discs:
-        if not heegner_condition(D, E.conductor):
+    joined = []  # index in discs of each orbit
+    for i, (D, ok) in enumerate(zip(discs, admissible)):
+        if not ok:
             entries.append(
                 FieldEntry(
                     discriminant=D,
@@ -277,19 +283,23 @@ def independence_report(
         if orbit is not None:
             orbits.append(orbit)
             exact.append(exact_pt)
+            joined.append(i)
     relation = None
     verdict = "no_relation_up_to_bound"
     if len(orbits) >= 2:
-        relation = relation_search(orbits[:4], B, precision_bits)
-        if relation is not None:
+        found = relation_search(orbits, B, precision_bits)
+        if found is not None:
             verdict = "relation_found_numerical"
-            pts = [exact[i] for i in range(len(relation.coefficients))]
-            if all(p is not None for p in pts):
+            if all(p is not None for p in exact):
                 try:
-                    if verify_relation(pts, relation, E):
+                    if verify_relation(exact, found, E):
                         verdict = "relation_found_verified"
                 except FieldMismatch:
                     pass
+            coefficients = [0] * len(discs)
+            for i, n in zip(joined, found.coefficients):
+                coefficients[i] = n
+            relation = Relation(tuple(coefficients), found.torsion_slack)
     odd_parts = [e.odd_part for e in entries if e.odd_part is not None]
     note = (
         "measured odd parts of the class numbers: "
@@ -354,19 +364,10 @@ def _recognize_trace(tr, E, precision_bits):
     if tr.is_identity:
         return "trace is the identity", None
     try:
-        if tr.is_real:
-            rec = recognize([tr.xy], 10**6, E, precision_bits=precision_bits)
-        else:
-            x, y = tr.xy
-            with mp.workprec(precision_bits + 20):
-                conj = (mp.conj(x), mp.conj(y))
-            rec = recognize([(x, y), conj], 10**6, E, precision_bits=precision_bits)
+        rec = recognize_trace(tr, E, precision_bits)
     except RecognitionFailed as exc:
         return f"unrecognized: {exc}", None
     if rec.kind == "rational":
         rx, ry = rec.value
         return f"rational ({rx}, {ry})", point(rx, ry)
-    exact_pt = None
-    if rec.kind == "quadratic":
-        exact_pt = CurvePoint(rec.value[0], rec.value[1])
-    return f"{rec.kind} {rec.value}", exact_pt
+    return f"{rec.kind} {rec.value}", CurvePoint(rec.value[0], rec.value[1])

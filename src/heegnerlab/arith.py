@@ -10,8 +10,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from sympy.ntheory.residue_ntheory import sqrt_mod
-
 from .errors import NoSquareRoot
 
 
@@ -64,11 +62,10 @@ def sqrt_mod_4N(D: int, N: int) -> int:
     if N <= 0:
         raise ValueError("N must be positive")
     m = 4 * N
-    roots = sqrt_mod(D % m, m, all_roots=True) or []
-    candidates = [b for b in roots if 0 < b <= 2 * N]
-    if not candidates:
-        raise NoSquareRoot(f"no b with b^2 = {D} mod {m}")
-    return min(candidates)
+    for b in range(1, 2 * N + 1):
+        if (b * b - D) % m == 0:
+            return b
+    raise NoSquareRoot(f"no b with b^2 = {D} mod {m}")
 
 
 def odd_part(n: int) -> OddPartDecomposition:

@@ -150,20 +150,7 @@ def cmd_point(args):
     recog_err = None
     if not tr.is_identity:
         try:
-            if tr.is_real:
-                rec = modparam.recognize(
-                    [tr.xy], 10**6, E, precision_bits=args.prec
-                )
-            else:
-                x, y = tr.xy
-                with mp.workprec(args.prec + 20):
-                    conj = (mp.conj(x), mp.conj(y))
-                rec = modparam.recognize(
-                    [(x, y), conj],
-                    10**6,
-                    E,
-                    precision_bits=args.prec,
-                )
+            rec = modparam.recognize_trace(tr, E, args.prec)
             recog = {"kind": rec.kind, "value": rec.value,
                      "residual": mp.mpf(rec.residual)}
         except HeegnerlabError as exc:

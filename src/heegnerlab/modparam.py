@@ -1,19 +1,22 @@
 """Numerical modular parametrization.
 
 Evaluates phi(tau) = sum a_n q^n / n on the upper half plane, pushes whole
-conjugate orbits of class-field points through the uniformization, forms
-trace points, and recognizes algebraic coordinates (exact rationals,
-quadratic irrationals, or integer minimal polynomials).
+conjugate orbits of class-field points through the uniformization and forms
+trace points.  Recognition has one entry point per input shape: recognize
+for one point over Q, recognize_quadratic for a conjugate pair of points
+over Q(sqrt(D)), recognize_minpoly for the conjugates of a number.
+recognize_trace sends a trace point to the first or the second; the
+quadratic field of a trace is that of its discriminant D.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from mpmath import mp, mpc, mpf
-from sympy import factorint
 
 from .ellcurve import CurveModel, QuadElt, an_coeffs
 from .errors import ConvergenceTooSlow, RecognitionFailed
@@ -46,10 +49,10 @@ def _cached_coeffs(a1, a2, a3, a4, a6, N, M):
     return an_coeffs(CurveModel(a1, a2, a3, a4, a6, N), M)
 
 
-def eval_phi(E: CurveModel, tau: mpc, precision_bits: int) -> mpc:
-    """sum_{n<=M} a_n e^{2 pi i n tau} / n, truncated so the geometric
-    tail bound stays below 2^-(precision_bits+4).  The value is the
-    pre-lattice-reduction image of tau in C."""
+def eval_phi(E: CurveModel, tau: mpc, precision_bits: int) -> tuple[mpc, int]:
+    """(value, M): value = sum_{n<=M} a_n e^{2 pi i n tau} / n, with M
+    chosen so the geometric tail bound stays below 2^-(precision_bits+4).
+    The value is the pre-lattice-reduction image of tau in C."""
     if mp.im(tau) < mp.mpf("1e-3"):
         raise ConvergenceTooSlow("Im(tau) below 10^-3")
     with mp.workprec(precision_bits + 20):
@@ -60,13 +63,7 @@ def eval_phi(E: CurveModel, tau: mpc, precision_bits: int) -> mpc:
         acc = mp.mpc(0)
         for n in range(M, 0, -1):
             acc = acc * q + mp.mpf(coeffs.a(n)) / n
-        return acc * q
-
-
-def phi_terms_used(E: CurveModel, tau: mpc, precision_bits: int) -> int:
-    with mp.workprec(precision_bits + 20):
-        q = mp.exp(2j * mp.pi * tau)
-        return _terms_needed(abs(q), precision_bits)
+        return acc * q, M
 
 
 @dataclass(frozen=True)
@@ -100,8 +97,9 @@ def orbit_points(E: CurveModel, D: int, precision_bits: int) -> OrbitEvaluation:
     with mp.workprec(precision_bits + 20):
         for rep in fiber:
             tau = rep.tau(precision_bits + 20)
-            terms = max(terms, phi_terms_used(E, tau, precision_bits))
-            z = L.reduce(eval_phi(E, tau, precision_bits))
+            phi, M = eval_phi(E, tau, precision_bits)
+            terms = max(terms, M)
+            z = L.reduce(phi)
             zs.append(z)
             xys.append(weierstrass_map(z, E, L))
     return OrbitEvaluation(
@@ -117,6 +115,7 @@ def orbit_points(E: CurveModel, D: int, precision_bits: int) -> OrbitEvaluation:
 
 @dataclass(frozen=True)
 class TracePoint:
+    discriminant: int  # of the orbit; the trace lies in E(Q(sqrt(D)))
     z: mpc
     is_identity: bool
     xy: tuple[mpc, mpc] | None  # None exactly when is_identity
@@ -130,20 +129,21 @@ def trace_point(orbit: OrbitEvaluation) -> TracePoint:
     flagged rather than resolved."""
     L = orbit.lattice
     prec = orbit.precision_bits
+    D = orbit.discriminant
     with mp.workprec(prec + 20):
         z = L.reduce(mp.fsum(mp.re(w) for w in orbit.points_z)
                      + 1j * mp.fsum(mp.im(w) for w in orbit.points_z))
         tol = mp.mpf(2) ** (-(prec // 2))
         scale = max(abs(L.omega1), abs(L.omega2))
         if L.distance(z) < tol * scale:
-            return TracePoint(z=z, is_identity=True, xy=None,
+            return TracePoint(discriminant=D, z=z, is_identity=True, xy=None,
                               is_real=True, half_lattice=False)
         half = L.distance(2 * z) < tol * scale
         x, y = weierstrass_map(z, orbit.curve, L)
         real = abs(mp.im(x)) < tol * (1 + abs(x)) and abs(mp.im(y)) < tol * (
             1 + abs(y)
         )
-        return TracePoint(z=z, is_identity=False, xy=(x, y),
+        return TracePoint(discriminant=D, z=z, is_identity=False, xy=(x, y),
                           is_real=real, half_lattice=half)
 
 
@@ -171,128 +171,101 @@ def _round_rational(v, bound: int) -> tuple[Fraction, mpf]:
     return r, err
 
 
-def _as_pairs(values):
-    out = []
-    for v in values:
-        if isinstance(v, (tuple, list)) and len(v) == 2:
-            out.append((mp.mpc(v[0]), mp.mpc(v[1])))
-        else:
-            out.append(None)
-    return out if all(p is not None for p in out) else None
-
-
 def recognize(
-    values,
+    points,
     denominator_bound: int,
-    E: CurveModel | None = None,
+    E: CurveModel,
     precision_bits: int = 200,
-):
-    """Identify exact algebraic coordinates behind numerical conjugates.
-
-    values: a single complex number, a single (x, y) pair, or a conjugate
-    multiset of either.  Rational and quadratic kinds are accepted only when
-    the recovered exact point satisfies the curve equation exactly; the
-    minpoly kind only when every conjugate is a root to within 2^-20.
-    """
+) -> RecognizedAlgebraic:
+    """Exact rational point of E behind one numerical point, given as
+    [(x, y)].  Accepted only when the rounded point satisfies the curve
+    equation exactly."""
     if denominator_bound < 1:
         raise ValueError("denominator_bound must be positive")
-    single = not isinstance(values, (list, tuple)) or (
-        isinstance(values, (list, tuple))
-        and len(values) == 2
-        and not isinstance(values[0], (list, tuple))
-        and E is not None
-    )
-    if not isinstance(values, (list, tuple)):
-        vals = [values]
-    elif single:
-        vals = [tuple(values)]
-    else:
-        vals = list(values)
-
+    [(x, y)] = points
     with mp.workprec(precision_bits + 20):
-        pairs = _as_pairs(vals)
-        if pairs is not None and len(pairs) == 1:
-            return _recognize_rational_point(pairs[0], denominator_bound, E)
-        if pairs is not None and len(pairs) == 2 and E is not None:
-            return _recognize_quadratic_point(pairs, denominator_bound, E)
-        if pairs is None and len(vals) == 1:
-            r, err = _round_rational(mp.mpc(vals[0]), denominator_bound)
-            err += abs(mp.im(mp.mpc(vals[0])))
-            if err > _RESIDUAL_CAP:
-                raise RecognitionFailed(f"residual {mp.nstr(err, 5)} too large")
-            return RecognizedAlgebraic(kind="rational", value=r, residual=err)
-        xs = (
-            [p[0] for p in pairs]
-            if pairs is not None
-            else [mp.mpc(v) for v in vals]
-        )
-        return _recognize_minpoly(xs, denominator_bound)
-
-
-def _recognize_rational_point(pair, bound, E):
-    x, y = pair
-    rx, ex = _round_rational(x, bound)
-    ry, ey = _round_rational(y, bound)
-    residual = ex + ey + abs(mp.im(x)) + abs(mp.im(y))
+        x, y = mp.mpc(x), mp.mpc(y)
+        rx, ex = _round_rational(x, denominator_bound)
+        ry, ey = _round_rational(y, denominator_bound)
+        residual = ex + ey + abs(mp.im(x)) + abs(mp.im(y))
     if residual > _RESIDUAL_CAP:
         raise RecognitionFailed(f"residual {mp.nstr(residual, 5)} too large")
-    if E is not None:
-        lhs = ry * ry + E.a1 * rx * ry + E.a3 * ry
-        if lhs != E.rhs(rx):
-            raise RecognitionFailed("rounded point misses the curve equation")
+    lhs = ry * ry + E.a1 * rx * ry + E.a3 * ry
+    if lhs != E.rhs(rx):
+        raise RecognitionFailed("rounded point misses the curve equation")
     return RecognizedAlgebraic(kind="rational", value=(rx, ry), residual=residual)
 
 
-def _recognize_quadratic_point(pairs, bound, E):
-    (x1, y1), (x2, y2) = pairs
-    # symmetric functions are rational; recover x, y in Q(sqrt(d))
-    sx, esx = _round_rational(x1 + x2, bound * bound)
-    px, epx = _round_rational(x1 * x2, bound * bound)
-    sy, esy = _round_rational(y1 + y2, bound * bound)
-    py, epy = _round_rational(y1 * y2, bound * bound)
-    residual = esx + epx + esy + epy
-    # genuine algebraic inputs round to machine accuracy; a merely-small
-    # residual (~bound^-4) signals a spurious continued-fraction hit and
-    # would feed astronomically large integers to the factorization below
-    strict = mp.mpf(2) ** (-(mp.prec // 2)) * (1 + abs(x1) + abs(y1)) ** 2
-    if residual > max(strict, mp.mpf(2) ** (-(mp.prec - 30))):
-        raise RecognitionFailed(f"residual {mp.nstr(residual, 5)} too large")
-    disc_x = sx * sx - 4 * px
-    if disc_x == 0:
-        raise RecognitionFailed("conjugate x-values coincide; not quadratic")
-    # d = squarefree kernel of the numerator*denominator of disc_x
-    num = disc_x.numerator * disc_x.denominator
-    d = 1
-    for p, e in factorint(abs(num)).items():
-        if e % 2:
-            d *= p
-    if num < 0:
-        d = -d
-    # x = sx/2 + b*sqrt(d) with b = sqrt(disc_x/d)/2
-    bx = _frac_sqrt(disc_x / d)
-    if bx is None:
-        raise RecognitionFailed("x-discriminant is not d times a square")
-    xq = QuadElt.make(sx / 2, bx / 2, d)
-    # y = sy/2 + c*sqrt(d); c from matching y1 against the embedding of x
-    disc_y = sy * sy - 4 * py
-    if disc_y == 0:
-        yq = QuadElt.make(sy / 2, Fraction(0), d)
-    else:
-        cy = _frac_sqrt(disc_y / d)
+def recognize_quadratic(
+    points,
+    denominator_bound: int,
+    E: CurveModel,
+    D: int,
+    precision_bits: int = 200,
+) -> RecognizedAlgebraic:
+    """Exact point of E over Q(sqrt(D)) behind two complex-conjugate
+    numerical points [(x1, y1), (x2, y2)], returned in the embedding that
+    sends sqrt(D) to the principal root and (x, y) to (x1, y1).  Accepted
+    only when the exact point satisfies the curve equation."""
+    if denominator_bound < 1:
+        raise ValueError("denominator_bound must be positive")
+    bound = denominator_bound * denominator_bound
+    with mp.workprec(precision_bits + 20):
+        (x1, y1), (x2, y2) = [(mp.mpc(x), mp.mpc(y)) for x, y in points]
+        # symmetric functions are rational; recover x, y in Q(sqrt(D))
+        sx, esx = _round_rational(x1 + x2, bound)
+        px, epx = _round_rational(x1 * x2, bound)
+        sy, esy = _round_rational(y1 + y2, bound)
+        py, epy = _round_rational(y1 * y2, bound)
+        residual = esx + epx + esy + epy
+        # genuine algebraic inputs round to machine accuracy; a merely-small
+        # residual (~bound^-4) signals a spurious continued-fraction hit
+        strict = mp.mpf(2) ** (-(mp.prec // 2)) * (1 + abs(x1) + abs(y1)) ** 2
+        if residual > max(strict, mp.mpf(2) ** (-(mp.prec - 30))):
+            raise RecognitionFailed(f"residual {mp.nstr(residual, 5)} too large")
+        # x = sx/2 + (bx/2) sqrt(D) with bx = sqrt(disc_x / D); QuadElt.make
+        # reduces D = f^2 d0 to its squarefree kernel d0
+        disc_x = sx * sx - 4 * px
+        if disc_x == 0:
+            raise RecognitionFailed("conjugate x-values coincide; not quadratic")
+        bx = _frac_sqrt(disc_x / D)
+        if bx is None:
+            raise RecognitionFailed(f"x is not in Q(sqrt({D}))")
+        xq = QuadElt.make(sx / 2, bx / 2, D)
+        disc_y = sy * sy - 4 * py
+        cy = _frac_sqrt(disc_y / D)
         if cy is None:
-            raise RecognitionFailed("y lives in a different quadratic field")
-        yq = QuadElt.make(sy / 2, cy / 2, d)
-    # fix relative signs so (x1, y1) is one common embedding of (xq, yq)
-    xq, yq, emb_err = _match_embedding(xq, yq, x1, y1, d)
-    residual += emb_err
+            raise RecognitionFailed(f"y is not in Q(sqrt({D}))")
+        yq = QuadElt.make(sy / 2, cy / 2, D)
+        # fix relative signs so (x1, y1) is one common embedding of (xq, yq)
+        xq, yq, emb_err = _match_embedding(xq, yq, x1, y1)
+        residual += emb_err
     if residual > _RESIDUAL_CAP:
         raise RecognitionFailed("no sign choice matches the numerical conjugates")
-    if E is not None:
-        lhs = yq * yq + E.a1 * xq * yq + E.a3 * yq
-        rhs = xq * xq * xq + E.a2 * xq * xq + E.a4 * xq + E.a6
-        if lhs != rhs:
-            raise RecognitionFailed("quadratic point misses the curve equation")
+    lhs = yq * yq + E.a1 * xq * yq + E.a3 * yq
+    rhs = xq * xq * xq + E.a2 * xq * xq + E.a4 * xq + E.a6
+    if lhs != rhs:
+        raise RecognitionFailed("quadratic point misses the curve equation")
     return RecognizedAlgebraic(kind="quadratic", value=(xq, yq), residual=residual)
+
+
+def recognize_trace(
+    tr: TracePoint, E: CurveModel, precision_bits: int
+) -> RecognizedAlgebraic:
+    """Exact point behind a trace point that is not the identity, with
+    denominator bound 10^6: over Q when the trace is real (recognize),
+    otherwise over Q(sqrt(D)) from the trace and its complex conjugate
+    (recognize_quadratic)."""
+    if tr.is_identity:
+        raise ValueError("the identity has no affine coordinates")
+    if tr.is_real:
+        return recognize([tr.xy], 10**6, E, precision_bits=precision_bits)
+    x, y = tr.xy
+    with mp.workprec(precision_bits + 20):
+        conj = (mp.conj(x), mp.conj(y))
+    return recognize_quadratic(
+        [(x, y), conj], 10**6, E, tr.discriminant, precision_bits=precision_bits
+    )
 
 
 def _frac_sqrt(f: Fraction) -> Fraction | None:
@@ -306,13 +279,11 @@ def _frac_sqrt(f: Fraction) -> Fraction | None:
 
 
 def _isqrt_exact(n: int) -> int | None:
-    import math
-
     r = math.isqrt(n)
     return r if r * r == n else None
 
 
-def _match_embedding(xq, yq, x1, y1, d):
+def _match_embedding(xq, yq, x1, y1):
     prec = mp.prec
     best = None
     for sx in (1, -1):
@@ -331,9 +302,18 @@ def _flip(v, sign):
     return v.conjugate()
 
 
-def _recognize_minpoly(xs, bound):
+def recognize_minpoly(
+    values, denominator_bound: int, precision_bits: int = 200
+) -> RecognizedAlgebraic:
+    """Primitive integer minimal polynomial, leading coefficient first,
+    whose roots are the numerical conjugates in values.  Accepted only when
+    every conjugate is a root to within 2^-20."""
+    if denominator_bound < 1:
+        raise ValueError("denominator_bound must be positive")
+    with mp.workprec(precision_bits + 20):
+        xs = [mp.mpc(v) for v in values]
     # expand prod (X - x_i), round coefficients, clear denominators
-    with mp.workprec(mp.prec + 20):
+    with mp.workprec(precision_bits + 40):
         coeffs = [mp.mpc(1)]
         for x in xs:
             nxt = [mp.mpc(0)] * (len(coeffs) + 1)
@@ -344,20 +324,14 @@ def _recognize_minpoly(xs, bound):
         fracs = []
         residual = mp.mpf(0)
         for c in coeffs:
-            r, err = _round_rational(c, bound)
+            r, err = _round_rational(c, denominator_bound)
             residual += err + abs(mp.im(c))
             fracs.append(r)
         if residual > _RESIDUAL_CAP:
             raise RecognitionFailed(f"residual {mp.nstr(residual, 5)} too large")
-        import math
-
-        lcm = 1
-        for f in fracs:
-            lcm = lcm * f.denominator // math.gcd(lcm, f.denominator)
+        lcm = math.lcm(*(f.denominator for f in fracs))
         ints = [int(f * lcm) for f in fracs]
-        g = 0
-        for v in ints:
-            g = math.gcd(g, v)
+        g = math.gcd(*ints)
         if g > 1:
             ints = [v // g for v in ints]
         if ints[0] < 0:

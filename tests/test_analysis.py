@@ -209,6 +209,20 @@ class TestIndependenceReport:
         assert [e.class_number for e in rep.entries] == [1, 2]
         assert [e.orbit_degrees[0] for e in rep.entries] == [1, 2]
 
+    def test_coefficients_align_with_discriminants(self):
+        # -20 is inadmissible at 37 and does not join the search
+        rep = independence_report(E37, [-20, -7, -11], 5, PREC)
+        assert rep.relation == Relation(coefficients=(0, 1, 1), torsion_slack=1)
+        assert rep.verdict == "relation_found_verified"
+
+    def test_more_than_four_admissible_fields_rejected(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(analysis, "orbit_points",
+                            lambda *args: seen.append(args))
+        with pytest.raises(ValueError):
+            independence_report(E37, [-47, -71, -83, -7, -11], 1, 100)
+        assert seen == []
+
     def test_duplicate_discriminants_rejected(self):
         with pytest.raises(ValueError):
             independence_report(E37, [-7, -7], 5, PREC)
@@ -372,7 +386,7 @@ class TestFieldFailures:
             assert rep.verdict == "relation_found_numerical"
 
     def test_recognize_stage(self, monkeypatch):
-        real = analysis.recognize
+        real = analysis.recognize_trace
         calls = []
 
         def patched(*args, **kwargs):
@@ -381,7 +395,7 @@ class TestFieldFailures:
                 raise ConvergenceTooSlow("forced")
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(analysis, "recognize", patched)
+        monkeypatch.setattr(analysis, "recognize_trace", patched)
         rep = independence_report(E37, [-7, -11], 2, PREC)
         assert rep.entries[0].error is None
         assert rep.entries[1].error == "recognize: ConvergenceTooSlow: forced"

@@ -1,6 +1,10 @@
 """Tests for the command line interface via run_command."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -162,3 +166,12 @@ class TestPlumbing:
         run_command(argv)
         out2 = capsys.readouterr().out
         assert out1 == out2
+
+    def test_import_leaves_sympy_unloaded(self):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        code = ("import sys, heegnerlab, heegnerlab.cli; "
+                "print('sympy' in sys.modules)")
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src}, timeout=60, check=True)
+        assert proc.stdout.strip() == "False"
