@@ -65,6 +65,8 @@ def _orbit_degree(orbit: OrbitEvaluation, n: int) -> int:
     xs = []
     has_identity = False
     with mp.workprec(prec + 20):
+        if n == 1:  # orbit_points mapped every point, raising on the identity
+            return _cluster_count([x for x, _ in orbit.points_xy], _CLUSTER_TOL)
         for z in orbit.points_z:
             nz = L.reduce(n * z)
             if L.distance(nz) < mp.mpf(2) ** (-(prec // 2)):

@@ -318,56 +318,31 @@ class QExpansion:
         return self.coefficients[n - 1]
 
 
-def an_coeffs(E: CurveModel, M: int) -> QExpansion:
+def an_coeffs(E: CurveModel, M: int, prefix: QExpansion | None = None) -> QExpansion:
     """Fourier coefficients a_1..a_M of the newform attached to E, from
-    counting a_p at primes and the Hecke recursion."""
+    counting a_p at primes and the Hecke recursion.  prefix, an earlier
+    result for E, is kept: only the a_n beyond it are computed."""
     if M < 1 or M > 10**6:
         raise ValueError("M out of range")
-    a = [0] * (M + 1)
-    a[1] = 1
-    if M == 1:
-        return QExpansion((1,), E.conductor)
-    sieve = bytearray([1]) * (M + 1)
-    sieve[0:2] = b"\x00\x00"
-    for i in range(2, int(M**0.5) + 1):
-        if sieve[i]:
-            sieve[i * i :: i] = b"\x00" * len(sieve[i * i :: i])
-    for p in range(2, M + 1):
-        if not sieve[p]:
-            continue
-        good = E.conductor % p != 0
-        app = ap(E, p) if good else ap_bad(E, p)
-        a[p] = app
-        # prime powers
-        pk = p * p
-        while pk <= M:
-            if good:
-                a[pk] = app * a[pk // p] - p * a[pk // (p * p)]
-            else:
-                a[pk] = app * a[pk // p]
+    known = prefix.coefficients if prefix is not None else (1,)
+    if len(known) >= M:
+        return QExpansion(known[:M], E.conductor)
+    a = [0, *known] + [0] * (M - len(known))
+    # smallest prime factor: the last, hence least, i <= sqrt(n) to write n
+    spf = list(range(M + 1))
+    for i in range(math.isqrt(M), 1, -1):
+        spf[i * i :: i] = [i] * len(range(i * i, M + 1, i))
+    for n in range(len(known) + 1, M + 1):
+        p = pk = spf[n]
+        while n % (pk * p) == 0:
             pk *= p
-    # build composite coefficients multiplicatively from prime powers
-    for n in range(2, M + 1):
-        if sieve[n]:
-            continue
-        # smallest prime power factor
-        p = _least_prime_factor(n)
-        pk = p
-        while (n // pk) % p == 0:
-            pk *= p
-        m = n // pk
-        if m > 1:
-            a[n] = a[pk] * a[m]
+        if pk < n:  # n = pk * m with gcd(pk, m) = 1
+            a[n] = a[pk] * a[n // pk]
+        elif E.conductor % p:  # p^k at a good prime
+            a[n] = ap(E, p) if n == p else a[p] * a[n // p] - p * a[n // p // p]
+        else:
+            a[n] = ap_bad(E, p) if n == p else a[p] * a[n // p]
     return QExpansion(tuple(a[1:]), E.conductor)
-
-
-def _least_prime_factor(n: int) -> int:
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            return f
-        f += 1 if f == 2 else 2
-    return n
 
 
 # ---------------------------------------------------------------------------

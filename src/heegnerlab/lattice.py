@@ -1,9 +1,9 @@
 """Period lattices and the Weierstrass uniformization C/Lambda -> E(C).
 
 Periods of every curve come from the real AGM, for either sign of the
-discriminant.  The Weierstrass functions are evaluated by the absolutely
-convergent q-series in u = e^(2 pi i z / w1), after reducing z against a
-Gauss-reduced basis.  The elliptic logarithm is Carlson's closed form
+discriminant.  p and p' are Jacobi theta quotients (DLMF 23.6) on a
+Gauss-reduced basis; the q-series they replaced is the test oracle in
+tests/test_lattice.py.  The elliptic logarithm is Carlson's closed form
 z = R_F(x - e1, x - e2, x - e3), certified against p and p' at working
 precision; it raises rather than return an uncertified value.
 """
@@ -47,14 +47,22 @@ class Lattice:
                 w2 = -w2
             return (w1, w2)
 
+    @cached_property
+    def theta_constants(self) -> tuple[mpc, mpc, mpc, mpc, mpc, mpc]:
+        """(tau, q, pi/w1, (th2^4 + 2 th4^4)/3, th3 th4, (th2 th3 th4)^2):
+        the z-independent part of weierstrass_p, with reduced_basis's
+        guard bits."""
+        w1, w2 = self.reduced_basis
+        with mp.workprec(self.precision_bits + 40):
+            tau = w2 / w1
+            q = mp.expjpi(tau)
+            th2, th3, th4 = (mp.jtheta(n, 0, q) for n in (2, 3, 4))
+            return (tau, q, mp.pi / w1, (th2**4 + 2 * th4**4) / 3,
+                    th3 * th4, (th2 * th3 * th4) ** 2)
+
     def coordinates(self, z: mpc) -> tuple[mpf, mpf]:
         """Real coordinates (s, t) with z = s*omega1 + t*omega2."""
-        x1, y1 = mp.re(self.omega1), mp.im(self.omega1)
-        x2, y2 = mp.re(self.omega2), mp.im(self.omega2)
-        det = x1 * y2 - x2 * y1
-        s = (mp.re(z) * y2 - mp.im(z) * x2) / det
-        t = (x1 * mp.im(z) - y1 * mp.re(z)) / det
-        return (s, t)
+        return _coordinates(z, self.omega1, self.omega2)
 
     def reduce(self, z: mpc) -> mpc:
         """Representative of z mod Lambda in the fundamental parallelogram
@@ -77,6 +85,13 @@ class Lattice:
                 dists.append(abs(w))
         dists.sort()
         return (dists[0], dists[1])
+
+
+def _coordinates(z: mpc, w1: mpc, w2: mpc) -> tuple[mpf, mpf]:
+    x1, y1, x2, y2 = mp.re(w1), mp.im(w1), mp.re(w2), mp.im(w2)
+    det = x1 * y2 - x2 * y1
+    return ((mp.re(z) * y2 - mp.im(z) * x2) / det,
+            (x1 * mp.im(z) - y1 * mp.re(z)) / det)
 
 
 def _two_division_values(E: CurveModel, prec: int):
@@ -122,52 +137,28 @@ def periods(E: CurveModel, precision_bits: int) -> Lattice:
         return Lattice(+w1, +w2, precision_bits)
 
 
-def _u_q(z: mpc, L: Lattice, prec: int) -> tuple[mpc, mpc, mpc]:
-    # reduce z against the Gauss-reduced basis; return (u, q, w1_reduced)
-    w1, w2 = L.reduced_basis
-    tau = w2 / w1
-    x1, y1 = mp.re(w1), mp.im(w1)
-    x2, y2 = mp.re(w2), mp.im(w2)
-    det = x1 * y2 - x2 * y1
-    s = (mp.re(z) * y2 - mp.im(z) * x2) / det
-    t = (x1 * mp.im(z) - y1 * mp.re(z)) / det
-    t -= mp.nint(t)
-    s -= mp.nint(s)
-    q = mp.exp(2j * mp.pi * tau)
-    u = mp.exp(2j * mp.pi * (s + t * tau))
-    return u, q, w1
-
-
 def weierstrass_p(z: mpc, L: Lattice, prec: int) -> tuple[mpc, mpc]:
-    """(p(z), p'(z)) for the lattice, by the q-series
+    """(p(z), p'(z)) at working precision prec (DLMF 23.6.2, 23.6.5): on
+    the reduced basis (w1, w2), tau = w2/w1, nome q = e^(i pi tau), thj =
+    thj(0, q), and v = pi z / w1 with z reduced to |s|, |t| <= 1/2,
 
-      p(z) (w1/2 pi i)^2 = 1/12 + u/(1-u)^2
-          + sum_{n>=1} [ q^n u/(1-q^n u)^2 + q^n/u /(1-q^n/u)^2 - 2 q^n/(1-q^n)^2 ]
+      p(z)  = (pi/w1)^2 [(th2^4 + 2 th4^4)/3 + (th3 th4 th2(v) / th1(v))^2]
+      p'(z) = -2 (pi/w1)^3 (th2 th3 th4)^2 th2(v) th3(v) th4(v) / th1(v)^3.
+
+    mpmath's jtheta sums the thj(v) in fixed point, in q^(n^2) with
+    |q| <= e^(-pi sqrt(3)/2), and adds the bits th1(v) loses near v = 0.
     """
-    u, q, w1 = _u_q(z, L, prec)
-    tol = mp.mpf(2) ** (-prec - 10)
-    one = mp.mpf(1)
-    if abs(u - 1) < mp.mpf(2) ** (-prec // 2):
-        raise IdentityPoint("z is a lattice point to working precision")
-    s_p = one / 12 + u / (1 - u) ** 2
-    s_dp = u * (1 + u) / (1 - u) ** 3
-    qn = mp.mpc(1)
-    n = 0
-    while True:
-        n += 1
-        qn *= q
-        a = qn * u
-        b = qn / u
-        term_p = a / (1 - a) ** 2 + b / (1 - b) ** 2 - 2 * qn / (1 - qn) ** 2
-        term_dp = a * (1 + a) / (1 - a) ** 3 - b * (1 + b) / (1 - b) ** 3
-        s_p += term_p
-        s_dp += term_dp
-        if abs(term_p) + abs(term_dp) < tol and n > 2:
-            break
-        if n > 10_000:
-            raise PrecisionUnachievable("p-series did not converge")
-    c = 2j * mp.pi / w1
-    return (c**2 * s_p, c**3 * s_dp)
+    with mp.workprec(prec):
+        tau, q, c, p0, t34, t234 = L.theta_constants
+        s, t = _coordinates(z, *L.reduced_basis)
+        v = mp.pi * (s - mp.nint(s) + (t - mp.nint(t)) * tau)
+        # |e^(2iv) - 1| = 2|v| to first order
+        if 2 * abs(v) < mp.mpf(2) ** (-prec // 2):
+            raise IdentityPoint("z is a lattice point to working precision")
+        th1, th2, th3, th4 = (mp.jtheta(n, v, q) for n in (1, 2, 3, 4))
+        p = c**2 * (p0 + (t34 * th2 / th1) ** 2)
+        dp = -2 * c**3 * t234 * th2 * th3 * th4 / th1**3
+        return (p, dp)
 
 
 def weierstrass_map(z: mpc, E: CurveModel, L: Lattice) -> tuple[mpc, mpc]:

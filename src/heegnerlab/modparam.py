@@ -1,6 +1,7 @@
 """Numerical modular parametrization.
 
-Evaluates phi(tau) = sum a_n q^n / n on the upper half plane, pushes whole
+Evaluates phi(tau) = sum a_n q^n / n on the upper half plane in integer
+fixed point over one growing coefficient prefix per curve, pushes whole
 conjugate orbits of class-field points through the uniformization and forms
 trace points.  Recognition has one entry point per input shape: recognize
 for one point over Q, recognize_quadratic for a conjugate pair of points
@@ -11,14 +12,13 @@ quadratic field of a trace is that of its discriminant D.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from mpmath import mp, mpc, mpf
 
-from .ellcurve import CurveModel, QuadElt, an_coeffs
+from .ellcurve import CurveModel, QExpansion, QuadElt, an_coeffs
 from .errors import ConvergenceTooSlow, RecognitionFailed
 from .heegner import heegner_condition, heegner_fiber
 from .lattice import Lattice, embed, periods, weierstrass_map
@@ -44,26 +44,53 @@ def _terms_needed(abs_q: mpf, precision_bits: int) -> int:
     )
 
 
-@functools.lru_cache(maxsize=8)
-def _cached_coeffs(a1, a2, a3, a4, a6, N, M):
-    return an_coeffs(CurveModel(a1, a2, a3, a4, a6, N), M)
+_PREFIXES: dict[tuple, QExpansion] = {}  # (a-invariants, N) -> a_1..a_M
+_PREFIX_CURVES = 8
+
+
+def _coefficients(E: CurveModel, M: int) -> tuple[int, ...]:
+    """a_1, a_2, ... (at least M of them) from one growing prefix per
+    curve, extended by an_coeffs only when M outgrows it."""
+    key = (E.a_invariants, E.conductor)
+    prefix = _PREFIXES.get(key)
+    if prefix is None and len(_PREFIXES) >= _PREFIX_CURVES:
+        del _PREFIXES[next(iter(_PREFIXES))]
+    if prefix is None or len(prefix.coefficients) < M:
+        prefix = _PREFIXES[key] = an_coeffs(E, M, prefix)
+    return prefix.coefficients
 
 
 def eval_phi(E: CurveModel, tau: mpc, precision_bits: int) -> tuple[mpc, int]:
     """(value, M): value = sum_{n<=M} a_n e^{2 pi i n tau} / n, with M
     chosen so the geometric tail bound stays below 2^-(precision_bits+4).
-    The value is the pre-lattice-reduction image of tau in C."""
+    The value is the pre-lattice-reduction image of tau in C.
+
+    Horner's rule runs on integers: with g = bitlen(4(M+1)), values carry
+    K = precision_bits + 20 + g fraction bits, c_n = floor(a_n 2^K / n),
+    and q carries K + g bits.  Each of the M + 1 steps acc <- acc q + c_n
+    errs by under 4 units of 2^-K: sqrt(2) from flooring the product, 1
+    from c_n, sqrt(2) from q, as |c_n| <= d(n)/sqrt(n) <= 2 bounds |acc| by
+    2/(1-|q|) < 4(M+1) (the tail bound forces (M+1)(1-|q|) > 1/2).  Later
+    steps scale an error by |q| < 1: the sum is below 2^-(precision_bits+20).
+    The mpc Horner loop this replaced is the oracle in tests/test_modparam.py.
+    """
     if mp.im(tau) < mp.mpf("1e-3"):
         raise ConvergenceTooSlow("Im(tau) below 10^-3")
     with mp.workprec(precision_bits + 20):
-        q = mp.exp(2j * mp.pi * tau)
-        M = _terms_needed(abs(q), precision_bits)
-        coeffs = _cached_coeffs(E.a1, E.a2, E.a3, E.a4, E.a6, E.conductor, M)
-        # Horner in q: phi = q*(c_1 + q*(c_2 + ...)), c_n = a_n/n
-        acc = mp.mpc(0)
+        M = _terms_needed(abs(mp.exp(2j * mp.pi * tau)), precision_bits)
+        a = _coefficients(E, M)
+        g = (4 * M + 4).bit_length()
+        K = precision_bits + 20 + g
+        S = K + g
+        with mp.workprec(S + 10):
+            q = mp.exp(2j * mp.pi * tau)
+            qr, qi = int(mp.ldexp(mp.re(q), S)), int(mp.ldexp(mp.im(q), S))
+        re = im = 0
         for n in range(M, 0, -1):
-            acc = acc * q + mp.mpf(coeffs.a(n)) / n
-        return acc * q, M
+            re, im = (((re * qr - im * qi) >> S) + (a[n - 1] << K) // n,
+                      (re * qi + im * qr) >> S)
+        re, im = (re * qr - im * qi) >> S, (re * qi + im * qr) >> S
+        return mp.mpc(mp.ldexp(re, -K), mp.ldexp(im, -K)), M
 
 
 @dataclass(frozen=True)

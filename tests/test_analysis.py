@@ -90,6 +90,16 @@ class TestOrbitDegree:
             assert d1 % dn == 0
             assert d1 // dn <= n * n
 
+    def test_n_one_reuses_the_orbit_coordinates(self, monkeypatch):
+        # orbit_points already mapped every point; no second p per point
+        orbit = orbit_points(E37, -83, PREC)
+
+        def no_map(*args):
+            raise AssertionError("weierstrass_map called for n = 1")
+
+        monkeypatch.setattr(analysis, "weierstrass_map", no_map)
+        assert analysis._orbit_degree(orbit, 1) == 3
+
     def test_n_out_of_range(self):
         with pytest.raises(ValueError):
             orbit_degree(E37, -7, 0, PREC)

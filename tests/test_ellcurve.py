@@ -1,6 +1,8 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heegnerlab.ellcurve import (
     CurveModel,
@@ -134,7 +136,58 @@ class TestPointCounting:
         assert ap_bad(E49, 7) == 0  # additive reduction
 
 
+def loop_an_coeffs_oracle(E, M):
+    """a_1..a_M as an_coeffs built them before the smallest-prime-factor
+    sieve: a_p over a prime loop, prime powers from the Hecke recursion,
+    composites from trial division."""
+    a = [0] * (M + 1)
+    a[1] = 1
+    sieve = bytearray([1]) * (M + 1)
+    sieve[0:2] = b"\x00\x00"
+    for i in range(2, int(M**0.5) + 1):
+        if sieve[i]:
+            sieve[i * i :: i] = b"\x00" * len(sieve[i * i :: i])
+    for p in range(2, M + 1):
+        if not sieve[p]:
+            continue
+        good = E.conductor % p != 0
+        app = ap(E, p) if good else ap_bad(E, p)
+        a[p] = app
+        pk = p * p
+        while pk <= M:
+            if good:
+                a[pk] = app * a[pk // p] - p * a[pk // (p * p)]
+            else:
+                a[pk] = app * a[pk // p]
+            pk *= p
+    for n in range(2, M + 1):
+        if sieve[n]:
+            continue
+        p = next(f for f in range(2, n + 1) if n % f == 0)
+        pk = p
+        while (n // pk) % p == 0:
+            pk *= p
+        m = n // pk
+        if m > 1:
+            a[n] = a[pk] * a[m]
+    return tuple(a[1:])
+
+
 class TestCoefficients:
+    @pytest.mark.parametrize("E", [E37, E32, E49], ids=["37a", "32a", "49a"])
+    def test_matches_loop_oracle(self, E):
+        assert an_coeffs(E, 1500).coefficients == loop_an_coeffs_oracle(E, 1500)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        E=st.sampled_from([E37, E32, E49]),
+        M0=st.integers(1, 400),
+        M=st.integers(1, 400),
+    )
+    def test_extending_a_prefix_equals_building_afresh(self, E, M0, M):
+        prefix = an_coeffs(E, M0)
+        assert an_coeffs(E, M, prefix) == an_coeffs(E, M)
+
     def test_37a_initial_segment(self):
         q = an_coeffs(E37, 12)
         assert q.coefficients == (1, -2, -3, 2, -2, 6, -1, 0, 6, 4, -5, -6)

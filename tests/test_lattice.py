@@ -81,6 +81,54 @@ def quadrature_periods_negative_disc(E, workprec):
         return 2 * w1, mp.mpc(0, 1) * w2
 
 
+def _u_q(z, L, prec):
+    # reduce z against the Gauss-reduced basis; return (u, q, w1_reduced)
+    w1, w2 = L.reduced_basis
+    tau = w2 / w1
+    x1, y1 = mp.re(w1), mp.im(w1)
+    x2, y2 = mp.re(w2), mp.im(w2)
+    det = x1 * y2 - x2 * y1
+    s = (mp.re(z) * y2 - mp.im(z) * x2) / det
+    t = (x1 * mp.im(z) - y1 * mp.re(z)) / det
+    t -= mp.nint(t)
+    s -= mp.nint(s)
+    q = mp.exp(2j * mp.pi * tau)
+    u = mp.exp(2j * mp.pi * (s + t * tau))
+    return u, q, w1
+
+
+def series_weierstrass_p(z, L, prec):
+    """Oracle: (p(z), p'(z)) by the q-series, at the ambient precision
+
+      p(z) (w1/2 pi i)^2 = 1/12 + u/(1-u)^2
+          + sum_{n>=1} [ q^n u/(1-q^n u)^2 + q^n/u /(1-q^n/u)^2 - 2 q^n/(1-q^n)^2 ]
+    """
+    u, q, w1 = _u_q(z, L, prec)
+    tol = mp.mpf(2) ** (-prec - 10)
+    one = mp.mpf(1)
+    if abs(u - 1) < mp.mpf(2) ** (-prec // 2):
+        raise IdentityPoint("z is a lattice point to working precision")
+    s_p = one / 12 + u / (1 - u) ** 2
+    s_dp = u * (1 + u) / (1 - u) ** 3
+    qn = mp.mpc(1)
+    n = 0
+    while True:
+        n += 1
+        qn *= q
+        a = qn * u
+        b = qn / u
+        term_p = a / (1 - a) ** 2 + b / (1 - b) ** 2 - 2 * qn / (1 - qn) ** 2
+        term_dp = a * (1 + a) / (1 - a) ** 3 - b * (1 + b) / (1 - b) ** 3
+        s_p += term_p
+        s_dp += term_dp
+        if abs(term_p) + abs(term_dp) < tol and n > 2:
+            break
+        if n > 10_000:
+            raise PrecisionUnachievable("p-series did not converge")
+    c = 2j * mp.pi / w1
+    return (c**2 * s_p, c**3 * s_dp)
+
+
 def two_torsion(E, prec):
     """The three complex points of order 2 on E, from the 2-division values."""
     b2, b4, b6, _ = E.b_invariants
@@ -261,6 +309,56 @@ class TestLatticeOps:
 
 
 LATTICES = {E: periods(E, PREC) for E in (E37, E32, E49)}
+PRECS = (200, 500, 1000)
+LATTICES_BY_PREC = {(E, p): periods(E, p) for E in (E37, E32, E49) for p in PRECS}
+
+
+class TestThetaAgainstSeriesOracle:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        E=st.sampled_from([E37, E32, E49]),
+        prec=st.sampled_from(PRECS),
+        s=st.floats(0.02, 0.98),
+        t=st.floats(0.02, 0.98),
+    )
+    def test_matches_series(self, E, prec, s, t):
+        # at prec + 20, as weierstrass_map and the elliptic log call it
+        L = LATTICES_BY_PREC[E, prec]
+        work = prec + 20
+        with mp.workprec(work):
+            z = s * L.omega1 + t * L.omega2
+            p, dp = weierstrass_p(z, L, work)
+            po, dpo = series_weierstrass_p(z, L, work)
+            assert abs(p - po) < mp.mpf(2) ** -(prec + 5) * (1 + abs(po))
+            assert abs(dp - dpo) < mp.mpf(2) ** -(prec + 5) * (1 + abs(dpo))
+
+    @pytest.mark.parametrize("prec", PRECS)
+    @pytest.mark.parametrize("E", [E37, E32, E49], ids=["37a", "32a", "49a"])
+    def test_half_periods(self, E, prec):
+        # p' vanishes at w1/2, w2/2 and (w1 + w2)/2; p matches the oracle
+        L = LATTICES_BY_PREC[E, prec]
+        work = prec + 20
+        with mp.workprec(work):
+            for z in (L.omega1 / 2, L.omega2 / 2, (L.omega1 + L.omega2) / 2):
+                p, dp = weierstrass_p(z, L, work)
+                po, _ = series_weierstrass_p(z, L, work)
+                assert abs(dp) < mp.mpf(2) ** -(prec + 5)
+                assert abs(p - po) < mp.mpf(2) ** -(prec + 5) * (1 + abs(po))
+
+    @pytest.mark.parametrize("prec", PRECS)
+    @pytest.mark.parametrize("E", [E37, E32, E49], ids=["37a", "32a", "49a"])
+    def test_near_the_origin(self, E, prec):
+        # p ~ 1/z^2 ~ 2^120: the series at prec + 20 loses about 60 bits
+        # here, the theta quotient keeps them
+        L = LATTICES_BY_PREC[E, prec]
+        with mp.workprec(prec + 200):
+            z = mp.mpf(2) ** -60 * L.omega1 + mp.mpf(3) ** -40 * L.omega2
+            po, dpo = series_weierstrass_p(z, L, prec + 200)
+        with mp.workprec(prec + 20):
+            p, dp = weierstrass_p(z, L, prec + 20)
+            tol = mp.mpf(2) ** -(prec - 10)
+            assert abs(p - po) < tol * abs(po)
+            assert abs(dp - dpo) < tol * abs(dpo)
 
 
 class TestLogProperties:

@@ -1,12 +1,15 @@
+import dataclasses
 from fractions import Fraction as F
 
 import pytest
 from mpmath import mp
 
+from heegnerlab import modparam
 from heegnerlab.ellcurve import CurveModel, QuadElt, an_coeffs
 from heegnerlab.errors import ConvergenceTooSlow, RecognitionFailed
 from heegnerlab.heegner import heegner_fiber
 from heegnerlab.modparam import (
+    _terms_needed,
     eval_phi,
     orbit_points,
     recognize,
@@ -32,6 +35,86 @@ def direct_sum_oracle(E, tau, terms, workprec):
             (coeffs.a(n) * q**n / n for n in range(1, terms + 1)),
             absolute=False,
         )
+
+
+def mpc_horner_oracle(tau, precision_bits, coeffs):
+    """The mpc Horner loop that eval_phi ran before its fixed-point form:
+    same term count M, arithmetic at precision_bits + 20; coeffs holds at
+    least a_1..a_M of the curve."""
+    with mp.workprec(precision_bits + 20):
+        q = mp.exp(2j * mp.pi * tau)
+        M = _terms_needed(abs(q), precision_bits)
+        # Horner in q: phi = q*(c_1 + q*(c_2 + ...)), c_n = a_n/n
+        acc = mp.mpc(0)
+        for n in range(M, 0, -1):
+            acc = acc * q + mp.mpf(coeffs.a(n)) / n
+        return acc * q, M
+
+
+# eval_phi's term counts on each fiber, in heegner_fiber order, at 200, 500
+# and 1000 bits, as the mpc Horner loop chose them
+FIBER_TERMS = {
+    (37, -71): {200: [383, 839, 227, 646, 839, 383, 646],
+                500: [1090, 2394, 497, 1842, 2394, 1090, 1842],
+                1000: [2394, 4045, 1090, 3112, 4045, 2394, 3112]},
+    (49, -31): {200: [839, 839, 383],
+                500: [2394, 2394, 1090],
+                1000: [4045, 4045, 2394]},
+}
+
+
+class TestFixedPointHorner:
+    @pytest.mark.parametrize("prec", [200, 500, 1000])
+    @pytest.mark.parametrize("E, D", [(E37, -71), (E49, -31)], ids=["37a", "49a"])
+    def test_fiber_matches_oracles(self, E, D, prec):
+        # every tau of the fiber, the largest-M one included
+        fiber = heegner_fiber(D, E.conductor)
+        terms = FIBER_TERMS[E.conductor, D][prec]
+        assert len(fiber) == len(terms)
+        coeffs = an_coeffs(E, max(terms))
+        for rep, expected_M in zip(fiber, terms):
+            tau = rep.tau(prec + 20)
+            with mp.workprec(prec + 20):
+                v, M = eval_phi(E, tau, prec)
+            assert M == expected_M
+            horner, horner_M = mpc_horner_oracle(tau, prec, coeffs)
+            direct = direct_sum_oracle(E, tau, M, prec + 40)
+            with mp.workprec(prec + 40):
+                scale = 1 + abs(direct)
+                # the bound of eval_phi's docstring, plus rounding to mpc
+                assert abs(v - direct) < mp.mpf(2) ** -(prec + 19) * scale
+                # the mpc loop itself errs by up to M units of 2^-(prec+20)
+                assert horner_M == M
+                assert abs(v - horner) < mp.mpf(2) ** -(prec + 6) * scale
+
+
+class TestCoefficientPrefix:
+    def test_one_growing_prefix_per_curve(self, monkeypatch):
+        monkeypatch.setattr(modparam, "_PREFIXES", {})
+        calls = []
+
+        def counted(E, M, prefix=None):
+            calls.append((M, prefix and len(prefix.coefficients)))
+            return an_coeffs(E, M, prefix)
+
+        monkeypatch.setattr(modparam, "an_coeffs", counted)
+        # term counts 383, 839, 227, 646, 839, 383, 646
+        for rep in heegner_fiber(-71, 37):
+            eval_phi(E37, rep.tau(PREC + 20), PREC)
+        assert calls == [(383, None), (839, 383)]
+        # keyed on the a-invariants and the level, not on the label
+        eval_phi(dataclasses.replace(E37, label="x"), rep.tau(PREC + 20), PREC)
+        assert len(calls) == 2
+        assert list(modparam._PREFIXES) == [((0, 0, 1, -1, 0), 37)]
+
+    def test_oldest_curve_evicted(self, monkeypatch):
+        monkeypatch.setattr(modparam, "_PREFIXES", {})
+        monkeypatch.setattr(modparam, "_PREFIX_CURVES", 2)
+        for E in (E37, E32, E49):
+            modparam._coefficients(E, 10)
+        assert list(modparam._PREFIXES) == [
+            (E32.a_invariants, 32), (E49.a_invariants, 49)
+        ]
 
 
 class TestEvalPhi:
