@@ -11,70 +11,83 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from mpmath import mp, mpc
+from mpmath import mp
 
 from . import arith, qform
 from .ellcurve import CurveModel, CurvePoint, INFINITY, point, point_add, point_mul
 from .errors import (
     ClusterAmbiguous,
     FieldMismatch,
-    HeegnerConditionFailed,
     HeegnerlabError,
     RecognitionFailed,
 )
 from .heegner import heegner_condition
-from .lattice import Lattice, weierstrass_map
+from .lattice import Lattice
 from .modparam import (OrbitEvaluation, orbit_points, recognize_trace,
                        trace_point)
 
-_CLUSTER_TOL = 1e-10
 _TORSION_CAP = 12
 
 
-def _cluster_count(values, tol: float) -> int:
-    """Number of distinct values up to tol; ambiguous when a merge decision
-    falls in the (tol, 10*tol) dead zone."""
-    vals = sorted(values, key=lambda v: (mp.re(v), mp.im(v)))
-    reps: list[mpc] = []
-    for v in vals:
-        dists = [abs(v - r) for r in reps]
-        if dists and min(dists) <= tol:
-            continue
-        if dists and min(dists) < 10 * tol:
-            raise ClusterAmbiguous(
-                f"cluster gap {float(min(dists)):.3e} within 10x of tolerance"
-            )
-        reps.append(v)
-    return len(reps)
+def _fixed_coordinates(zs, L: Lattice, precision_bits: int):
+    """Integer lattice coordinates (A, B) = round((s, t) 2^K), K =
+    precision_bits + 20, of each z = s omega1 + t omega2 in zs."""
+    K = precision_bits + 20
+    with mp.workprec(K):
+        return tuple(
+            tuple(int(mp.nint(mp.ldexp(c, K))) for c in L.coordinates(z))
+            for z in zs
+        )
 
 
-def orbit_degree(E: CurveModel, D: int, n: int, precision_bits: int) -> int:
-    """Distinct x-coordinates among {x(n * P^sigma)} over the full conjugate
-    orbit of discriminant D."""
+def orbit_degree(orbit: OrbitEvaluation, n: int) -> int:
+    """Number of distinct x(n P^sigma) over the orbit: as x(P) = x(Q)
+    exactly when Q = +-P, the classes of n z^sigma in C/L up to sign.
+
+    With K = prec + 20 (prec = orbit.precision_bits) the orbit's z's become
+    integer coordinates (A, B), and n (A, B) stands for n z mod 2^K Z^2.
+    Two classes merge when both coordinates of their difference, or both
+    of their sum, lie within tol = 2^(K - prec/2) of a multiple of 2^K; a
+    nearest offset in [tol, 2^10 tol) raises ClusterAmbiguous.  The
+    identity is the class of 0.
+
+    Margin: if z is accurate to eta in C, its coordinates are accurate to
+    eta scale / |det| (scale = max(|w1|, |w2|), det = Im(conj(w1) w2)), and
+    (A, B) is within 1/2 + 2^K eta scale / |det| units of (s, t) 2^K.  For
+    two points of one class, the difference or the sum of n (A, B) is then
+    within n (1 + 2^(K+1) eta scale / |det|) units of a multiple of 2^K.
+    orbit_points carries 20 guard bits (eval_phi errs below 2^-(prec+20)),
+    so eta stays below 2^-(prec+10) |det| / scale whenever |det| / scale >
+    2^-8 (about 2 on the bundled curves).  That bounds the offset by
+    12 (1 + 2^11) < 2^15 units, far below tol = 2^(prec/2 + 20) >= 2^46
+    units.  Distinct classes closer than 2^10 tol, 2^-(prec/2 - 10) of a
+    period, raise rather than merge.
+    """
     if not 1 <= n <= _TORSION_CAP:
         raise ValueError("n must be in 1..12")
-    if not heegner_condition(D, E.conductor):
-        raise HeegnerConditionFailed(f"D={D} inadmissible for level {E.conductor}")
-    return _orbit_degree(orbit_points(E, D, precision_bits), n)
-
-
-def _orbit_degree(orbit: OrbitEvaluation, n: int) -> int:
-    # n-multiplication is done on the torus as n*z mod the lattice
     prec = orbit.precision_bits
-    L = orbit.lattice
-    xs = []
-    has_identity = False
-    with mp.workprec(prec + 20):
-        if n == 1:  # orbit_points mapped every point, raising on the identity
-            return _cluster_count([x for x, _ in orbit.points_xy], _CLUSTER_TOL)
-        for z in orbit.points_z:
-            nz = L.reduce(n * z)
-            if L.distance(nz) < mp.mpf(2) ** (-(prec // 2)):
-                has_identity = True  # n*P is the identity; one shared value
-            else:
-                xs.append(weierstrass_map(nz, orbit.curve, L)[0])
-        count = _cluster_count(xs, _CLUSTER_TOL) if xs else 0
-        return count + has_identity
+    K = prec + 20
+    period = 1 << K
+    tol = 1 << (K - prec // 2)
+
+    def offset(a, b):  # max-norm distance of (a, b) to 2^K Z^2
+        return max(abs((a + period // 2) % period - period // 2),
+                   abs((b + period // 2) % period - period // 2))
+
+    reps: list[tuple[int, int]] = []
+    for A, B in _fixed_coordinates(orbit.points_z, orbit.lattice, prec):
+        a, b = n * A, n * B
+        nearest = min((min(offset(a - ra, b - rb), offset(a + ra, b + rb))
+                       for ra, rb in reps), default=period)
+        if nearest < tol:
+            continue
+        if nearest < 2**10 * tol:
+            raise ClusterAmbiguous(
+                f"classes {nearest / period:.3e} of a period apart, within "
+                "2^10 of the tolerance"
+            )
+        reps.append((a, b))
+    return len(reps)
 
 
 @dataclass(frozen=True)
@@ -91,18 +104,6 @@ class Relation:
             raise ValueError("torsion_slack must be in 1..12")
 
 
-@dataclass(frozen=True)
-class EmbeddingSet:
-    """One base point with all its conjugate logarithm embeddings."""
-
-    zs: tuple[mpc, ...]
-    lattice: Lattice
-
-    @staticmethod
-    def from_orbit(orbit: OrbitEvaluation) -> "EmbeddingSet":
-        return EmbeddingSet(zs=tuple(orbit.points_z), lattice=orbit.lattice)
-
-
 def _coefficient_vectors(r: int, B: int):
     # lexicographic: n_1 ascending from 0, later entries -B..B ascending
     first = range(0, B + 1)
@@ -112,16 +113,17 @@ def _coefficient_vectors(r: int, B: int):
             yield vec
 
 
-def relation_search(points, B: int, precision_bits: int) -> Relation | None:
-    """Exhaustive box search for integer dependence among base points.
+def relation_search(embeddings, L: Lattice, B: int,
+                    precision_bits: int) -> Relation | None:
+    """Exhaustive box search for integer dependence among points on L.
 
-    points: sequence of EmbeddingSet (or OrbitEvaluation).  A candidate
+    embeddings: one tuple of conjugate z's per point.  A candidate
     (n_1..n_r, t), 0 <= n_1 <= B, |n_i| <= B, 1 <= t <= 12, is accepted only
-    if z = t * sum n_i z_i^(sigma) is within tol * scale of the lattice L of
-    the first point at every combination of available conjugate embeddings,
-    with the next-nearest lattice point at least 2^10 times farther; here
-    tol = 2^-(precision_bits/2) and scale = max(|w1|, |w2|).  The first
-    accepted candidate in lexicographic order (vector, then t) wins.
+    if z = t * sum n_i z_i^(sigma) is within tol * scale of L at every
+    combination of available conjugate embeddings, with the next-nearest
+    lattice point at least 2^10 times farther; here tol =
+    2^-(precision_bits/2) and scale = max(|w1|, |w2|).  The first accepted
+    candidate in lexicographic order (vector, then t) wins.
 
     That mpmath test runs only on the candidates that pass an exact integer
     sieve.  With K = precision_bits + 20, every embedding z_i is stored as
@@ -138,11 +140,7 @@ def relation_search(points, B: int, precision_bits: int) -> Relation | None:
     >= 2^(K - precision_bits/2) units.  So the result equals that of the
     plain box search, at a tiny fraction of its mpmath work.
     """
-    sets = [
-        EmbeddingSet.from_orbit(p) if isinstance(p, OrbitEvaluation) else p
-        for p in points
-    ]
-    r = len(sets)
+    r = len(embeddings)
     if not 2 <= r <= 4:
         raise ValueError("relation search supports 2..4 points")
     if not 1 <= B <= 50:
@@ -150,19 +148,12 @@ def relation_search(points, B: int, precision_bits: int) -> Relation | None:
     tol = mp.mpf(2) ** (-(precision_bits // 2))
     K = precision_bits + 20
     mask = (1 << K) - 1
-    # all embeddings share the first point's lattice when the points sit on
-    # one curve; use that lattice for the sum
-    L = sets[0].lattice
+    fixed = [_fixed_coordinates(zs, L, precision_bits) for zs in embeddings]
     with mp.workprec(K):
-        combos = list(itertools.product(*(range(len(s.zs)) for s in sets)))
+        combos = list(itertools.product(*(range(len(zs)) for zs in embeddings)))
         scale = max(abs(L.omega1), abs(L.omega2))
         det = abs(mp.im(mp.conj(L.omega1) * L.omega2))
         sigma = int(mp.ceil(mp.ldexp(2 * scale**2 * tol / det, K))) + 2**13
-        fixed = [
-            [tuple(int(mp.nint(mp.ldexp(c, K))) for c in L.coordinates(z))
-             for z in s.zs]
-            for s in sets
-        ]
         for vec in _coefficient_vectors(r, B):
             sums = []  # integer coordinate sums, one per combination as needed
             for t in range(1, _TORSION_CAP + 1):
@@ -175,7 +166,8 @@ def relation_search(points, B: int, precision_bits: int) -> Relation | None:
                     ) > 2 * sigma:
                         break
                 else:
-                    if _near_lattice_everywhere(vec, t, sets, combos, L, tol * scale):
+                    if _near_lattice_everywhere(vec, t, embeddings, combos, L,
+                                                tol * scale):
                         return Relation(coefficients=vec, torsion_slack=t)
     return None
 
@@ -188,12 +180,12 @@ def _coordinate_sums(vec, combo, fixed) -> tuple[int, int]:
     return a, b
 
 
-def _near_lattice_everywhere(vec, t, sets, combos, L, bound) -> bool:
+def _near_lattice_everywhere(vec, t, embeddings, combos, L, bound) -> bool:
     # the acceptance test: z within bound of L, next-nearest 2^10 farther
     for combo in combos:
         z = mp.mpc(0)
-        for i, (s, ci) in enumerate(zip(sets, combo)):
-            z += vec[i] * s.zs[ci]
+        for i, (zs, ci) in enumerate(zip(embeddings, combo)):
+            z += vec[i] * zs[ci]
         z *= t
         d0, d1 = L.nearest_distances(z)
         if d0 >= bound or d1 < (2**10) * bound:
@@ -289,7 +281,8 @@ def independence_report(
     relation = None
     verdict = "no_relation_up_to_bound"
     if len(orbits) >= 2:
-        found = relation_search(orbits, B, precision_bits)
+        found = relation_search([o.points_z for o in orbits],
+                                orbits[0].lattice, B, precision_bits)
         if found is not None:
             verdict = "relation_found_numerical"
             if all(p is not None for p in exact):
@@ -334,7 +327,7 @@ def _field_entry(E, D, precision_bits, conductor, B):
             rc_odd = arith.odd_part(rc).odd_part
         orbit = orbit_points(E, D, precision_bits)
         stage = "degree"
-        degs = tuple(_orbit_degree(orbit, n) for n in (1, 2, 3))
+        degs = tuple(orbit_degree(orbit, n) for n in (1, 2, 3))
         stage = "trace"
         tr = trace_point(orbit)
         stage = "recognize"

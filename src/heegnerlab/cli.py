@@ -197,7 +197,8 @@ def cmd_point(args):
 
 def cmd_orbit_degree(args):
     E = _curve(args)
-    deg = analysis.orbit_degree(E, args.disc, args.mul, args.prec)
+    orbit = modparam.orbit_points(E, args.disc, args.prec)
+    deg = analysis.orbit_degree(orbit, args.mul)
     payload = {
         "curve": E.label,
         "discriminant": args.disc,
@@ -233,21 +234,7 @@ def cmd_independence(args):
     report = analysis.independence_report(
         E, discs, args.bound, args.prec, conductor=args.conductor
     )
-    payload = {
-        "curve_label": report.curve_label,
-        "entries": [asdict(e) for e in report.entries],
-        "search_bound": report.search_bound,
-        "relation": (
-            None
-            if report.relation is None
-            else {
-                "coefficients": list(report.relation.coefficients),
-                "torsion_slack": report.relation.torsion_slack,
-            }
-        ),
-        "verdict": report.verdict,
-        "hypothesis_note": report.hypothesis_note,
-    }
+    payload = asdict(report)
     lines = [f"{report.curve_label}: verdict {report.verdict}"]
     for e in report.entries:
         if not e.admissible or e.error:
@@ -355,10 +342,7 @@ def run_command(argv=None) -> int:
             setattr(args, dest, default)
     try:
         return args.func(args)
-    except HeegnerlabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, ArithmeticError) as exc:
+    except (HeegnerlabError, ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

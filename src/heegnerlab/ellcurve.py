@@ -13,11 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import arith
-from .errors import (
-    BadReductionPrime,
-    FieldMismatch,
-    NonIntegralAtP,
-)
+from .errors import BadReductionPrime, FieldMismatch
 
 Rat = Fraction
 
@@ -420,26 +416,3 @@ def _torsion_structure(pts, E: CurveModel) -> tuple[int, ...]:
         return (n,)
     assert mx * 2 == n, "unexpected torsion structure"
     return (2, mx)
-
-
-# ---------------------------------------------------------------------------
-# reduction mod p
-
-
-def reduce_mod_p(P: CurvePoint, E: CurveModel, p: int) -> tuple[int, int] | None:
-    """Image of a rational point under coordinate-wise reduction mod p;
-    None encodes the point at infinity on the reduced curve."""
-    if E.conductor % p == 0:
-        raise BadReductionPrime(f"p={p} divides the conductor")
-    if P.is_infinity:
-        return None
-    if not isinstance(P.x, Fraction) or not isinstance(P.y, Fraction):
-        raise FieldMismatch("reduction mod p is for rational points")
-    for coord in (P.x, P.y):
-        if coord.denominator % p == 0:
-            raise NonIntegralAtP(f"{coord} is not p-integral at {p}")
-    xr = P.x.numerator * pow(P.x.denominator, -1, p) % p
-    yr = P.y.numerator * pow(P.y.denominator, -1, p) % p
-    rhs = xr**3 + E.a2 * xr * xr + E.a4 * xr + E.a6
-    assert (yr * yr + E.a1 * xr * yr + E.a3 * yr - rhs) % p == 0
-    return (xr, yr)

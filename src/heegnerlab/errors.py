@@ -33,10 +33,6 @@ class BadReductionPrime(HeegnerlabError):
     pass
 
 
-class NonIntegralAtP(HeegnerlabError):
-    pass
-
-
 class FieldMismatch(HeegnerlabError):
     pass
 

@@ -65,10 +65,15 @@ class Lattice:
         return _coordinates(z, self.omega1, self.omega2)
 
     def reduce(self, z: mpc) -> mpc:
-        """Representative of z mod Lambda in the fundamental parallelogram
-        [0,1) x [0,1) of the stated basis."""
+        """Representative of z mod Lambda whose coordinates on the stated
+        basis both lie in [-d, 1 - d), d = 2^-(precision_bits - 10).  A
+        coordinate within d of an integer, where rounding noise decides on
+        which side of it the value falls, thus always lands near 0, never
+        near 1."""
+        d = mp.ldexp(1, 10 - self.precision_bits)
         s, t = self.coordinates(z)
-        return (s - mp.floor(s)) * self.omega1 + (t - mp.floor(t)) * self.omega2
+        return ((s - mp.floor(s + d)) * self.omega1
+                + (t - mp.floor(t + d)) * self.omega2)
 
     def distance(self, z: mpc) -> mpf:
         """Distance from z to the nearest lattice point."""
@@ -193,15 +198,8 @@ def embed(value, prec: int) -> mpc:
 
 
 def elliptic_log(P: CurvePoint, E: CurveModel, L: Lattice) -> mpc:
-    """z in the fundamental parallelogram with weierstrass_map(z) = P."""
-    if P.is_infinity:
-        raise ValueError("elliptic log of the identity is the lattice itself")
-    prec = L.precision_bits + 20
-    return complex_log_embedding(embed(P.x, prec), embed(P.y, prec), E, L)
-
-
-def complex_log_embedding(x: mpc, y: mpc, E: CurveModel, L: Lattice) -> mpc:
-    """z in the fundamental parallelogram with weierstrass_map(z) = (x, y).
+    """z reduced mod L with weierstrass_map(z) = P; the coordinates of P
+    may be exact or complex numbers.
 
     Carlson's inverse of p (DLMF 19.25.35): z = R_F(xw - e1, xw - e2, xw - e3)
     with xw = x + b2/12 satisfies p(z) = xw.  One evaluation of p' fixes the
@@ -210,10 +208,13 @@ def complex_log_embedding(x: mpc, y: mpc, E: CurveModel, L: Lattice) -> mpc:
     Newton step on p'(z) = yw, with p'' = 6p^2 - g2/2 nonzero, restores it
     and is certified in turn.  A point that fails raises PrecisionUnachievable.
     """
+    if P.is_infinity:
+        raise ValueError("elliptic log of the identity is the lattice itself")
     prec = L.precision_bits
     b2 = E.b_invariants[0]
     roots, g2, _ = _two_division_values(E, prec + 20)
     with mp.workprec(prec + 20):
+        x, y = embed(P.x, prec + 20), embed(P.y, prec + 20)
         xw = x + mpf(b2) / 12
         yw = 2 * y + E.a1 * x + E.a3
         tol = mp.mpf(2) ** (-(prec - 20)) * (1 + abs(xw))

@@ -20,9 +20,8 @@ from mpmath import mp, mpc, mpf
 
 from .ellcurve import CurveModel, QExpansion, QuadElt, an_coeffs
 from .errors import ConvergenceTooSlow, RecognitionFailed
-from .heegner import heegner_condition, heegner_fiber
+from .heegner import heegner_fiber
 from .lattice import Lattice, embed, periods, weierstrass_map
-from .qform import enumerate_reduced
 
 _M_CAP = 10**6
 
@@ -113,9 +112,7 @@ class OrbitEvaluation:
 def orbit_points(E: CurveModel, D: int, precision_bits: int) -> OrbitEvaluation:
     """Evaluate phi at every fiber representative over level E.conductor and
     discriminant D, reduce mod the period lattice, and map to curve
-    coordinates."""
-    if not heegner_condition(D, E.conductor):
-        raise ValueError(f"discriminant {D} is not admissible for level {E.conductor}")
+    coordinates.  An inadmissible D raises HeegnerConditionFailed."""
     fiber = heegner_fiber(D, E.conductor)
     L = periods(E, precision_bits)
     zs = []

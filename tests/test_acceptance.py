@@ -16,21 +16,16 @@ from sympy import isprime
 
 from heegnerlab import analysis, arith, qform
 from heegnerlab.analysis import (
-    EmbeddingSet,
     independence_report,
     orbit_degree,
     relation_search,
     verify_relation,
 )
 from heegnerlab.db import find_curve
-from heegnerlab.ellcurve import an_coeffs, ap, point, point_mul, point_neg
+from heegnerlab.ellcurve import (CurvePoint, an_coeffs, ap, point, point_mul,
+                                 point_neg)
 from heegnerlab.heegner import heegner_condition, heegner_fiber, star_act
-from heegnerlab.lattice import (
-    complex_log_embedding,
-    elliptic_log,
-    periods,
-    weierstrass_map,
-)
+from heegnerlab.lattice import elliptic_log, periods, weierstrass_map
 from heegnerlab.modparam import orbit_points, recognize, trace_point
 
 PREC = 200
@@ -238,7 +233,7 @@ def test_criterion_06_uniformization_round_trip(capfd):
                     0.03, 0.97
                 ) * L.omega2
                 x, y = weierstrass_map(z, E37, L)
-                back = complex_log_embedding(x, y, E37, L)
+                back = elliptic_log(CurvePoint(x, y), E37, L)
                 assert L.distance(back - z) < tol
         L32 = periods(E32, PREC)
         oracle = quadrature_real_period(E32, PREC + 40)
@@ -248,8 +243,8 @@ def test_criterion_06_uniformization_round_trip(capfd):
 
 def test_criterion_07_conjugate_counts_and_trace(capfd):
     with _Budget(capfd, 7, 120):
-        assert orbit_degree(E37, -7, 1, PREC) == 1
-        assert orbit_degree(E37, -83, 1, PREC) == 3
+        assert orbit_degree(orbit_points(E37, -7, PREC), 1) == 1
+        assert orbit_degree(orbit_points(E37, -83, PREC), 1) == 3
         tr = trace_point(orbit_points(E37, -7, PREC))
         assert not tr.is_identity and tr.is_real
         rec = recognize([tr.xy], 10**4, E37, precision_bits=PREC)
@@ -270,9 +265,10 @@ def test_criterion_07_conjugate_counts_and_trace(capfd):
 
 def test_criterion_08_orbit_degree_tower(capfd):
     with _Budget(capfd, 8, 120):
-        d1 = orbit_degree(E37, -83, 1, PREC)
+        orbit = orbit_points(E37, -83, PREC)
+        d1 = orbit_degree(orbit, 1)
         for n in (2, 3):
-            dn = orbit_degree(E37, -83, n, PREC)
+            dn = orbit_degree(orbit, n)
             assert d1 % dn == 0
             assert d1 // dn <= n * n
 
@@ -299,22 +295,17 @@ def test_criterion_09_relation_machinery(capfd, reports):
         P = point(0, 0)
         with mp.workprec(PREC + 20):
             zP = L.reduce(elliptic_log(P, E37, L))
-            sets = [
-                EmbeddingSet(zs=(zP,), lattice=L),
-                EmbeddingSet(zs=(L.reduce(2 * zP),), lattice=L),
-            ]
-        rel = relation_search(sets, 10, PREC)
+            sets = [(zP,), (L.reduce(2 * zP),)]
+        rel = relation_search(sets, L, 10, PREC)
         assert rel is not None
         assert rel.coefficients == (2, -1) and rel.torsion_slack == 1
         assert verify_relation([P, point_mul(2, P, E37)], rel, E37)
         with mp.workprec(PREC + 20):
             synth = [
-                EmbeddingSet(zs=(L.reduce(L.omega1 / mp.pi),), lattice=L),
-                EmbeddingSet(
-                    zs=(L.reduce(L.omega2 * mp.sqrt(2) / mp.e),), lattice=L
-                ),
+                (L.reduce(L.omega1 / mp.pi),),
+                (L.reduce(L.omega2 * mp.sqrt(2) / mp.e),),
             ]
-        assert relation_search(synth, 10, PREC) is None
+        assert relation_search(synth, L, 10, PREC) is None
         verdicts = {
             "relation_found_verified",
             "relation_found_numerical",

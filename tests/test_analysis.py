@@ -6,13 +6,11 @@ import itertools
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from mpmath import mp
+from mpmath import mp, mpc
 
-from heegnerlab import analysis
+from heegnerlab import analysis, lattice
 from heegnerlab.analysis import (
-    EmbeddingSet,
     Relation,
-    _cluster_count,
     _coefficient_vectors,
     independence_report,
     orbit_degree,
@@ -26,37 +24,48 @@ from heegnerlab.errors import (
     ConvergenceTooSlow,
     HeegnerConditionFailed,
 )
-from heegnerlab.lattice import periods
-from heegnerlab.modparam import orbit_points
+from heegnerlab.lattice import periods, weierstrass_map
+from heegnerlab.modparam import OrbitEvaluation, orbit_points
 
 PREC = 200
 
 E37 = find_curve("37a").curve()
 E32 = find_curve("32a").curve()
 E49 = find_curve("49a").curve()
+CURVES = {"37a": E37, "32a": E32, "49a": E49}
 
 
-def box_search_oracle(sets, B, precision_bits):
+@functools.cache
+def _lattice(label, prec):
+    return periods(CURVES[label], prec)
+
+
+# fibers on which orbit_degree must meet the p oracle, class numbers 1..10
+ORACLE_FIBERS = {
+    "37a": (-7, -44, -47, -63, -71, -95, -104, -108),
+    "49a": (-19, -20, -31, -55, -87, -111, -143),
+    "32a": (-7, -15, -39, -71, -95, -119),
+}
+
+
+def box_search_oracle(embeddings, L, B, precision_bits):
     """The plain box search: the mpmath test on every candidate, in the
     order relation_search must reproduce."""
-    r = len(sets)
+    r = len(embeddings)
     tol = mp.mpf(2) ** (-(precision_bits // 2))
     with mp.workprec(precision_bits + 20):
-        combos = list(itertools.product(*(range(len(s.zs)) for s in sets)))
-        scale = [
-            max(abs(s.lattice.omega1), abs(s.lattice.omega2)) for s in sets
-        ]
+        combos = list(itertools.product(*(range(len(zs)) for zs in embeddings)))
+        scale = max(abs(L.omega1), abs(L.omega2))
         for vec in _coefficient_vectors(r, B):
             for t in range(1, 13):
                 ok = True
                 for combo in combos:
-                    L = sets[0].lattice
                     z = mp.mpc(0)
-                    for i, (s, ci) in enumerate(zip(sets, combo)):
-                        z += vec[i] * s.zs[ci]
+                    for i, (zs, ci) in enumerate(zip(embeddings, combo)):
+                        z += vec[i] * zs[ci]
                     z *= t
                     d0, d1 = L.nearest_distances(z)
-                    if d0 >= tol * scale[0] or d1 < (2**10) * tol * scale[0]:
+                    if d0 >= tol * scale or d1 < (2**10) * tol * scale:
                         ok = False
                         break
                 if ok:
@@ -64,51 +73,124 @@ def box_search_oracle(sets, B, precision_bits):
     return None
 
 
+_CLUSTER_TOL = 1e-10
+
+
+def _cluster_count(values, tol: float) -> int:
+    """Number of distinct values up to tol; ambiguous when a merge decision
+    falls in the (tol, 10*tol) dead zone."""
+    vals = sorted(values, key=lambda v: (mp.re(v), mp.im(v)))
+    reps: list[mpc] = []
+    for v in vals:
+        dists = [abs(v - r) for r in reps]
+        if dists and min(dists) <= tol:
+            continue
+        if dists and min(dists) < 10 * tol:
+            raise ClusterAmbiguous(
+                f"cluster gap {float(min(dists)):.3e} within 10x of tolerance"
+            )
+        reps.append(v)
+    return len(reps)
+
+
+def p_orbit_degree_oracle(orbit: OrbitEvaluation, n: int) -> int:
+    """The p-based orbit degree that orbit_degree replaced: distinct
+    x(n P^sigma) by clustering the complex x-values."""
+    # n-multiplication is done on the torus as n*z mod the lattice
+    prec = orbit.precision_bits
+    L = orbit.lattice
+    xs = []
+    has_identity = False
+    with mp.workprec(prec + 20):
+        if n == 1:  # orbit_points mapped every point, raising on the identity
+            return _cluster_count([x for x, _ in orbit.points_xy], _CLUSTER_TOL)
+        for z in orbit.points_z:
+            nz = L.reduce(n * z)
+            if L.distance(nz) < mp.mpf(2) ** (-(prec // 2)):
+                has_identity = True  # n*P is the identity; one shared value
+            else:
+                xs.append(weierstrass_map(nz, orbit.curve, L)[0])
+        count = _cluster_count(xs, _CLUSTER_TOL) if xs else 0
+        return count + has_identity
+
+
+def _synthetic_orbit(coordinates, prec=PREC):
+    # an orbit of 37a whose points have the given lattice coordinates
+    L = _lattice("37a", prec)
+    with mp.workprec(prec + 20):
+        zs = tuple(s * L.omega1 + t * L.omega2 for s, t in coordinates)
+    return OrbitEvaluation(curve=E37, discriminant=-7, points_z=zs,
+                           points_xy=(), precision_bits=prec, terms_used=0,
+                           lattice=L)
+
+
 class TestClusterCount:
+    # dyadic coordinates, exact at every precision
     def test_distinct_values(self):
-        assert _cluster_count([mp.mpc(0), mp.mpc(1), mp.mpc(5)], 1e-10) == 3
+        orbit = _synthetic_orbit([(0, 0), (0.125, 0), (0.25, 0.5)])
+        assert orbit_degree(orbit, 1) == 3
 
     def test_merges_close_values(self):
-        assert _cluster_count([mp.mpc(0), mp.mpc(1e-12)], 1e-10) == 1
+        # a point, its negative and a 2^-prec shift are one class up to sign
+        with mp.workprec(PREC + 20):
+            shifted = 0.375 + mp.ldexp(1, -PREC)
+        orbit = _synthetic_orbit([(0.375, 0.625), (0.625, 0.375),
+                                  (shifted, 0.625)])
+        assert orbit_degree(orbit, 1) == 1
 
     def test_dead_zone_raises(self):
+        # 2^5 times the merge tolerance 2^-(prec/2) of a period apart
+        with mp.workprec(PREC + 20):
+            shifted = 0.625 + mp.ldexp(1, 5 - PREC // 2)
+        orbit = _synthetic_orbit([(0.375, 0.625), (0.375, shifted)])
         with pytest.raises(ClusterAmbiguous):
-            _cluster_count([mp.mpc(0), mp.mpc(5e-10)], 1e-10)
+            orbit_degree(orbit, 1)
 
 
 class TestOrbitDegree:
     def test_degree_one_for_class_number_one(self):
-        assert orbit_degree(E37, -7, 1, PREC) == 1
+        assert orbit_degree(orbit_points(E37, -7, PREC), 1) == 1
 
     def test_degree_three_for_class_number_three(self):
-        assert orbit_degree(E37, -83, 1, PREC) == 3
+        assert orbit_degree(orbit_points(E37, -83, PREC), 1) == 3
 
     def test_multiplication_degrees_divide(self):
-        d1 = orbit_degree(E37, -83, 1, PREC)
+        orbit = orbit_points(E37, -83, PREC)
+        d1 = orbit_degree(orbit, 1)
         for n in (2, 3):
-            dn = orbit_degree(E37, -83, n, PREC)
+            dn = orbit_degree(orbit, n)
             assert d1 % dn == 0
             assert d1 // dn <= n * n
 
     def test_n_one_reuses_the_orbit_coordinates(self, monkeypatch):
-        # orbit_points already mapped every point; no second p per point
+        # the degree is counted on the torus: no p for any n
         orbit = orbit_points(E37, -83, PREC)
 
-        def no_map(*args):
-            raise AssertionError("weierstrass_map called for n = 1")
+        def no_p(*args):
+            raise AssertionError("p evaluated by orbit_degree")
 
-        monkeypatch.setattr(analysis, "weierstrass_map", no_map)
-        assert analysis._orbit_degree(orbit, 1) == 3
+        monkeypatch.setattr(lattice, "weierstrass_p", no_p)  # under the map too
+        degrees = [orbit_degree(orbit, n) for n in range(1, 13)]
+        assert degrees[0] == 3
+        assert all(3 % d == 0 for d in degrees)
 
     def test_n_out_of_range(self):
+        orbit = orbit_points(E37, -7, PREC)
         with pytest.raises(ValueError):
-            orbit_degree(E37, -7, 0, PREC)
+            orbit_degree(orbit, 0)
         with pytest.raises(ValueError):
-            orbit_degree(E37, -7, 13, PREC)
+            orbit_degree(orbit, 13)
 
     def test_inadmissible_discriminant(self):
         with pytest.raises(HeegnerConditionFailed):
-            orbit_degree(E37, -20, 1, PREC)
+            orbit_degree(orbit_points(E37, -20, PREC), 1)
+
+    @pytest.mark.parametrize("label", sorted(ORACLE_FIBERS))
+    def test_matches_the_p_oracle(self, label):
+        for D in ORACLE_FIBERS[label]:
+            orbit = orbit_points(CURVES[label], D, PREC)
+            for n in (1, 2, 3, 6):
+                assert orbit_degree(orbit, n) == p_orbit_degree_oracle(orbit, n)
 
 
 class TestRelationDataclass:
@@ -132,8 +214,8 @@ class TestRelationSearch:
         L = orb.lattice
         z = orb.points_z[0]
         with mp.workprec(PREC + 20):
-            doubled = EmbeddingSet(zs=(L.reduce(2 * z),), lattice=L)
-        rel = relation_search([EmbeddingSet.from_orbit(orb), doubled], 5, PREC)
+            doubled = (L.reduce(2 * z),)
+        rel = relation_search([orb.points_z, doubled], L, 5, PREC)
         assert rel is not None
         assert rel.coefficients == (2, -1)
         assert rel.torsion_slack == 1
@@ -143,8 +225,8 @@ class TestRelationSearch:
         L = orb.lattice
         z = orb.points_z[0]
         with mp.workprec(PREC + 20):
-            negated = EmbeddingSet(zs=(L.reduce(-z),), lattice=L)
-        rel = relation_search([EmbeddingSet.from_orbit(orb), negated], 5, PREC)
+            negated = (L.reduce(-z),)
+        rel = relation_search([orb.points_z, negated], L, 5, PREC)
         assert rel is not None
         assert rel.coefficients == (1, 1)
         assert rel.torsion_slack == 1
@@ -153,21 +235,20 @@ class TestRelationSearch:
         orb = self._base_orbit()
         L = orb.lattice
         with mp.workprec(PREC + 20):
-            s1 = EmbeddingSet(zs=(L.reduce(L.omega1 / mp.pi),), lattice=L)
-            s2 = EmbeddingSet(
-                zs=(L.reduce(L.omega2 * mp.sqrt(2) / mp.e),), lattice=L
-            )
-        assert relation_search([s1, s2], 10, PREC) is None
+            s1 = (L.reduce(L.omega1 / mp.pi),)
+            s2 = (L.reduce(L.omega2 * mp.sqrt(2) / mp.e),)
+        assert relation_search([s1, s2], L, 10, PREC) is None
 
     def test_argument_validation(self):
         orb = self._base_orbit()
-        one = [EmbeddingSet.from_orbit(orb)]
+        one = [orb.points_z]
+        L = orb.lattice
         with pytest.raises(ValueError):
-            relation_search(one, 5, PREC)
+            relation_search(one, L, 5, PREC)
         with pytest.raises(ValueError):
-            relation_search(one * 2, 0, PREC)
+            relation_search(one * 2, L, 0, PREC)
         with pytest.raises(ValueError):
-            relation_search(one * 2, 51, PREC)
+            relation_search(one * 2, L, 51, PREC)
 
 
 class TestVerifyRelation:
@@ -249,15 +330,9 @@ class TestIndependenceReport:
             assert e.divisibility_ok is True
 
 
-CURVES = {"37a": E37, "32a": E32, "49a": E49}
 # (r, B) boxes that the oracle scans in well under a second
 BOXES = [(2, 1), (2, 2), (2, 4), (3, 1), (3, 2), (4, 1)]
 EXTRA_EMBEDDINGS = ["none", "shift", "half", "generic", "negated"]
-
-
-@functools.cache
-def _lattice(label, prec):
-    return periods(CURVES[label], prec)
 
 
 def _generic_point(L, rng):
@@ -309,11 +384,11 @@ def planted_sets(draw):
         rest = sum(vec[i] * zs[i] for i in range(r) if i != j)
         zs[j] = L.reduce(vec[j] * (target - rest))
         sets = [
-            EmbeddingSet(zs=(z,) + _extra_embedding(kind, z, L, rng), lattice=L)
+            (z,) + _extra_embedding(kind, z, L, rng)
             for z, kind in zip(zs, extras)
         ]
     planted_holds = near < 1 and all(kind in ("none", "shift") for kind in extras)
-    return sets, B, prec, planted_holds
+    return sets, L, B, prec, planted_holds
 
 
 @st.composite
@@ -326,41 +401,39 @@ def generic_sets(draw):
     rng = draw(st.randoms(use_true_random=False))
     L = _lattice(label, prec)
     with mp.workprec(prec + 20):
-        sets = [
-            EmbeddingSet(zs=tuple(_generic_point(L, rng) for _ in range(k)), lattice=L)
-            for k in sizes
-        ]
-    return sets, B, prec
+        sets = [tuple(_generic_point(L, rng) for _ in range(k)) for k in sizes]
+    return sets, L, B, prec
 
 
 class TestSieveMatchesOracle:
     @settings(max_examples=60, deadline=None)
     @given(case=planted_sets())
     def test_planted_relations(self, case):
-        sets, B, prec, planted_holds = case
-        expected = box_search_oracle(sets, B, prec)
+        sets, L, B, prec, planted_holds = case
+        expected = box_search_oracle(sets, L, B, prec)
         if planted_holds:
             assert expected is not None
-        assert relation_search(sets, B, prec) == expected
+        assert relation_search(sets, L, B, prec) == expected
 
     @settings(max_examples=25, deadline=None)
     @given(case=generic_sets())
     def test_transcendental_sets(self, case):
-        sets, B, prec = case
-        assert relation_search(sets, B, prec) == box_search_oracle(sets, B, prec)
+        sets, L, B, prec = case
+        assert (relation_search(sets, L, B, prec)
+                == box_search_oracle(sets, L, B, prec))
 
     def test_known_relations_unchanged(self):
         orb = orbit_points(E37, -7, PREC)
         L = orb.lattice
         z = orb.points_z[0]
         with mp.workprec(PREC + 20):
-            base = EmbeddingSet.from_orbit(orb)
-            doubled = EmbeddingSet(zs=(L.reduce(2 * z),), lattice=L)
-            negated = EmbeddingSet(zs=(L.reduce(-z),), lattice=L)
+            base = orb.points_z
+            doubled = (L.reduce(2 * z),)
+            negated = (L.reduce(-z),)
         for other, coefficients in ((doubled, (2, -1)), (negated, (1, 1))):
-            rel = relation_search([base, other], 5, PREC)
+            rel = relation_search([base, other], L, 5, PREC)
             assert rel == Relation(coefficients=coefficients, torsion_slack=1)
-            assert rel == box_search_oracle([base, other], 5, PREC)
+            assert rel == box_search_oracle([base, other], L, 5, PREC)
 
 
 class TestFieldFailures:
@@ -378,7 +451,7 @@ class TestFieldFailures:
 
     @pytest.mark.parametrize(
         "name, stage",
-        [("orbit_points", "orbit"), ("_orbit_degree", "degree"),
+        [("orbit_points", "orbit"), ("orbit_degree", "degree"),
          ("trace_point", "trace")],
     )
     def test_domain_error_records_stage(self, monkeypatch, name, stage):

@@ -15,10 +15,9 @@ from heegnerlab.ellcurve import (
     point_add,
     point_mul,
     point_neg,
-    reduce_mod_p,
     torsion_subgroup,
 )
-from heegnerlab.errors import BadReductionPrime, FieldMismatch
+from heegnerlab.errors import FieldMismatch
 
 E37 = CurveModel(0, 0, 1, -1, 0, 37)
 E32 = CurveModel(0, 0, 0, -1, 0, 32)
@@ -242,20 +241,3 @@ class TestTorsion:
                 continue
             assert point_mul(2, P, E32).is_infinity
 
-
-class TestReduction:
-    def test_good_reduction(self):
-        P = point(F(1, 4), F(-5, 8))
-        # not on 37a; use a real point instead
-        P = point(F(2), F(-3))
-        assert reduce_mod_p(P, E37, 5) == (2, 2)
-
-    def test_denominator_becomes_infinity_like(self):
-        P = point(F(1, 4), F(-5, 8))
-        with pytest.raises(Exception):
-            reduce_mod_p(P, E37, 2)
-
-    def test_bad_prime_rejected(self):
-        P = point(F(0), F(0))
-        with pytest.raises(BadReductionPrime):
-            reduce_mod_p(P, E37, 37)

@@ -6,11 +6,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
-from heegnerlab.ellcurve import CurveModel, point, point_add, point_mul
+from heegnerlab.ellcurve import (CurveModel, CurvePoint, point, point_add,
+                                 point_mul)
 from heegnerlab.errors import IdentityPoint, PrecisionUnachievable
 from heegnerlab.lattice import (
     Lattice,
-    complex_log_embedding,
     curve_equation_residual,
     elliptic_log,
     periods,
@@ -281,7 +281,7 @@ class TestMapAndLog:
                 s, t = rng.uniform(0.05, 0.95), rng.uniform(0.05, 0.95)
                 z = s * L.omega1 + t * L.omega2
                 x, y = weierstrass_map(z, E37, L)
-                z2 = complex_log_embedding(x, y, E37, L)
+                z2 = elliptic_log(CurvePoint(x, y), E37, L)
                 assert L.distance(z - z2) < mp.mpf(2) ** -(PREC - 12)
 
 
@@ -292,6 +292,23 @@ class TestLatticeOps:
             z = 17 * L.omega1 - 9 * L.omega2 + 0.3 * L.omega1
             r = L.reduce(z)
             assert L.distance(z - r) < mp.mpf(2) ** -(PREC - 20)
+
+    def test_reduce_representative(self):
+        # coordinates in [-d, 1 - d), d = 2^-(prec - 10)
+        L = periods(E37, PREC)
+        d = mp.ldexp(1, 10 - PREC)
+        with mp.workprec(PREC + 20):
+            for s, t in [(0, 0), (0.5, 0.999), (-3.25, 7.5), (0.999, -0.001)]:
+                a, b = L.coordinates(L.reduce(s * L.omega1 + t * L.omega2))
+                assert -d <= a < 1 - d and -d <= b < 1 - d
+
+    def test_reduce_edge_lands_near_zero(self):
+        # noise on either side of an edge moves z by that noise, not a period
+        L = periods(E37, PREC)
+        eps = mp.ldexp(1, -PREC)
+        with mp.workprec(PREC + 20):
+            for t in (1 - eps, -eps, eps):
+                assert abs(L.reduce(t * L.omega2)) < 4 * eps
 
     def test_distance_zero_on_lattice_points(self):
         L = periods(E49, PREC)
@@ -374,7 +391,7 @@ class TestLogProperties:
         with mp.workprec(PREC + 40):
             z = s * L.omega1 + t * L.omega2
             x, y = weierstrass_map(z, E, L)
-            z2 = complex_log_embedding(x, y, E, L)
+            z2 = elliptic_log(CurvePoint(x, y), E, L)
             assert L.distance(z - z2) < mp.mpf(2) ** -(PREC - 12)
 
     @pytest.mark.parametrize("E", [E37, E32, E49])
@@ -382,7 +399,7 @@ class TestLogProperties:
         L = LATTICES[E]
         with mp.workprec(PREC + 20):
             for x, y in two_torsion(E, PREC + 20):
-                z = complex_log_embedding(x, y, E, L)
+                z = elliptic_log(CurvePoint(x, y), E, L)
                 assert L.distance(2 * z) < mp.mpf(2) ** -(PREC - 20)
                 x2, _ = weierstrass_map(z, E, L)
                 assert abs(x2 - x) < mp.mpf(2) ** -(PREC - 20) * (1 + abs(x))

@@ -6,7 +6,8 @@ from mpmath import mp
 
 from heegnerlab import modparam
 from heegnerlab.ellcurve import CurveModel, QuadElt, an_coeffs
-from heegnerlab.errors import ConvergenceTooSlow, RecognitionFailed
+from heegnerlab.errors import (ConvergenceTooSlow, HeegnerConditionFailed,
+                              RecognitionFailed)
 from heegnerlab.heegner import heegner_fiber
 from heegnerlab.modparam import (
     _terms_needed,
@@ -172,8 +173,16 @@ class TestOrbits:
                 )
 
     def test_inadmissible_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(HeegnerConditionFailed):
             orbit_points(E37, -20, PREC)
+
+    def test_edge_point_reduces_near_zero(self):
+        # z_1 of 37a D = -108 is real; at 300 bits rounding noise puts its
+        # t just below 0 or just above, and either way it must stay near 0
+        orb = orbit_points(E37, -108, 300)
+        with mp.workprec(320):
+            _, t = orb.lattice.coordinates(orb.points_z[1])
+            assert abs(t) < mp.ldexp(1, -290)
 
 
 class TestTrace:
