@@ -19,15 +19,27 @@ from . import analysis, arith, db, modparam, qform
 from .ellcurve import QuadElt, an_coeffs, torsion_subgroup
 from .errors import HeegnerlabError
 from .heegner import heegner_condition, heegner_fiber
+from .lattice import weierstrass_map
 
 
 def _digits(prec_bits: int) -> int:
     return max(6, int(prec_bits * 0.30103) + 2)
 
 
+def _denoise(v, prec_bits: int):
+    """v with each real or imaginary part of magnitude at most
+    2^-prec_bits max(1, |v|) set to 0: such a part is rounding noise."""
+    v = mp.mpmathify(v)
+    with mp.workprec(prec_bits):
+        tol = mp.ldexp(max(1, abs(v)), -prec_bits)
+    re, im = (mp.zero if abs(p) <= tol else p for p in (mp.re(v), mp.im(v)))
+    return mp.make_mpc((re._mpf_, im._mpf_)) if isinstance(v, mp.mpc) else re
+
+
 def _num(v, prec_bits: int) -> str:
     with mp.workprec(prec_bits):
-        return mp.nstr(v, _digits(prec_bits), strip_zeros=False)
+        return mp.nstr(_denoise(v, prec_bits), _digits(prec_bits),
+                       strip_zeros=False)
 
 
 def jsonify(v, prec_bits: int):
@@ -42,9 +54,8 @@ def jsonify(v, prec_bits: int):
             "sqrt_part": jsonify(v.y, prec_bits),
             "sqrt_of": v.d,
         }
-    if isinstance(v, mp.mpf):
-        return {"re": _num(v, prec_bits), "im": "0.0", "prec_bits": prec_bits}
-    if isinstance(v, (complex, mp.mpc)):
+    if isinstance(v, (complex, mp.mpf, mp.mpc)):
+        v = _denoise(v, prec_bits)
         return {
             "re": _num(mp.re(v), prec_bits),
             "im": _num(mp.im(v), prec_bits),
@@ -146,6 +157,7 @@ def cmd_point(args):
     E = _curve(args)
     orbit = modparam.orbit_points(E, args.disc, args.prec)
     tr = modparam.trace_point(orbit)
+    points_xy = [weierstrass_map(z, E, orbit.lattice) for z in orbit.points_z]
     recog = None
     recog_err = None
     if not tr.is_identity:
@@ -160,7 +172,7 @@ def cmd_point(args):
         "discriminant": args.disc,
         "orbit_size": len(orbit.points_z),
         "points_z": list(orbit.points_z),
-        "points_xy": [list(p) for p in orbit.points_xy],
+        "points_xy": [list(p) for p in points_xy],
         "trace": {
             "is_identity": tr.is_identity,
             "z": tr.z,
@@ -174,7 +186,7 @@ def cmd_point(args):
         "terms_used": orbit.terms_used,
     }
     lines = [f"{E.label}, D = {args.disc}: orbit of {len(orbit.points_z)} point(s)"]
-    for x, y in orbit.points_xy:
+    for x, y in points_xy:
         lines.append(f"  x = {_num(x, args.prec)}")
         lines.append(f"  y = {_num(y, args.prec)}")
     if tr.is_identity:

@@ -1,13 +1,14 @@
 """Numerical modular parametrization.
 
 Evaluates phi(tau) = sum a_n q^n / n on the upper half plane in integer
-fixed point over one growing coefficient prefix per curve, pushes whole
-conjugate orbits of class-field points through the uniformization and forms
-trace points.  Recognition has one entry point per input shape: recognize
-for one point over Q, recognize_quadratic for a conjugate pair of points
-over Q(sqrt(D)), recognize_minpoly for the conjugates of a number.
-recognize_trace sends a trace point to the first or the second; the
-quadratic field of a trace is that of its discriminant D.
+fixed point over one growing coefficient prefix per curve, takes whole
+conjugate orbits of class-field points to the torus C/L and forms trace
+points; only a trace is mapped to curve coordinates.  Recognition has one
+entry point per input shape: recognize for one point over Q,
+recognize_quadratic for one point over Q(sqrt(D)) in its fixed embedding
+(twist points with x in Q included), recognize_minpoly for the conjugates
+of a number.  recognize_trace sends a trace point to the first or the
+second; the quadratic field of a trace is that of its discriminant D.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from mpmath import mp, mpc, mpf
 from .ellcurve import CurveModel, QExpansion, QuadElt, an_coeffs
 from .errors import ConvergenceTooSlow, RecognitionFailed
 from .heegner import heegner_fiber
-from .lattice import Lattice, embed, periods, weierstrass_map
+from .lattice import Lattice, periods, weierstrass_map
 
 _M_CAP = 10**6
 
@@ -94,16 +95,13 @@ def eval_phi(E: CurveModel, tau: mpc, precision_bits: int) -> tuple[mpc, int]:
 
 @dataclass(frozen=True)
 class OrbitEvaluation:
-    """Images of a full conjugate orbit of class-field points on the curve.
-
-    points_z are lattice-reduced Abel-Jacobi images, one per ideal class;
-    points_xy the corresponding curve coordinates.
-    """
+    """Images of a full conjugate orbit of class-field points on the torus:
+    points_z are lattice-reduced Abel-Jacobi images, one per ideal class.
+    weierstrass_map gives a point's curve coordinates."""
 
     curve: CurveModel
     discriminant: int
     points_z: tuple[mpc, ...]
-    points_xy: tuple[tuple[mpc, mpc], ...]
     precision_bits: int
     terms_used: int
     lattice: Lattice
@@ -111,26 +109,22 @@ class OrbitEvaluation:
 
 def orbit_points(E: CurveModel, D: int, precision_bits: int) -> OrbitEvaluation:
     """Evaluate phi at every fiber representative over level E.conductor and
-    discriminant D, reduce mod the period lattice, and map to curve
-    coordinates.  An inadmissible D raises HeegnerConditionFailed."""
+    discriminant D and reduce mod the period lattice.  An inadmissible D
+    raises HeegnerConditionFailed."""
     fiber = heegner_fiber(D, E.conductor)
     L = periods(E, precision_bits)
     zs = []
-    xys = []
     terms = 0
     with mp.workprec(precision_bits + 20):
         for rep in fiber:
             tau = rep.tau(precision_bits + 20)
             phi, M = eval_phi(E, tau, precision_bits)
             terms = max(terms, M)
-            z = L.reduce(phi)
-            zs.append(z)
-            xys.append(weierstrass_map(z, E, L))
+            zs.append(L.reduce(phi))
     return OrbitEvaluation(
         curve=E,
         discriminant=D,
         points_z=tuple(zs),
-        points_xy=tuple(xys),
         precision_bits=precision_bits,
         terms_used=terms,
         lattice=L,
@@ -174,7 +168,9 @@ def trace_point(orbit: OrbitEvaluation) -> TracePoint:
 @dataclass(frozen=True)
 class RecognizedAlgebraic:
     kind: str  # "rational" | "quadratic" | "minpoly"
-    value: object  # (Fraction, Fraction) | (QuadElt, QuadElt) | tuple of int
+    # rational: (Fraction, Fraction); quadratic: (x, y), each a Fraction or
+    # a QuadElt, not both Fractions; minpoly: tuple of int
+    value: object
     residual: mpf
 
 
@@ -221,56 +217,42 @@ def recognize(
 
 
 def recognize_quadratic(
-    points,
+    point,
     denominator_bound: int,
     E: CurveModel,
     D: int,
     precision_bits: int = 200,
 ) -> RecognizedAlgebraic:
-    """Exact point of E over Q(sqrt(D)) behind two complex-conjugate
-    numerical points [(x1, y1), (x2, y2)], returned in the embedding that
-    sends sqrt(D) to the principal root and (x, y) to (x1, y1).  Accepted
-    only when the exact point satisfies the curve equation."""
+    """Exact point of E over Q(sqrt(D)), D < 0, behind one numerical point
+    (x, y) in the embedding that sends sqrt(D) to its principal root.  Each
+    coordinate v is read as u + w sqrt(D) with u = Re v and w = Im v /
+    sqrt(|D|), and u, w are rounded to denominators up to
+    denominator_bound^2; a twist point (x in Q, y in sqrt(D) Q) is one
+    case.  Accepted only when the exact point satisfies the curve equation."""
     if denominator_bound < 1:
         raise ValueError("denominator_bound must be positive")
+    if D >= 0:
+        raise ValueError("D must be negative")
     bound = denominator_bound * denominator_bound
     with mp.workprec(precision_bits + 20):
-        (x1, y1), (x2, y2) = [(mp.mpc(x), mp.mpc(y)) for x, y in points]
-        # symmetric functions are rational; recover x, y in Q(sqrt(D))
-        sx, esx = _round_rational(x1 + x2, bound)
-        px, epx = _round_rational(x1 * x2, bound)
-        sy, esy = _round_rational(y1 + y2, bound)
-        py, epy = _round_rational(y1 * y2, bound)
-        residual = esx + epx + esy + epy
+        x, y = (mp.mpc(v) for v in point)
+        root = mp.sqrt(-D)
+        exact, residual = [], mp.mpf(0)
+        for v in (x, y):
+            u, eu = _round_rational(v, bound)
+            w, ew = _round_rational(mp.im(v) / root, bound)
+            exact.append(QuadElt.make(u, w, D))
+            residual += eu + ew * root
         # genuine algebraic inputs round to machine accuracy; a merely-small
-        # residual (~bound^-4) signals a spurious continued-fraction hit
-        strict = mp.mpf(2) ** (-(mp.prec // 2)) * (1 + abs(x1) + abs(y1)) ** 2
-        if residual > max(strict, mp.mpf(2) ** (-(mp.prec - 30))):
+        # residual (~bound^-2) signals a spurious continued-fraction hit
+        strict = mp.mpf(2) ** (-(mp.prec // 2)) * (1 + abs(x) + abs(y)) ** 2
+        screen = min(_RESIDUAL_CAP, max(strict, mp.mpf(2) ** (-(mp.prec - 30))))
+        if residual > screen:
             raise RecognitionFailed(f"residual {mp.nstr(residual, 5)} too large")
-        # x = sx/2 + (bx/2) sqrt(D) with bx = sqrt(disc_x / D); QuadElt.make
-        # reduces D = f^2 d0 to its squarefree kernel d0
-        disc_x = sx * sx - 4 * px
-        if disc_x == 0:
-            raise RecognitionFailed("conjugate x-values coincide; not quadratic")
-        bx = _frac_sqrt(disc_x / D)
-        if bx is None:
-            raise RecognitionFailed(f"x is not in Q(sqrt({D}))")
-        xq = QuadElt.make(sx / 2, bx / 2, D)
-        disc_y = sy * sy - 4 * py
-        cy = _frac_sqrt(disc_y / D)
-        if cy is None:
-            raise RecognitionFailed(f"y is not in Q(sqrt({D}))")
-        yq = QuadElt.make(sy / 2, cy / 2, D)
-        # fix relative signs so (x1, y1) is one common embedding of (xq, yq)
-        xq, yq, emb_err = _match_embedding(xq, yq, x1, y1)
-        residual += emb_err
-    if residual > _RESIDUAL_CAP:
-        raise RecognitionFailed("no sign choice matches the numerical conjugates")
-    lhs = yq * yq + E.a1 * xq * yq + E.a3 * yq
-    rhs = xq * xq * xq + E.a2 * xq * xq + E.a4 * xq + E.a6
-    if lhs != rhs:
+    if not E.on_curve(*exact):
         raise RecognitionFailed("quadratic point misses the curve equation")
-    return RecognizedAlgebraic(kind="quadratic", value=(xq, yq), residual=residual)
+    return RecognizedAlgebraic(kind="quadratic", value=tuple(exact),
+                               residual=residual)
 
 
 def recognize_trace(
@@ -278,52 +260,14 @@ def recognize_trace(
 ) -> RecognizedAlgebraic:
     """Exact point behind a trace point that is not the identity, with
     denominator bound 10^6: over Q when the trace is real (recognize),
-    otherwise over Q(sqrt(D)) from the trace and its complex conjugate
-    (recognize_quadratic)."""
+    otherwise over Q(sqrt(D)) (recognize_quadratic)."""
     if tr.is_identity:
         raise ValueError("the identity has no affine coordinates")
     if tr.is_real:
         return recognize([tr.xy], 10**6, E, precision_bits=precision_bits)
-    x, y = tr.xy
-    with mp.workprec(precision_bits + 20):
-        conj = (mp.conj(x), mp.conj(y))
     return recognize_quadratic(
-        [(x, y), conj], 10**6, E, tr.discriminant, precision_bits=precision_bits
+        tr.xy, 10**6, E, tr.discriminant, precision_bits=precision_bits
     )
-
-
-def _frac_sqrt(f: Fraction) -> Fraction | None:
-    if f < 0:
-        return None
-    n = _isqrt_exact(f.numerator)
-    d = _isqrt_exact(f.denominator)
-    if n is None or d is None:
-        return None
-    return Fraction(n, d)
-
-
-def _isqrt_exact(n: int) -> int | None:
-    r = math.isqrt(n)
-    return r if r * r == n else None
-
-
-def _match_embedding(xq, yq, x1, y1):
-    prec = mp.prec
-    best = None
-    for sx in (1, -1):
-        for sy in (1, -1):
-            xc = _flip(xq, sx)
-            yc = _flip(yq, sy)
-            err = abs(embed(xc, prec) - x1) + abs(embed(yc, prec) - y1)
-            if best is None or err < best[2]:
-                best = (xc, yc, err)
-    return best
-
-
-def _flip(v, sign):
-    if sign == 1 or isinstance(v, Fraction):
-        return v
-    return v.conjugate()
 
 
 def recognize_minpoly(

@@ -102,8 +102,9 @@ def p_orbit_degree_oracle(orbit: OrbitEvaluation, n: int) -> int:
     xs = []
     has_identity = False
     with mp.workprec(prec + 20):
-        if n == 1:  # orbit_points mapped every point, raising on the identity
-            return _cluster_count([x for x, _ in orbit.points_xy], _CLUSTER_TOL)
+        if n == 1:  # map every point, as orbit_points once did
+            return _cluster_count([weierstrass_map(z, orbit.curve, L)[0]
+                                   for z in orbit.points_z], _CLUSTER_TOL)
         for z in orbit.points_z:
             nz = L.reduce(n * z)
             if L.distance(nz) < mp.mpf(2) ** (-(prec // 2)):
@@ -120,8 +121,7 @@ def _synthetic_orbit(coordinates, prec=PREC):
     with mp.workprec(prec + 20):
         zs = tuple(s * L.omega1 + t * L.omega2 for s, t in coordinates)
     return OrbitEvaluation(curve=E37, discriminant=-7, points_z=zs,
-                           points_xy=(), precision_bits=prec, terms_used=0,
-                           lattice=L)
+                           precision_bits=prec, terms_used=0, lattice=L)
 
 
 class TestClusterCount:
@@ -499,3 +499,17 @@ class TestFieldFailures:
         monkeypatch.setattr(analysis, "orbit_points", counting)
         independence_report(E37, [-7, -11, -47], 2, PREC)
         assert seen == [-7, -11, -47]
+
+    def test_p_evaluated_once_per_trace(self, monkeypatch):
+        # orbit points stay on the torus; only a non-identity trace is mapped
+        calls = []
+        real = lattice.weierstrass_p
+
+        def counting(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(lattice, "weierstrass_p", counting)
+        rep = independence_report(E37, [-7, -11, -47], 2, PREC)
+        traces = sum(not e.trace_is_identity for e in rep.entries)
+        assert traces >= 1 and len(calls) == traces

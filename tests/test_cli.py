@@ -1,5 +1,6 @@
 """Tests for the command line interface via run_command."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -7,8 +8,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from mpmath import mp
 
-from heegnerlab.cli import run_command
+from heegnerlab.cli import build_parser, jsonify, run_command
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run_json(capsys, args):
@@ -95,6 +99,42 @@ class TestPoint:
         assert rec["kind"] == "quadratic"
         assert rec["value"][0]["sqrt_of"] == -31
 
+    def test_49a_minus_48_twist_point(self, capsys):
+        # x = -1 is rational, y = 1/2 + 1/2 sqrt(-3)
+        code, doc = run_json(capsys, ["point", "--curve", "49a", "--disc", "-48"])
+        assert code == 0
+        rec = doc["recognized"]
+        assert rec["kind"] == "quadratic"
+        assert rec["value"][0] == {"num": "-1", "den": "1"}
+        assert rec["value"][1]["sqrt_of"] == -3
+
+
+class TestNoiseDigits:
+    def test_noise_part_prints_zero(self, capsys):
+        # the real trace of 37a D = -108 has an imaginary part near 1e-96
+        argv = ["point", "--curve", "37a", "--disc", "-108", "--prec", "300"]
+        code, doc = run_json(capsys, argv)
+        assert code == 0
+        assert doc["trace"]["is_real"]
+        for v in doc["trace"]["xy"] + [doc["trace"]["z"]]:
+            assert v["im"] == "0.0" and v["re"] != "0.0"
+        assert run_command(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        trace = [line for line in lines if line.startswith("trace ")]
+        assert len(trace) == 2
+        assert all(line.endswith(" + 0.0j)") for line in trace)
+
+    def test_threshold(self):
+        # a part is noise at magnitude <= 2^-prec max(1, |v|)
+        with mp.workprec(300):
+            for scale in (1, 2**40):
+                at = mp.mpc(scale, mp.ldexp(scale, -200))
+                above = mp.mpc(scale, mp.ldexp(scale, -199))
+                assert jsonify(at, 200)["im"] == "0.0"
+                assert jsonify(above, 200)["im"] != "0.0"
+            assert jsonify(mp.ldexp(1, -200), 200)["re"] == "0.0"
+            assert jsonify(mp.ldexp(1, -199), 200)["re"] != "0.0"
+
 
 class TestOrbitDegreeAndTorsion:
     def test_orbit_degree(self, capsys):
@@ -175,3 +215,20 @@ class TestPlumbing:
             [sys.executable, "-c", code], capture_output=True, text=True,
             env={**os.environ, "PYTHONPATH": src}, timeout=60, check=True)
         assert proc.stdout.strip() == "False"
+
+
+def readme_cli_lines():
+    return [line.split()[1:] for line in README.read_text().splitlines()
+            if line.startswith("heegnerlab ")]
+
+
+class TestReadme:
+    def test_cli_block_has_every_subcommand(self):
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        assert {argv[0] for argv in readme_cli_lines()} == set(sub.choices)
+
+    @pytest.mark.parametrize("argv", readme_cli_lines(), ids=" ".join)
+    def test_cli_example_runs(self, capsys, argv):
+        code, _ = run_json(capsys, argv)
+        assert code == 0
