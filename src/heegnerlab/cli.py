@@ -164,7 +164,7 @@ def cmd_point(args):
         try:
             rec = modparam.recognize_trace(tr, E, args.prec)
             recog = {"kind": rec.kind, "value": rec.value,
-                     "residual": mp.mpf(rec.residual)}
+                     "residual": mp.nstr(rec.residual, 5)}
         except HeegnerlabError as exc:
             recog_err = str(exc)
     payload = {

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import arith
-from .errors import BadReductionPrime, FieldMismatch
+from .errors import FieldMismatch
 
 Rat = Fraction
 
@@ -254,7 +254,8 @@ def point_mul(n: int, P: CurvePoint, E: CurveModel) -> CurvePoint:
 
 
 def _count_points(E: CurveModel, p: int) -> int:
-    """#E(F_p) including infinity, by direct counting (nonsingular model)."""
+    """#E(F_p) including infinity, by direct counting; on a model with bad
+    reduction at p this includes its one singular point."""
     if p == 2:
         n = 1
         for x in range(2):
@@ -277,32 +278,12 @@ def _count_points(E: CurveModel, p: int) -> int:
 
 
 def ap(E: CurveModel, p: int) -> int:
-    """a_p = p + 1 - #E(F_p) at a good prime."""
-    if E.conductor % p == 0:
-        raise BadReductionPrime(f"p={p} divides the conductor {E.conductor}")
+    """a_p = p + 1 - #E(F_p) at every prime p of the minimal model E.  At a
+    bad prime the count includes the singular point, so a_p is p minus the
+    nonsingular points: 1 split multiplicative, -1 non-split, 0 additive."""
     a = p + 1 - _count_points(E, p)
     assert a * a <= 4 * p, f"Hasse bound violated at {p}"
     return a
-
-
-def ap_bad(E: CurveModel, p: int) -> int:
-    """a_p at a bad prime of the minimal model: p minus the number of
-    nonsingular F_p-points, which is +1 split multiplicative, -1 non-split,
-    0 additive."""
-    if E.conductor % p:
-        raise ValueError(f"p={p} is a good prime")
-    a1, a2, a3, a4, a6 = E.a_invariants
-    n = 1  # infinity is always smooth
-    for x in range(p):
-        for y in range(p):
-            if (y * y + a1 * x * y + a3 * y - E.rhs(x)) % p:
-                continue
-            # partials: f_x = a1 y - 3x^2 - 2 a2 x - a4 ; f_y = 2y + a1 x + a3
-            fx = (a1 * y - 3 * x * x - 2 * a2 * x - a4) % p
-            fy = (2 * y + a1 * x + a3) % p
-            if fx or fy:
-                n += 1
-    return p - n
 
 
 @dataclass(frozen=True)
@@ -334,10 +315,12 @@ def an_coeffs(E: CurveModel, M: int, prefix: QExpansion | None = None) -> QExpan
             pk *= p
         if pk < n:  # n = pk * m with gcd(pk, m) = 1
             a[n] = a[pk] * a[n // pk]
+        elif n == p:
+            a[n] = ap(E, p)
         elif E.conductor % p:  # p^k at a good prime
-            a[n] = ap(E, p) if n == p else a[p] * a[n // p] - p * a[n // p // p]
+            a[n] = a[p] * a[n // p] - p * a[n // p // p]
         else:
-            a[n] = ap_bad(E, p) if n == p else a[p] * a[n // p]
+            a[n] = a[p] * a[n // p]
     return QExpansion(tuple(a[1:]), E.conductor)
 
 

@@ -29,10 +29,6 @@ class HeegnerConditionFailed(HeegnerlabError):
     pass
 
 
-class BadReductionPrime(HeegnerlabError):
-    pass
-
-
 class FieldMismatch(HeegnerlabError):
     pass
 

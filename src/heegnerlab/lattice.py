@@ -11,7 +11,7 @@ precision; it raises rather than return an uncertified value.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from mpmath import mp, mpc, mpf
 
@@ -118,10 +118,17 @@ def periods(E: CurveModel, precision_bits: int) -> Lattice:
     beta = |e1 - e2| = sqrt(3 e1^2 - g2/4), the real period
     w1 = 2 pi / AGM(2 sqrt(beta), sqrt(2 beta + 3 e1)) and
     w2 = w1/2 + i pi / AGM(2 sqrt(beta), sqrt(2 beta - 3 e1)).
-    Either way Im(w2/w1) > 0.
+    Either way Im(w2/w1) > 0.  Calls on one model and precision share one
+    Lattice, and with it its reduced basis and theta constants.
     """
     if not 53 <= precision_bits <= 1000:
         raise PrecisionUnachievable("precision_bits must be in 53..1000")
+    return _agm_lattice(E.a_invariants, precision_bits)
+
+
+@lru_cache(maxsize=16)
+def _agm_lattice(a_invariants: tuple[int, ...], precision_bits: int) -> Lattice:
+    E = CurveModel(*a_invariants, conductor=0)  # only its invariants are read
     work = precision_bits + 40
     roots, g2, g3 = _two_division_values(E, work)
     with mp.workprec(work):
@@ -175,12 +182,6 @@ def weierstrass_map(z: mpc, E: CurveModel, L: Lattice) -> tuple[mpc, mpc]:
         x = p - mpf(b2) / 12
         y = (dp - E.a1 * x - E.a3) / 2
         return (x, y)
-
-
-def curve_equation_residual(E: CurveModel, x: mpc, y: mpc) -> mpf:
-    return abs(
-        y * y + E.a1 * x * y + E.a3 * y - (x**3 + E.a2 * x * x + E.a4 * x + E.a6)
-    )
 
 
 def embed(value, prec: int) -> mpc:

@@ -1,16 +1,17 @@
 """Binary quadratic forms of negative discriminant.
 
-Reduction, enumeration of reduced forms, Gauss/Dirichlet composition, class
-group structure from the composition table, and ring class numbers of
-non-maximal orders.  Forms (a, b, c) are primitive and positive definite;
-the reduced representative (|b| <= a <= c, b >= 0 on ties) is the canonical
-name of an ideal class of the order of discriminant b^2 - 4ac.
+Reduction, enumeration of reduced forms, Gauss composition by Cohen's
+Alg. 5.4.7, class group structure from the p-ranks of the element orders,
+and ring class numbers of non-maximal orders.  Forms (a, b, c) are
+primitive and positive definite; the reduced representative
+(|b| <= a <= c, b >= 0 on ties) is the canonical name of an ideal class of
+the order of discriminant b^2 - 4ac.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import arith
@@ -57,8 +58,6 @@ class ClassGroup:
     discriminant: int
     forms: tuple[BinaryQuadraticForm, ...]
     order: int
-    # computed lazily by group_structure(); None until then
-    elementary_divisors: tuple[int, ...] | None = field(default=None, compare=False)
 
     @property
     def principal(self) -> BinaryQuadraticForm:
@@ -90,16 +89,14 @@ def reduce(f: BinaryQuadraticForm) -> BinaryQuadraticForm:
             b = r
             continue
         break
-    g = BinaryQuadraticForm(a, b, c)
-    return g if g.is_reduced() else reduce(g)
+    return BinaryQuadraticForm(a, b, c)
 
 
 def enumerate_reduced(D: int) -> ClassGroup:
     """All primitive reduced forms of discriminant D; order = h(D).
 
     Iterates over b of the right parity with 3b^2 <= |D| and splits
-    (b^2 - D)/4 into divisor pairs a*c.  Elementary divisors are left
-    unset; call group_structure() when they are needed.
+    (b^2 - D)/4 into divisor pairs a*c.
     """
     if D >= 0 or D % 4 not in (0, 1):
         raise InvalidDiscriminant(f"{D} is not a negative discriminant")
@@ -135,58 +132,28 @@ def _gcdext(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
-def _solve_congruence(r1: int, m1: int, r2: int, m2: int) -> int:
-    # x = r1 mod m1, x = r2 mod m2; the system must be consistent
-    g = math.gcd(m1, m2)
-    if (r1 - r2) % g != 0:
-        raise ArithmeticError("inconsistent congruences")
-    l = m1 // g * m2
-    _, s, _ = _gcdext(m1 // g, m2 // g)
-    return (r1 + m1 * ((r2 - r1) // g) * s) % l
-
-
-def _equivalent_with_leading_coprime_to(
-    g: BinaryQuadraticForm, m: int
-) -> BinaryQuadraticForm:
-    # properly equivalent form whose leading coefficient is coprime to m
-    if math.gcd(g.a, m) == 1:
-        return g
-    bound = 1
-    while bound < 64:
-        for x in range(-bound, bound + 1):
-            for y in range(-bound, bound + 1):
-                if math.gcd(x, y) != 1:
-                    continue
-                val = g.a * x * x + g.b * x * y + g.c * y * y
-                if val > 0 and math.gcd(val, m) == 1:
-                    _, v, u = _gcdext(x, y)
-                    u = -u
-                    # matrix [[x, u], [y, v]] has determinant 1
-                    a2 = val
-                    b2 = 2 * (g.a * x * u + g.c * y * v) + g.b * (x * v + y * u)
-                    c2 = g.a * u * u + g.b * u * v + g.c * v * v
-                    return BinaryQuadraticForm(a2, b2, c2)
-        bound *= 2
-    raise InvalidForm(f"no representative of {g} coprime to {m}")
-
-
 def compose(f: BinaryQuadraticForm, g: BinaryQuadraticForm) -> BinaryQuadraticForm:
-    """Reduced Gauss composition of the classes of f and g.
-
-    Dirichlet composition: move g to a representative with leading
-    coefficient coprime to f.a, solve B = b1 mod 2a1, B = b2 mod 2a2,
-    and read off (a1*a2, B, (B^2-D)/(4*a1*a2)).
-    """
+    """Reduced Gauss composition of the classes of f and g (Cohen, GTM 138,
+    Alg. 5.4.7): with a1 <= a2, s = (b1 + b2)/2 and n = b2 - s, take
+    u a2 + v a1 = d = gcd(a2, a1) and x s + y d = d1 = gcd(s, d); then
+    v1 = a1/d1, v2 = a2/d1, r = -u y n - x c2 mod v1 and the composite is
+    (v1 v2, b2 + 2 v2 r, c) with c fixed by the discriminant, reduced."""
     f.validate()
     g.validate()
     D = f.discriminant
     if g.discriminant != D:
         raise DiscriminantMismatch(f"{f} and {g} have different discriminants")
-    g = _equivalent_with_leading_coprime_to(g, f.a)
-    B = _solve_congruence(f.b, 2 * f.a, g.b, 2 * g.a)
-    A = f.a * g.a
-    C = (B * B - D) // (4 * A)
-    return reduce(BinaryQuadraticForm(A, B, C))
+    if f.a > g.a:
+        f, g = g, f
+    s = (f.b + g.b) // 2
+    n = g.b - s
+    d, u, _ = _gcdext(g.a, f.a)
+    d1, x, y = _gcdext(s, d)
+    v1, v2 = f.a // d1, g.a // d1
+    r = (-u * y * n - x * g.c) % v1
+    A = v1 * v2
+    B = g.b + 2 * v2 * r
+    return reduce(BinaryQuadraticForm(A, B, (B * B - D) // (4 * A)))
 
 
 def form_pow(f: BinaryQuadraticForm, n: int) -> BinaryQuadraticForm:
@@ -216,63 +183,26 @@ def _class_order(f: BinaryQuadraticForm, h: int) -> int:
 
 def group_structure(G: ClassGroup) -> tuple[int, ...]:
     """Invariant factors d_1 | d_2 | ... (product = h) of the class group,
-    computed from element orders; cached on the ClassGroup."""
-    if G.elementary_divisors is not None:
-        return G.elementary_divisors
+    read off its p-ranks.  With h = p^e m, p not dividing m, the classes
+    whose order divides p^k m number m |G_p[p^k]| = m p^(s_k); then
+    r_k = s_k - s_(k-1) cyclic p-factors have order >= p^k, and the i-th
+    largest invariant factor is prod_p p^#{k : r_k > i}."""
     h = G.order
-    if h == 1:
-        divisors: tuple[int, ...] = ()
-    else:
-        orders = [_class_order(f, h) for f in G.forms]
-        partitions: dict[int, list[int]] = {}
-        for p, e in arith.factorize(h).items():
-            cofactor = h // p**e
-            partition: list[int] = []
-            prev = 0
-            for k in range(1, e + 1):
-                nk = sum(1 for o in orders if p**k % _p_part(o, p) == 0)
-                sk = _exact_log(nk // cofactor, p)
-                parts_ge_k = sk - prev
-                if parts_ge_k == 0:
-                    break
-                if k == 1:
-                    partition = [1] * parts_ge_k
-                else:
-                    for i in range(parts_ge_k):
-                        partition[i] += 1
-                prev = sk
-            partitions[p] = partition
-        width = max(len(v) for v in partitions.values())
-        out = []
-        for i in range(width):
-            d = 1
-            for p, part in partitions.items():
-                if i < len(part):
-                    d *= p ** part[i]
-            out.append(d)
-        out.sort()
-        assert math.prod(out) == h
-        divisors = tuple(out)
-    object.__setattr__(G, "elementary_divisors", divisors)
-    return divisors
-
-
-def _p_part(n: int, p: int) -> int:
-    r = 1
-    while n % p == 0:
-        n //= p
-        r *= p
-    return r
-
-
-def _exact_log(n: int, p: int) -> int:
-    v = 0
-    while n > 1:
-        if n % p:
-            raise ArithmeticError(f"{n} is not a power of {p}")
-        n //= p
-        v += 1
-    return v
+    orders = [_class_order(f, h) for f in G.forms]
+    largest: list[int] = []
+    for p, e in arith.factorize(h).items():
+        m = h // p**e
+        powers = [p**j for j in range(e + 1)]
+        s = 0  # s_(k-1)
+        for k in range(1, e + 1):
+            count = sum(1 for o in orders if m * p**k % o == 0)
+            r = powers.index(count // m) - s
+            largest += [1] * (r - len(largest))
+            for i in range(r):
+                largest[i] *= p
+            s += r
+    assert math.prod(largest) == h
+    return tuple(reversed(largest))
 
 
 def ring_class_number(D: int, c: int) -> int:

@@ -98,6 +98,15 @@ class TestPoint:
         rec = doc["recognized"]
         assert rec["kind"] == "quadratic"
         assert rec["value"][0]["sqrt_of"] == -31
+        # the residual is an error measure: five significant digits
+        mantissa = rec["residual"].split("e")[0]
+        assert len(mantissa.replace(".", "").lstrip("0")) <= 5
+
+    def test_49a_minus_19_residual_keeps_its_magnitude(self, capsys):
+        # below 2^-prec, where a coordinate part would print as noise 0.0
+        code, doc = run_json(capsys, ["point", "--curve", "49a", "--disc", "-19"])
+        assert code == 0
+        assert 0 < float(doc["recognized"]["residual"]) < 2.0**-190
 
     def test_49a_minus_48_twist_point(self, capsys):
         # x = -1 is rational, y = 1/2 + 1/2 sqrt(-3)

@@ -10,13 +10,13 @@ from heegnerlab.ellcurve import (
     QuadElt,
     an_coeffs,
     ap,
-    ap_bad,
     point,
     point_add,
     point_mul,
     point_neg,
     torsion_subgroup,
 )
+from heegnerlab.arith import prime_divisors
 from heegnerlab.errors import FieldMismatch
 
 E37 = CurveModel(0, 0, 1, -1, 0, 37)
@@ -114,25 +114,72 @@ class TestGroupLaw:
         assert lhs == rhs
 
 
+def ap_bad_oracle(E, p):
+    """a_p at a bad prime of the minimal model: p minus the number of
+    nonsingular F_p-points, which is +1 split multiplicative, -1 non-split,
+    0 additive."""
+    if E.conductor % p:
+        raise ValueError(f"p={p} is a good prime")
+    a1, a2, a3, a4, a6 = E.a_invariants
+    n = 1  # infinity is always smooth
+    for x in range(p):
+        for y in range(p):
+            if (y * y + a1 * x * y + a3 * y - E.rhs(x)) % p:
+                continue
+            # partials: f_x = a1 y - 3x^2 - 2 a2 x - a4 ; f_y = 2y + a1 x + a3
+            fx = (a1 * y - 3 * x * x - 2 * a2 * x - a4) % p
+            fy = (2 * y + a1 * x + a3) % p
+            if fx or fy:
+                n += 1
+    return p - n
+
+
+# minimal models with every reduction type: split and non-split
+# multiplicative, additive at 2, 3 and 7, and prime conductors up to 5077
+BAD_REDUCTION_CURVES = {
+    "11a1": CurveModel(0, -1, 1, -10, -20, 11),
+    "14a1": CurveModel(1, 0, 1, 4, -6, 14),
+    "15a1": CurveModel(1, 1, 1, -10, -10, 15),
+    "20a1": CurveModel(0, 1, 0, 4, 4, 20),
+    "24a1": CurveModel(0, -1, 0, -4, 4, 24),
+    "26b1": CurveModel(1, -1, 1, -3, 3, 26),
+    "27a1": CurveModel(0, 0, 1, 0, -7, 27),
+    "32a1": CurveModel(0, 0, 0, 4, 0, 32),
+    "32a": E32,
+    "36a1": CurveModel(0, 0, 0, 0, 1, 36),
+    "37a": E37,
+    "43a1": CurveModel(0, 1, 1, 0, 0, 43),
+    "49a": E49,
+    "389a1": CurveModel(0, 1, 1, -2, 0, 389),
+    "5077a1": CurveModel(0, 0, 1, -7, 6, 5077),
+}
+
+
 class TestPointCounting:
-    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 41, 43])
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43])
     def test_ap_vs_naive_37a(self, p):
         assert ap(E37, p) == naive_ap(E37, p)
 
-    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 19, 23])
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 17, 19, 23])
     def test_ap_vs_naive_32a(self, p):
         assert ap(E32, p) == naive_ap(E32, p)
 
     def test_a37_at_bad_prime(self):
         # multiplicative reduction at 37; tangent slopes at the node are
         # +-sqrt(15), a non-residue mod 37, so the reduction is nonsplit
-        assert ap_bad(E37, 37) == -1
+        assert ap(E37, 37) == -1
 
     def test_a2_at_bad_prime_32a(self):
-        assert ap_bad(E32, 2) == 0  # additive reduction
+        assert ap(E32, 2) == 0  # additive reduction
 
     def test_a7_at_bad_prime_49a(self):
-        assert ap_bad(E49, 7) == 0  # additive reduction
+        assert ap(E49, 7) == 0  # additive reduction
+
+    @pytest.mark.parametrize("label", BAD_REDUCTION_CURVES)
+    def test_ap_at_bad_primes_matches_oracle(self, label):
+        E = BAD_REDUCTION_CURVES[label]
+        for p in prime_divisors(E.conductor):
+            assert ap(E, p) == ap_bad_oracle(E, p), (label, p)
 
 
 def loop_an_coeffs_oracle(E, M):
@@ -150,7 +197,7 @@ def loop_an_coeffs_oracle(E, M):
         if not sieve[p]:
             continue
         good = E.conductor % p != 0
-        app = ap(E, p) if good else ap_bad(E, p)
+        app = ap(E, p) if good else ap_bad_oracle(E, p)
         a[p] = app
         pk = p * p
         while pk <= M:

@@ -11,7 +11,6 @@ from heegnerlab.ellcurve import (CurveModel, CurvePoint, point, point_add,
 from heegnerlab.errors import IdentityPoint, PrecisionUnachievable
 from heegnerlab.lattice import (
     Lattice,
-    curve_equation_residual,
     elliptic_log,
     periods,
     weierstrass_map,
@@ -23,6 +22,12 @@ E32 = CurveModel(0, 0, 0, -1, 0, 32)
 E49 = CurveModel(1, -1, 0, -2, -1, 49)
 
 PREC = 200
+
+
+def curve_equation_residual(E, x, y):
+    return abs(
+        y * y + E.a1 * x * y + E.a3 * y - (x**3 + E.a2 * x * x + E.a4 * x + E.a6)
+    )
 
 
 def quadrature_real_period(E, workprec):

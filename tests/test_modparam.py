@@ -11,7 +11,7 @@ from heegnerlab.ellcurve import CurveModel, QuadElt, an_coeffs
 from heegnerlab.errors import (ConvergenceTooSlow, HeegnerConditionFailed,
                               RecognitionFailed)
 from heegnerlab.heegner import heegner_condition, heegner_fiber
-from heegnerlab.lattice import embed, periods, weierstrass_map
+from heegnerlab.lattice import _agm_lattice, embed, periods, weierstrass_map
 from heegnerlab.modparam import (
     _RESIDUAL_CAP,
     RecognizedAlgebraic,
@@ -25,6 +25,7 @@ from heegnerlab.modparam import (
     recognize_trace,
     trace_point,
 )
+from test_lattice import curve_equation_residual
 
 E37 = CurveModel(0, 0, 1, -1, 0, 37, modular_degree=2, label="37a")
 E32 = CurveModel(0, 0, 0, -1, 0, 32, cm_discriminant=-4, modular_degree=1, label="32a")
@@ -198,8 +199,6 @@ class TestOrbits:
 
     def test_points_on_curve(self):
         orb = orbit_points(E37, -83, PREC)
-        from heegnerlab.lattice import curve_equation_residual
-
         with mp.workprec(PREC + 20):
             for z in orb.points_z:
                 x, y = weierstrass_map(z, E37, orb.lattice)
@@ -210,6 +209,20 @@ class TestOrbits:
     def test_inadmissible_rejected(self):
         with pytest.raises(HeegnerConditionFailed):
             orbit_points(E37, -20, PREC)
+
+    def test_orbits_share_one_lattice(self):
+        L = orbit_points(E37, -7, PREC).lattice
+        assert orbit_points(E37, -83, PREC).lattice is L
+        relabeled = dataclasses.replace(E37, label="other")
+        assert orbit_points(relabeled, -11, PREC).lattice is L
+        assert orbit_points(E37, -7, PREC + 1).lattice is not L
+        # fill the cache with keys no other test uses: 11a1 at other precisions
+        E11 = CurveModel(0, -1, 1, -10, -20, 11)
+        for k in range(_agm_lattice.cache_info().maxsize):
+            periods(E11, PREC + 1 + k)
+        L2 = periods(E37, PREC)
+        assert L2 is not L
+        assert (L2.omega1, L2.omega2) == (L.omega1, L.omega2)
 
     def test_edge_point_reduces_near_zero(self):
         # z_1 of 37a D = -108 is real; at 300 bits rounding noise puts its

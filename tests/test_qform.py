@@ -1,9 +1,14 @@
 import itertools
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from heegnerlab import qform
-from heegnerlab.errors import InvalidForm, NonFundamentalDiscriminant
+from heegnerlab import arith, qform
+from heegnerlab.errors import (DiscriminantMismatch, InvalidForm,
+                               NonFundamentalDiscriminant)
+from heegnerlab.qform import BinaryQuadraticForm, _gcdext
 
 
 def brute_reduced_forms(D):
@@ -28,6 +33,124 @@ def brute_reduced_forms(D):
             out.add((a, b, c))
         a += 1
     return out
+
+
+def _solve_congruence(r1: int, m1: int, r2: int, m2: int) -> int:
+    # x = r1 mod m1, x = r2 mod m2; the system must be consistent
+    g = math.gcd(m1, m2)
+    if (r1 - r2) % g != 0:
+        raise ArithmeticError("inconsistent congruences")
+    l = m1 // g * m2
+    _, s, _ = _gcdext(m1 // g, m2 // g)
+    return (r1 + m1 * ((r2 - r1) // g) * s) % l
+
+
+def _equivalent_with_leading_coprime_to(
+    g: BinaryQuadraticForm, m: int
+) -> BinaryQuadraticForm:
+    # properly equivalent form whose leading coefficient is coprime to m
+    if math.gcd(g.a, m) == 1:
+        return g
+    bound = 1
+    while bound < 64:
+        for x in range(-bound, bound + 1):
+            for y in range(-bound, bound + 1):
+                if math.gcd(x, y) != 1:
+                    continue
+                val = g.a * x * x + g.b * x * y + g.c * y * y
+                if val > 0 and math.gcd(val, m) == 1:
+                    _, v, u = _gcdext(x, y)
+                    u = -u
+                    # matrix [[x, u], [y, v]] has determinant 1
+                    a2 = val
+                    b2 = 2 * (g.a * x * u + g.c * y * v) + g.b * (x * v + y * u)
+                    c2 = g.a * u * u + g.b * u * v + g.c * v * v
+                    return BinaryQuadraticForm(a2, b2, c2)
+        bound *= 2
+    raise InvalidForm(f"no representative of {g} coprime to {m}")
+
+
+def dirichlet_compose_oracle(f: BinaryQuadraticForm, g: BinaryQuadraticForm) -> BinaryQuadraticForm:
+    """Reduced Gauss composition of the classes of f and g, as compose
+    built it before Cohen's Alg. 5.4.7.
+
+    Dirichlet composition: move g to a representative with leading
+    coefficient coprime to f.a, solve B = b1 mod 2a1, B = b2 mod 2a2,
+    and read off (a1*a2, B, (B^2-D)/(4*a1*a2)).
+    """
+    f.validate()
+    g.validate()
+    D = f.discriminant
+    if g.discriminant != D:
+        raise DiscriminantMismatch(f"{f} and {g} have different discriminants")
+    g = _equivalent_with_leading_coprime_to(g, f.a)
+    B = _solve_congruence(f.b, 2 * f.a, g.b, 2 * g.a)
+    A = f.a * g.a
+    C = (B * B - D) // (4 * A)
+    return qform.reduce(BinaryQuadraticForm(A, B, C))
+
+
+def _p_part(n: int, p: int) -> int:
+    r = 1
+    while n % p == 0:
+        n //= p
+        r *= p
+    return r
+
+
+def _exact_log(n: int, p: int) -> int:
+    v = 0
+    while n > 1:
+        if n % p:
+            raise ArithmeticError(f"{n} is not a power of {p}")
+        n //= p
+        v += 1
+    return v
+
+
+def partition_group_structure_oracle(G: qform.ClassGroup) -> tuple[int, ...]:
+    """Invariant factors d_1 | d_2 | ... (product = h) of the class group,
+    computed from element orders as group_structure did before it read
+    them off the p-ranks (without its cache on the ClassGroup)."""
+    h = G.order
+    if h == 1:
+        divisors: tuple[int, ...] = ()
+    else:
+        orders = [qform._class_order(f, h) for f in G.forms]
+        partitions: dict[int, list[int]] = {}
+        for p, e in arith.factorize(h).items():
+            cofactor = h // p**e
+            partition: list[int] = []
+            prev = 0
+            for k in range(1, e + 1):
+                nk = sum(1 for o in orders if p**k % _p_part(o, p) == 0)
+                sk = _exact_log(nk // cofactor, p)
+                parts_ge_k = sk - prev
+                if parts_ge_k == 0:
+                    break
+                if k == 1:
+                    partition = [1] * parts_ge_k
+                else:
+                    for i in range(parts_ge_k):
+                        partition[i] += 1
+                prev = sk
+            partitions[p] = partition
+        width = max(len(v) for v in partitions.values())
+        out = []
+        for i in range(width):
+            d = 1
+            for p, part in partitions.items():
+                if i < len(part):
+                    d *= p ** part[i]
+            out.append(d)
+        out.sort()
+        assert math.prod(out) == h
+        divisors = tuple(out)
+    return divisors
+
+
+def discriminants(lo):
+    return [D for D in range(lo + 1, 0) if D % 4 in (0, 1)]
 
 
 class TestReduction:
@@ -102,6 +225,31 @@ class TestComposition:
             for f, g, h in itertools.product(forms, forms, forms):
                 assert table[(table[(f, g)], h)] == table[(f, table[(g, h)])]
 
+    def test_matches_dirichlet_oracle(self):
+        # every pair of reduced forms for -1000 < D < 0
+        for D in discriminants(-1000):
+            forms = qform.enumerate_reduced(D).forms
+            for f, g in itertools.product(forms, forms):
+                assert qform.compose(f, g) == dirichlet_compose_oracle(f, g), (f, g)
+
+    def test_discriminant_mismatch(self):
+        with pytest.raises(DiscriminantMismatch):
+            qform.compose(BinaryQuadraticForm(2, 1, 3), BinaryQuadraticForm(1, 1, 2))
+
+    @settings(max_examples=600, deadline=None)
+    @given(D=st.integers(3, 10**5).map(lambda n: -n).filter(lambda D: D % 4 in (0, 1)),
+           data=st.data())
+    def test_group_laws(self, D, data):
+        forms = qform.enumerate_reduced(D).forms
+        f, g, k = (data.draw(st.sampled_from(forms)) for _ in range(3))
+        e = qform.principal_form(D)
+        fg = qform.compose(f, g)
+        assert fg == dirichlet_compose_oracle(f, g)
+        assert fg == qform.compose(g, f)
+        assert qform.compose(fg, k) == qform.compose(f, qform.compose(g, k))
+        assert qform.compose(f, e) == f
+        assert qform.compose(f, f.inverse()) == e
+
     def test_power(self):
         f = qform.BinaryQuadraticForm(2, 1, 3)
         assert qform.form_pow(f, 3) == qform.principal_form(-23)
@@ -120,9 +268,12 @@ class TestGroupStructure:
         got = qform.group_structure(cg)
         assert tuple(got) == divs
 
-    def test_product_is_class_number(self):
-        import math
+    def test_matches_partition_oracle(self):
+        for D in discriminants(-2000):
+            cg = qform.enumerate_reduced(D)
+            assert qform.group_structure(cg) == partition_group_structure_oracle(cg), D
 
+    def test_product_is_class_number(self):
         for D in range(-300, 0):
             if D % 4 not in (0, 1):
                 continue
