@@ -27,6 +27,7 @@ from .modparam import (OrbitEvaluation, orbit_points, recognize_trace,
                        trace_point)
 
 _TORSION_CAP = 12
+_MAX_POINTS = 4  # points one relation search combines
 
 
 def _fixed_coordinates(zs, L: Lattice, precision_bits: int):
@@ -56,12 +57,13 @@ def orbit_degree(orbit: OrbitEvaluation, n: int) -> int:
     (A, B) is within 1/2 + 2^K eta scale / |det| units of (s, t) 2^K.  For
     two points of one class, the difference or the sum of n (A, B) is then
     within n (1 + 2^(K+1) eta scale / |det|) units of a multiple of 2^K.
-    orbit_points carries 20 guard bits (eval_phi errs below 2^-(prec+20)),
-    so eta stays below 2^-(prec+10) |det| / scale whenever |det| / scale >
-    2^-8 (about 2 on the bundled curves).  That bounds the offset by
-    12 (1 + 2^11) < 2^15 units, far below tol = 2^(prec/2 + 20) >= 2^46
-    units.  Distinct classes closer than 2^10 tol, 2^-(prec/2 - 10) of a
-    period, raise rather than merge.
+    eval_phi errs below 2^-(prec+3) (a truncation tail below 2^-(prec+4)
+    plus Horner rounding below 2^-(prec+20)), so eta stays below
+    2^-(prec-5) |det| / scale whenever |det| / scale > 2^-8 (about 2 on the
+    bundled curves).  That bounds 2^(K+1) eta scale / |det| by 2^26 and the
+    offset by 12 (1 + 2^26) < 2^30 units, far below tol = 2^(prec/2 + 20)
+    >= 2^46 units.  Distinct classes closer than 2^10 tol, 2^-(prec/2 - 10)
+    of a period, raise rather than merge.
     """
     if not 1 <= n <= _TORSION_CAP:
         raise ValueError("n must be in 1..12")
@@ -141,8 +143,8 @@ def relation_search(embeddings, L: Lattice, B: int,
     plain box search, at a tiny fraction of its mpmath work.
     """
     r = len(embeddings)
-    if not 2 <= r <= 4:
-        raise ValueError("relation search supports 2..4 points")
+    if not 2 <= r <= _MAX_POINTS:
+        raise ValueError(f"relation search supports 2..{_MAX_POINTS} points")
     if not 1 <= B <= 50:
         raise ValueError("B must be in 1..50")
     tol = mp.mpf(2) ** (-(precision_bits // 2))
@@ -196,16 +198,11 @@ def _near_lattice_everywhere(vec, t, embeddings, combos, L, bound) -> bool:
 def verify_relation(exact_points, rel: Relation, E: CurveModel) -> bool:
     """Exact group-law check of t * sum n_i P_i = identity.
 
-    exact_points: CurvePoints with coordinates in Q or a single common
-    quadratic field (FieldMismatch otherwise - verification stays numerical).
+    exact_points: CurvePoints with coordinates in Q or a quadratic field.
+    The group law raises FieldMismatch when the relation adds points over
+    two different quadratic fields (verification then stays numerical); a
+    point with coefficient 0 takes no part, whatever its field.
     """
-    fields = set()
-    for P in exact_points:
-        f = P.field()
-        if f is not None:
-            fields.add(f)
-    if len(fields) > 1:
-        raise FieldMismatch(f"points live over sqrt of {sorted(fields)}")
     acc = INFINITY
     for n, P in zip(rel.coefficients, exact_points):
         acc = point_add(acc, point_mul(n, P, E), E)
@@ -256,8 +253,9 @@ def independence_report(
     if len(set(discs)) != len(discs):
         raise ValueError("discriminants must be distinct")
     admissible = [heegner_condition(D, E.conductor) for D in discs]
-    if sum(admissible) > 4:
-        raise ValueError("the relation search takes at most 4 admissible fields")
+    if sum(admissible) > _MAX_POINTS:
+        raise ValueError(
+            f"the relation search takes at most {_MAX_POINTS} admissible fields")
     entries = []
     orbits = []
     exact = []  # recognized rational points, aligned with orbits; None gaps
@@ -320,12 +318,12 @@ def _field_entry(E, D, precision_bits, conductor, B):
     stage = "orbit"
     orbit = None
     try:
-        h = len(qform.enumerate_reduced(D).forms)
         rc = rc_odd = None
         if conductor is not None:
             rc = qform.ring_class_number(D, conductor)
             rc_odd = arith.odd_part(rc).odd_part
         orbit = orbit_points(E, D, precision_bits)
+        h = len(orbit.points_z)  # one fiber point per ideal class
         stage = "degree"
         degs = tuple(orbit_degree(orbit, n) for n in (1, 2, 3))
         stage = "trace"

@@ -107,8 +107,7 @@ def _validate(entry: CurveDatabaseEntry, where: str) -> None:
     if E.discriminant == 0:
         raise ValidationError(f"{where}: singular model (discriminant 0)")
     for j, (x, y) in enumerate(entry.known_generators):
-        lhs = y * y + E.a1 * x * y + E.a3 * y
-        if lhs != E.rhs(x):
+        if not E.on_curve(x, y):
             raise ValidationError(
                 f"{where}, generator {j}: ({x}, {y}) is not on the curve"
             )

@@ -124,11 +124,6 @@ class QuadElt:
         return f"{self.x} + {self.y}*sqrt({self.d})"
 
 
-def field_disc(value) -> int | None:
-    """The d of Q(sqrt(d)) the value lives in, None for rationals."""
-    return value.d if isinstance(value, QuadElt) else None
-
-
 @dataclass(frozen=True)
 class CurveModel:
     a1: int
@@ -183,14 +178,6 @@ class CurvePoint:
     def is_infinity(self) -> bool:
         return self.x is None
 
-    def field(self) -> int | None:
-        if self.is_infinity:
-            return None
-        dx, dy = field_disc(self.x), field_disc(self.y)
-        if dx is not None and dy is not None and dx != dy:
-            raise FieldMismatch(f"coordinates in sqrt({dx}) vs sqrt({dy})")
-        return dx if dx is not None else dy
-
     def __str__(self):
         return "O" if self.is_infinity else f"({self.x}, {self.y})"
 
@@ -203,12 +190,6 @@ def point(x, y) -> CurvePoint:
                       Fraction(y) if isinstance(y, int) else y)
 
 
-def _check_same_field(P: CurvePoint, Q: CurvePoint) -> None:
-    dp, dq = P.field(), Q.field()
-    if dp is not None and dq is not None and dp != dq:
-        raise FieldMismatch(f"points over sqrt({dp}) and sqrt({dq})")
-
-
 def point_neg(P: CurvePoint, E: CurveModel) -> CurvePoint:
     if P.is_infinity:
         return P
@@ -216,8 +197,10 @@ def point_neg(P: CurvePoint, E: CurveModel) -> CurvePoint:
 
 
 def point_add(P: CurvePoint, Q: CurvePoint, E: CurveModel) -> CurvePoint:
-    """Exact group law on the general Weierstrass model."""
-    _check_same_field(P, Q)
+    """Exact group law on the general Weierstrass model.  Points over two
+    different quadratic fields raise FieldMismatch from QuadElt arithmetic:
+    if x1 == x2 then y1, y2 are roots of one quadratic over Q(x1), so a
+    mixed sum always combines coordinates of both fields."""
     if P.is_infinity:
         return Q
     if Q.is_infinity:

@@ -210,8 +210,7 @@ def recognize(
         residual = ex + ey + abs(mp.im(x)) + abs(mp.im(y))
     if residual > _RESIDUAL_CAP:
         raise RecognitionFailed(f"residual {mp.nstr(residual, 5)} too large")
-    lhs = ry * ry + E.a1 * rx * ry + E.a3 * ry
-    if lhs != E.rhs(rx):
+    if not E.on_curve(rx, ry):
         raise RecognitionFailed("rounded point misses the curve equation")
     return RecognizedAlgebraic(kind="rational", value=(rx, ry), residual=residual)
 

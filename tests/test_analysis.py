@@ -2,13 +2,14 @@
 
 import functools
 import itertools
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpc
 
-from heegnerlab import analysis, lattice
+from heegnerlab import analysis, lattice, qform
 from heegnerlab.analysis import (
     Relation,
     _coefficient_vectors,
@@ -18,12 +19,14 @@ from heegnerlab.analysis import (
     verify_relation,
 )
 from heegnerlab.db import find_curve
-from heegnerlab.ellcurve import point, point_mul, point_neg
+from heegnerlab.ellcurve import QuadElt, point, point_mul, point_neg
 from heegnerlab.errors import (
     ClusterAmbiguous,
     ConvergenceTooSlow,
+    FieldMismatch,
     HeegnerConditionFailed,
 )
+from heegnerlab.heegner import heegner_fiber
 from heegnerlab.lattice import periods, weierstrass_map
 from heegnerlab.modparam import OrbitEvaluation, orbit_points
 
@@ -268,6 +271,16 @@ class TestVerifyRelation:
         rel = Relation(coefficients=(1, 0), torsion_slack=1)
         assert verify_relation([P, point_mul(2, P, E37)], rel, E37) is False
 
+    def test_point_with_coefficient_zero_takes_no_part(self):
+        # P, -P over Q(sqrt(97)) and Q over Q(sqrt(241)) on 37a: only a
+        # relation that combines the two fields leaves the exact group law
+        P = point(3, QuadElt.make(Fraction(-1, 2), Fraction(1, 2), 97))
+        Q = point(4, QuadElt.make(Fraction(-1, 2), Fraction(1, 2), 241))
+        points = [P, Q, point_neg(P, E37)]
+        assert verify_relation(points, Relation((1, 0, 1), 1), E37) is True
+        with pytest.raises(FieldMismatch):
+            verify_relation(points, Relation((1, 1, 0), 1), E37)
+
 
 class TestIndependenceReport:
     def test_relation_found_and_verified(self):
@@ -499,6 +512,21 @@ class TestFieldFailures:
         monkeypatch.setattr(analysis, "orbit_points", counting)
         independence_report(E37, [-7, -11, -47], 2, PREC)
         assert seen == [-7, -11, -47]
+
+    def test_class_number_counted_once_per_field(self, monkeypatch):
+        # the fiber holds one point per class: h is read from the orbit
+        real = qform.enumerate_reduced
+        seen = []
+
+        def counting(D):
+            seen.append(D)
+            return real(D)
+
+        monkeypatch.setattr(qform, "enumerate_reduced", counting)
+        heegner_fiber.cache_clear()
+        rep = independence_report(E37, [-7, -11, -47], 2, PREC)
+        assert seen == [-7, -11, -47]
+        assert [e.class_number for e in rep.entries] == [1, 1, 5]
 
     def test_p_evaluated_once_per_trace(self, monkeypatch):
         # orbit points stay on the torus; only a non-identity trace is mapped

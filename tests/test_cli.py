@@ -217,13 +217,25 @@ class TestPlumbing:
         assert out1 == out2
 
     def test_import_leaves_sympy_unloaded(self):
+        # `import heegnerlab` loads every layer, so a tracer installed right
+        # after it finds them all, and binds only submodules
         src = str(Path(__file__).resolve().parent.parent / "src")
-        code = ("import sys, heegnerlab, heegnerlab.cli; "
-                "print('sympy' in sys.modules)")
+        code = ("import json, sys, types, heegnerlab; "
+                "print(json.dumps([m for m in sys.modules "
+                "if m.startswith('heegnerlab.')])); "
+                "print(json.dumps([k for k, v in vars(heegnerlab).items() "
+                "if not k.startswith('__') "
+                "and not isinstance(v, types.ModuleType)])); "
+                "import heegnerlab.cli; print('sympy' in sys.modules)")
         proc = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True,
             env={**os.environ, "PYTHONPATH": src}, timeout=60, check=True)
-        assert proc.stdout.strip() == "False"
+        loaded, bound, sympy = proc.stdout.splitlines()
+        layers = {"analysis", "lattice", "modparam", "qform", "heegner",
+                  "ellcurve", "arith", "db"}
+        assert {f"heegnerlab.{m}" for m in layers} <= set(json.loads(loaded))
+        assert json.loads(bound) == []
+        assert sympy == "False"
 
 
 def readme_cli_lines():

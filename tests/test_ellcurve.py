@@ -114,6 +114,62 @@ class TestGroupLaw:
         assert lhs == rhs
 
 
+# generators for the group-law properties: 37a over Q (rank 1), 389a1
+# over Q (rank 2), and 37a over Q(sqrt(97)) at x = 3
+E389 = CurveModel(0, 1, 1, -2, 0, 389)
+P97 = point(3, QuadElt.make(F(-1, 2), F(1, 2), 97))
+P241 = point(4, QuadElt.make(F(-1, 2), F(1, 2), 241))  # 37a, x = 4
+GROUPS = [
+    (E37, (point(0, 0),)),
+    (E389, (point(-1, 1), point(0, 0))),
+    (E37, (P97,)),
+]
+small = st.integers(-4, 4)
+nonzero = small.filter(bool)
+
+
+def combination(E, gens, coeffs):
+    acc = INFINITY
+    for n, P in zip(coeffs, gens):
+        acc = point_add(acc, point_mul(n, P, E), E)
+    return acc
+
+
+@st.composite
+def group_points(draw):
+    # (E, generators, three integer combinations of them)
+    E, gens = draw(st.sampled_from(GROUPS))
+    coeffs = st.tuples(*[small] * len(gens))
+    return E, gens, [combination(E, gens, draw(coeffs)) for _ in range(3)]
+
+
+class TestGroupLawProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(group_points(), small, small)
+    def test_group_laws(self, drawn, m, n):
+        E, gens, (A, B, C) = drawn
+        S = point_add(A, B, E)
+        for R in (A, B, C, S):
+            assert R.is_infinity or E.on_curve(R.x, R.y)
+        assert point_add(A, INFINITY, E) == A == point_add(INFINITY, A, E)
+        assert point_add(A, point_neg(A, E), E).is_infinity
+        assert S == point_add(B, A, E)
+        assert point_add(S, C, E) == point_add(A, point_add(B, C, E), E)
+        P = gens[-1]
+        assert point_mul(m + n, P, E) == point_add(
+            point_mul(m, P, E), point_mul(n, P, E), E)
+
+    @settings(max_examples=20, deadline=None)
+    @given(nonzero, nonzero)
+    def test_sum_over_two_fields_raises(self, m, n):
+        P, Q = point_mul(m, P97, E37), point_mul(n, P241, E37)
+        assert E37.on_curve(Q.x, Q.y)
+        with pytest.raises(FieldMismatch):
+            point_add(P, Q, E37)
+        with pytest.raises(FieldMismatch):
+            point_add(Q, P, E37)
+
+
 def ap_bad_oracle(E, p):
     """a_p at a bad prime of the minimal model: p minus the number of
     nonsingular F_p-points, which is +1 split multiplicative, -1 non-split,
