@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from mpmath import mp
 
-from . import arith, qform
+from . import arith
 from .ellcurve import CurveModel, CurvePoint, INFINITY, point, point_add, point_mul
 from .errors import (
     ClusterAmbiguous,
@@ -30,10 +30,10 @@ _TORSION_CAP = 12
 _MAX_POINTS = 4  # points one relation search combines
 
 
-def _fixed_coordinates(zs, L: Lattice, precision_bits: int):
+def _fixed_coordinates(zs, L: Lattice):
     """Integer lattice coordinates (A, B) = round((s, t) 2^K), K =
-    precision_bits + 20, of each z = s omega1 + t omega2 in zs."""
-    K = precision_bits + 20
+    L.precision_bits + 20, of each z = s omega1 + t omega2 in zs."""
+    K = L.precision_bits + 20
     with mp.workprec(K):
         return tuple(
             tuple(int(mp.nint(mp.ldexp(c, K))) for c in L.coordinates(z))
@@ -45,8 +45,9 @@ def orbit_degree(orbit: OrbitEvaluation, n: int) -> int:
     """Number of distinct x(n P^sigma) over the orbit: as x(P) = x(Q)
     exactly when Q = +-P, the classes of n z^sigma in C/L up to sign.
 
-    With K = prec + 20 (prec = orbit.precision_bits) the orbit's z's become
-    integer coordinates (A, B), and n (A, B) stands for n z mod 2^K Z^2.
+    With K = prec + 20 (prec = orbit.lattice.precision_bits) the orbit's
+    z's become integer coordinates (A, B), and n (A, B) stands for n z mod
+    2^K Z^2.
     Two classes merge when both coordinates of their difference, or both
     of their sum, lie within tol = 2^(K - prec/2) of a multiple of 2^K; a
     nearest offset in [tol, 2^10 tol) raises ClusterAmbiguous.  The
@@ -67,7 +68,7 @@ def orbit_degree(orbit: OrbitEvaluation, n: int) -> int:
     """
     if not 1 <= n <= _TORSION_CAP:
         raise ValueError("n must be in 1..12")
-    prec = orbit.precision_bits
+    prec = orbit.lattice.precision_bits
     K = prec + 20
     period = 1 << K
     tol = 1 << (K - prec // 2)
@@ -77,7 +78,7 @@ def orbit_degree(orbit: OrbitEvaluation, n: int) -> int:
                    abs((b + period // 2) % period - period // 2))
 
     reps: list[tuple[int, int]] = []
-    for A, B in _fixed_coordinates(orbit.points_z, orbit.lattice, prec):
+    for A, B in _fixed_coordinates(orbit.points_z, orbit.lattice):
         a, b = n * A, n * B
         nearest = min((min(offset(a - ra, b - rb), offset(a + ra, b + rb))
                        for ra, rb in reps), default=period)
@@ -115,9 +116,9 @@ def _coefficient_vectors(r: int, B: int):
             yield vec
 
 
-def relation_search(embeddings, L: Lattice, B: int,
-                    precision_bits: int) -> Relation | None:
-    """Exhaustive box search for integer dependence among points on L.
+def relation_search(embeddings, L: Lattice, B: int) -> Relation | None:
+    """Exhaustive box search for integer dependence among points on L, at
+    precision_bits = L.precision_bits.
 
     embeddings: one tuple of conjugate z's per point.  A candidate
     (n_1..n_r, t), 0 <= n_1 <= B, |n_i| <= B, 1 <= t <= 12, is accepted only
@@ -147,10 +148,10 @@ def relation_search(embeddings, L: Lattice, B: int,
         raise ValueError(f"relation search supports 2..{_MAX_POINTS} points")
     if not 1 <= B <= 50:
         raise ValueError("B must be in 1..50")
-    tol = mp.mpf(2) ** (-(precision_bits // 2))
-    K = precision_bits + 20
+    tol = mp.mpf(2) ** (-(L.precision_bits // 2))
+    K = L.precision_bits + 20
     mask = (1 << K) - 1
-    fixed = [_fixed_coordinates(zs, L, precision_bits) for zs in embeddings]
+    fixed = [_fixed_coordinates(zs, L) for zs in embeddings]
     with mp.workprec(K):
         combos = list(itertools.product(*(range(len(zs)) for zs in embeddings)))
         scale = max(abs(L.omega1), abs(L.omega2))
@@ -201,8 +202,11 @@ def verify_relation(exact_points, rel: Relation, E: CurveModel) -> bool:
     exact_points: CurvePoints with coordinates in Q or a quadratic field.
     The group law raises FieldMismatch when the relation adds points over
     two different quadratic fields (verification then stays numerical); a
-    point with coefficient 0 takes no part, whatever its field.
+    point with coefficient 0 takes no part, whatever its field.  A relation
+    with more or fewer coefficients than points raises ValueError.
     """
+    if len(rel.coefficients) != len(exact_points):
+        raise ValueError("the relation needs one coefficient per point")
     acc = INFINITY
     for n, P in zip(rel.coefficients, exact_points):
         acc = point_add(acc, point_mul(n, P, E), E)
@@ -221,8 +225,6 @@ class FieldEntry:
     orbit_degrees: tuple[int, ...] = ()  # degrees for n = 1, 2, 3
     recognition: str | None = None  # human-readable outcome
     trace_is_identity: bool | None = None
-    ring_class_number: int | None = None
-    ring_class_odd_part: int | None = None
     divisibility_ok: bool | None = None  # h | orbitdeg * (modular_degree)!
 
 
@@ -241,7 +243,6 @@ def independence_report(
     discs,
     B: int,
     precision_bits: int,
-    conductor: int | None = None,
 ) -> IndependenceReport:
     """Run the whole pipeline over several imaginary quadratic fields and
     assemble the three-valued verdict.  At most four discriminants may be
@@ -270,7 +271,7 @@ def independence_report(
                 )
             )
             continue
-        entry, orbit, exact_pt = _field_entry(E, D, precision_bits, conductor, B)
+        entry, orbit, exact_pt = _field_entry(E, D, precision_bits, B)
         entries.append(entry)
         if orbit is not None:
             orbits.append(orbit)
@@ -280,7 +281,7 @@ def independence_report(
     verdict = "no_relation_up_to_bound"
     if len(orbits) >= 2:
         found = relation_search([o.points_z for o in orbits],
-                                orbits[0].lattice, B, precision_bits)
+                                orbits[0].lattice, B)
         if found is not None:
             verdict = "relation_found_numerical"
             if all(p is not None for p in exact):
@@ -311,17 +312,13 @@ def independence_report(
     )
 
 
-def _field_entry(E, D, precision_bits, conductor, B):
+def _field_entry(E, D, precision_bits, B):
     """(entry, orbit, exact trace point) for one admissible field.  An orbit
     that was evaluated joins the relation search even if a later stage
     fails; the exact point is then None."""
     stage = "orbit"
     orbit = None
     try:
-        rc = rc_odd = None
-        if conductor is not None:
-            rc = qform.ring_class_number(D, conductor)
-            rc_odd = arith.odd_part(rc).odd_part
         orbit = orbit_points(E, D, precision_bits)
         h = len(orbit.points_z)  # one fiber point per ideal class
         stage = "degree"
@@ -329,7 +326,7 @@ def _field_entry(E, D, precision_bits, conductor, B):
         stage = "trace"
         tr = trace_point(orbit)
         stage = "recognize"
-        recog, exact_pt = _recognize_trace(tr, E, precision_bits)
+        recog, exact_pt = _recognize_trace(tr)
     except HeegnerlabError as exc:
         error = f"{stage}: {type(exc).__name__}: {exc}"
         return FieldEntry(discriminant=D, admissible=True, error=error), orbit, None
@@ -345,19 +342,17 @@ def _field_entry(E, D, precision_bits, conductor, B):
         orbit_degrees=degs,
         recognition=recog,
         trace_is_identity=tr.is_identity,
-        ring_class_number=rc,
-        ring_class_odd_part=rc_odd,
         divisibility_ok=div_ok,
     )
     return entry, orbit, exact_pt
 
 
-def _recognize_trace(tr, E, precision_bits):
+def _recognize_trace(tr):
     # (human-readable outcome, exact point or None) for a trace point
     if tr.is_identity:
         return "trace is the identity", None
     try:
-        rec = recognize_trace(tr, E, precision_bits)
+        rec = recognize_trace(tr)
     except RecognitionFailed as exc:
         return f"unrecognized: {exc}", None
     if rec.kind == "rational":

@@ -18,7 +18,7 @@ from mpmath import mp
 from . import analysis, arith, db, modparam, qform
 from .ellcurve import QuadElt, an_coeffs, torsion_subgroup
 from .errors import HeegnerlabError
-from .heegner import heegner_condition, heegner_fiber
+from .heegner import heegner_fiber
 from .lattice import weierstrass_map
 
 
@@ -118,11 +118,6 @@ def cmd_ring_class(args):
 
 
 def cmd_heegner_list(args):
-    if not heegner_condition(args.disc, args.level):
-        raise HeegnerlabError(
-            f"discriminant {args.disc} fails the admissibility condition "
-            f"at level {args.level}"
-        )
     fiber = heegner_fiber(args.disc, args.level)
     reps = []
     lines = [f"{len(fiber)} fiber representative(s) at level {args.level}:"]
@@ -162,7 +157,7 @@ def cmd_point(args):
     recog_err = None
     if not tr.is_identity:
         try:
-            rec = modparam.recognize_trace(tr, E, args.prec)
+            rec = modparam.recognize_trace(tr)
             recog = {"kind": rec.kind, "value": rec.value,
                      "residual": mp.nstr(rec.residual, 5)}
         except HeegnerlabError as exc:
@@ -243,9 +238,7 @@ def cmd_torsion(args):
 def cmd_independence(args):
     E = _curve(args)
     discs = [int(s) for s in args.discs.split(",")]
-    report = analysis.independence_report(
-        E, discs, args.bound, args.prec, conductor=args.conductor
-    )
+    report = analysis.independence_report(E, discs, args.bound, args.prec)
     payload = asdict(report)
     lines = [f"{report.curve_label}: verdict {report.verdict}"]
     for e in report.entries:
@@ -325,7 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--curve", required=True)
     p.add_argument("--discs", required=True, help="comma-separated discriminants")
     p.add_argument("--bound", type=int, required=True)
-    p.add_argument("--conductor", type=int, default=None)
     p.set_defaults(func=cmd_independence)
 
     return parser

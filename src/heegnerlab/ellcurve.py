@@ -1,6 +1,6 @@
 """Exact elliptic curve core: Weierstrass models, group law over Q and over
-quadratic fields, point counting mod p, Hecke coefficient recursion, and the
-Lutz-Nagell torsion enumeration.
+quadratic fields, point counting mod p, Hecke coefficient recursion over one
+stored, growing prefix per curve, and the Lutz-Nagell torsion enumeration.
 
 Analytic pieces (period lattices, Weierstrass map, elliptic logarithm) live
 in the lattice module.
@@ -227,8 +227,9 @@ def point_mul(n: int, P: CurvePoint, E: CurveModel) -> CurvePoint:
     while n:
         if n & 1:
             result = point_add(result, acc, E)
-        acc = point_add(acc, acc, E)
         n >>= 1
+        if n:  # no doubling above the top bit
+            acc = point_add(acc, acc, E)
     return result
 
 
@@ -272,21 +273,29 @@ def ap(E: CurveModel, p: int) -> int:
 @dataclass(frozen=True)
 class QExpansion:
     coefficients: tuple[int, ...]  # a_1 .. a_M
-    level: int
 
     def a(self, n: int) -> int:
         return self.coefficients[n - 1]
 
 
-def an_coeffs(E: CurveModel, M: int, prefix: QExpansion | None = None) -> QExpansion:
+_PREFIXES: dict[tuple, tuple[int, ...]] = {}  # (a-invariants, N) -> a_1..a_M
+_PREFIX_CURVES = 8
+
+
+def an_coeffs(E: CurveModel, M: int) -> QExpansion:
     """Fourier coefficients a_1..a_M of the newform attached to E, from
-    counting a_p at primes and the Hecke recursion.  prefix, an earlier
-    result for E, is kept: only the a_n beyond it are computed."""
+    counting a_p at primes and the Hecke recursion.  One growing prefix is
+    kept per (a-invariants, conductor), for at most 8 curves with the
+    oldest dropped; only the a_n beyond it are computed."""
     if M < 1 or M > 10**6:
         raise ValueError("M out of range")
-    known = prefix.coefficients if prefix is not None else (1,)
+    key = (E.a_invariants, E.conductor)
+    known = _PREFIXES.get(key)
+    if known is None and len(_PREFIXES) >= _PREFIX_CURVES:
+        del _PREFIXES[next(iter(_PREFIXES))]
+    known = _PREFIXES[key] = known or (1,)
     if len(known) >= M:
-        return QExpansion(known[:M], E.conductor)
+        return QExpansion(known[:M])
     a = [0, *known] + [0] * (M - len(known))
     # smallest prime factor: the last, hence least, i <= sqrt(n) to write n
     spf = list(range(M + 1))
@@ -304,7 +313,8 @@ def an_coeffs(E: CurveModel, M: int, prefix: QExpansion | None = None) -> QExpan
             a[n] = a[p] * a[n // p] - p * a[n // p // p]
         else:
             a[n] = a[p] * a[n // p]
-    return QExpansion(tuple(a[1:]), E.conductor)
+    _PREFIXES[key] = known = tuple(a[1:])
+    return QExpansion(known)
 
 
 # ---------------------------------------------------------------------------

@@ -26,8 +26,11 @@ from .errors import (
 @dataclass(frozen=True)
 class HeegnerPointRep:
     level: int
-    discriminant: int
     form: qform.BinaryQuadraticForm
+
+    @property
+    def discriminant(self) -> int:
+        return self.form.discriminant
 
     @property
     def class_form(self) -> qform.BinaryQuadraticForm:
@@ -81,7 +84,7 @@ def heegner_fiber(D: int, N: int) -> tuple[HeegnerPointRep, ...]:
                 continue
             key = qform.reduce(form)
             if key not in found:
-                found[key] = HeegnerPointRep(level=N, discriminant=D, form=form)
+                found[key] = HeegnerPointRep(level=N, form=form)
     return tuple(found[f] for f in classes.forms)
 
 

@@ -5,7 +5,9 @@ discriminant.  p and p' are Jacobi theta quotients (DLMF 23.6) on a
 Gauss-reduced basis; the q-series they replaced is the test oracle in
 tests/test_lattice.py.  The elliptic logarithm is Carlson's closed form
 z = R_F(x - e1, x - e2, x - e3), certified against p and p' at working
-precision; it raises rather than return an uncertified value.
+precision; it raises rather than return an uncertified value.  Precision
+is chosen once, at periods: p, the Weierstrass map and the elliptic
+logarithm all work at the lattice's precision_bits + 20.
 """
 
 from __future__ import annotations
@@ -149,10 +151,11 @@ def _agm_lattice(a_invariants: tuple[int, ...], precision_bits: int) -> Lattice:
         return Lattice(+w1, +w2, precision_bits)
 
 
-def weierstrass_p(z: mpc, L: Lattice, prec: int) -> tuple[mpc, mpc]:
-    """(p(z), p'(z)) at working precision prec (DLMF 23.6.2, 23.6.5): on
-    the reduced basis (w1, w2), tau = w2/w1, nome q = e^(i pi tau), thj =
-    thj(0, q), and v = pi z / w1 with z reduced to |s|, |t| <= 1/2,
+def weierstrass_p(z: mpc, L: Lattice) -> tuple[mpc, mpc]:
+    """(p(z), p'(z)) at working precision prec = L.precision_bits + 20
+    (DLMF 23.6.2, 23.6.5): on the reduced basis (w1, w2), tau = w2/w1,
+    nome q = e^(i pi tau), thj = thj(0, q), and v = pi z / w1 with z
+    reduced to |s|, |t| <= 1/2,
 
       p(z)  = (pi/w1)^2 [(th2^4 + 2 th4^4)/3 + (th3 th4 th2(v) / th1(v))^2]
       p'(z) = -2 (pi/w1)^3 (th2 th3 th4)^2 th2(v) th3(v) th4(v) / th1(v)^3.
@@ -160,6 +163,7 @@ def weierstrass_p(z: mpc, L: Lattice, prec: int) -> tuple[mpc, mpc]:
     mpmath's jtheta sums the thj(v) in fixed point, in q^(n^2) with
     |q| <= e^(-pi sqrt(3)/2), and adds the bits th1(v) loses near v = 0.
     """
+    prec = L.precision_bits + 20
     with mp.workprec(prec):
         tau, q, c, p0, t34, t234 = L.theta_constants
         s, t = _coordinates(z, *L.reduced_basis)
@@ -175,9 +179,8 @@ def weierstrass_p(z: mpc, L: Lattice, prec: int) -> tuple[mpc, mpc]:
 
 def weierstrass_map(z: mpc, E: CurveModel, L: Lattice) -> tuple[mpc, mpc]:
     """Complex point (x, y) on E corresponding to z mod Lambda."""
-    prec = L.precision_bits
-    with mp.workprec(prec + 20):
-        p, dp = weierstrass_p(z, L, prec + 20)
+    with mp.workprec(L.precision_bits + 20):
+        p, dp = weierstrass_p(z, L)
         b2 = E.b_invariants[0]
         x = p - mpf(b2) / 12
         y = (dp - E.a1 * x - E.a3) / 2
@@ -220,12 +223,12 @@ def elliptic_log(P: CurvePoint, E: CurveModel, L: Lattice) -> mpc:
         yw = 2 * y + E.a1 * x + E.a3
         tol = mp.mpf(2) ** (-(prec - 20)) * (1 + abs(xw))
         z = mp.elliprf(*(xw - e for e in roots))
-        p, dp = weierstrass_p(z, L, prec + 20)
+        p, dp = weierstrass_p(z, L)
         if abs(dp - yw) > abs(-dp - yw):
             z, dp = -z, -dp
         if abs(dp - yw) > tol:
             z += (yw - dp) / (6 * p * p - g2 / 2)
-            p, dp = weierstrass_p(z, L, prec + 20)
+            p, dp = weierstrass_p(z, L)
         if abs(p - xw) > tol or abs(dp - yw) > tol:
             raise PrecisionUnachievable(
                 "elliptic logarithm misses the point at working precision"

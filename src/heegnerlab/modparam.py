@@ -1,14 +1,16 @@
 """Numerical modular parametrization.
 
 Evaluates phi(tau) = sum a_n q^n / n on the upper half plane in integer
-fixed point over one growing coefficient prefix per curve, takes whole
-conjugate orbits of class-field points to the torus C/L and forms trace
-points; only a trace is mapped to curve coordinates.  Recognition has one
-entry point per input shape: recognize for one point over Q,
-recognize_quadratic for one point over Q(sqrt(D)) in its fixed embedding
-(twist points with x in Q included), recognize_minpoly for the conjugates
-of a number.  recognize_trace sends a trace point to the first or the
-second; the quadratic field of a trace is that of its discriminant D.
+fixed point over the coefficients that an_coeffs keeps per curve, takes
+whole conjugate orbits of class-field points to the torus C/L and forms
+trace points; only a trace is mapped to curve coordinates.  Precision is
+chosen at orbit_points and eval_phi; an orbit and its trace read it from
+their lattice.  Recognition has one entry point per input shape: recognize
+for one point over Q, recognize_quadratic for one point over Q(sqrt(D)) in
+its fixed embedding (twist points with x in Q included), recognize_minpoly
+for the conjugates of a number.  recognize_trace(tr) sends a trace point
+to the first or the second, reading the curve, the precision and the
+discriminant D, hence the quadratic field, from the trace's orbit.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from fractions import Fraction
 
 from mpmath import mp, mpc, mpf
 
-from .ellcurve import CurveModel, QExpansion, QuadElt, an_coeffs
+from .ellcurve import CurveModel, QuadElt, an_coeffs
 from .errors import ConvergenceTooSlow, RecognitionFailed
 from .heegner import heegner_fiber
 from .lattice import Lattice, periods, weierstrass_map
@@ -44,22 +46,6 @@ def _terms_needed(abs_q: mpf, precision_bits: int) -> int:
     )
 
 
-_PREFIXES: dict[tuple, QExpansion] = {}  # (a-invariants, N) -> a_1..a_M
-_PREFIX_CURVES = 8
-
-
-def _coefficients(E: CurveModel, M: int) -> tuple[int, ...]:
-    """a_1, a_2, ... (at least M of them) from one growing prefix per
-    curve, extended by an_coeffs only when M outgrows it."""
-    key = (E.a_invariants, E.conductor)
-    prefix = _PREFIXES.get(key)
-    if prefix is None and len(_PREFIXES) >= _PREFIX_CURVES:
-        del _PREFIXES[next(iter(_PREFIXES))]
-    if prefix is None or len(prefix.coefficients) < M:
-        prefix = _PREFIXES[key] = an_coeffs(E, M, prefix)
-    return prefix.coefficients
-
-
 def eval_phi(E: CurveModel, tau: mpc, precision_bits: int) -> tuple[mpc, int]:
     """(value, M): value = sum_{n<=M} a_n e^{2 pi i n tau} / n, with M
     chosen so the geometric tail bound stays below 2^-(precision_bits+4).
@@ -78,7 +64,7 @@ def eval_phi(E: CurveModel, tau: mpc, precision_bits: int) -> tuple[mpc, int]:
         raise ConvergenceTooSlow("Im(tau) below 10^-3")
     with mp.workprec(precision_bits + 20):
         M = _terms_needed(abs(mp.exp(2j * mp.pi * tau)), precision_bits)
-        a = _coefficients(E, M)
+        a = an_coeffs(E, M).coefficients
         g = (4 * M + 4).bit_length()
         K = precision_bits + 20 + g
         S = K + g
@@ -102,7 +88,6 @@ class OrbitEvaluation:
     curve: CurveModel
     discriminant: int
     points_z: tuple[mpc, ...]
-    precision_bits: int
     terms_used: int
     lattice: Lattice
 
@@ -121,24 +106,21 @@ def orbit_points(E: CurveModel, D: int, precision_bits: int) -> OrbitEvaluation:
             phi, M = eval_phi(E, tau, precision_bits)
             terms = max(terms, M)
             zs.append(L.reduce(phi))
-    return OrbitEvaluation(
-        curve=E,
-        discriminant=D,
-        points_z=tuple(zs),
-        precision_bits=precision_bits,
-        terms_used=terms,
-        lattice=L,
-    )
+    return OrbitEvaluation(curve=E, discriminant=D, points_z=tuple(zs),
+                           terms_used=terms, lattice=L)
 
 
 @dataclass(frozen=True)
 class TracePoint:
-    discriminant: int  # of the orbit; the trace lies in E(Q(sqrt(D)))
+    orbit: OrbitEvaluation  # for discriminant D: the trace is in E(Q(sqrt(D)))
     z: mpc
-    is_identity: bool
-    xy: tuple[mpc, mpc] | None  # None exactly when is_identity
+    xy: tuple[mpc, mpc] | None  # None exactly for the identity
     is_real: bool  # imaginary parts of (x, y) vanish to tolerance
     half_lattice: bool  # z sits in (1/2)L but not L: index discrepancy
+
+    @property
+    def is_identity(self) -> bool:
+        return self.xy is None
 
 
 def trace_point(orbit: OrbitEvaluation) -> TracePoint:
@@ -146,23 +128,22 @@ def trace_point(orbit: OrbitEvaluation) -> TracePoint:
     identity; a sum landing in the strict index-two superlattice (1/2)L is
     flagged rather than resolved."""
     L = orbit.lattice
-    prec = orbit.precision_bits
-    D = orbit.discriminant
+    prec = L.precision_bits
     with mp.workprec(prec + 20):
         z = L.reduce(mp.fsum(mp.re(w) for w in orbit.points_z)
                      + 1j * mp.fsum(mp.im(w) for w in orbit.points_z))
         tol = mp.mpf(2) ** (-(prec // 2))
         scale = max(abs(L.omega1), abs(L.omega2))
         if L.distance(z) < tol * scale:
-            return TracePoint(discriminant=D, z=z, is_identity=True, xy=None,
-                              is_real=True, half_lattice=False)
+            return TracePoint(orbit=orbit, z=z, xy=None, is_real=True,
+                              half_lattice=False)
         half = L.distance(2 * z) < tol * scale
         x, y = weierstrass_map(z, orbit.curve, L)
         real = abs(mp.im(x)) < tol * (1 + abs(x)) and abs(mp.im(y)) < tol * (
             1 + abs(y)
         )
-        return TracePoint(discriminant=D, z=z, is_identity=False, xy=(x, y),
-                          is_real=real, half_lattice=half)
+        return TracePoint(orbit=orbit, z=z, xy=(x, y), is_real=real,
+                          half_lattice=half)
 
 
 @dataclass(frozen=True)
@@ -254,19 +235,18 @@ def recognize_quadratic(
                                residual=residual)
 
 
-def recognize_trace(
-    tr: TracePoint, E: CurveModel, precision_bits: int
-) -> RecognizedAlgebraic:
+def recognize_trace(tr: TracePoint) -> RecognizedAlgebraic:
     """Exact point behind a trace point that is not the identity, with
-    denominator bound 10^6: over Q when the trace is real (recognize),
-    otherwise over Q(sqrt(D)) (recognize_quadratic)."""
+    denominator bound 10^6 on the orbit's curve at its lattice's precision:
+    over Q when the trace is real (recognize), otherwise over Q(sqrt(D)),
+    D the orbit's discriminant (recognize_quadratic)."""
     if tr.is_identity:
         raise ValueError("the identity has no affine coordinates")
+    E, prec = tr.orbit.curve, tr.orbit.lattice.precision_bits
     if tr.is_real:
-        return recognize([tr.xy], 10**6, E, precision_bits=precision_bits)
-    return recognize_quadratic(
-        tr.xy, 10**6, E, tr.discriminant, precision_bits=precision_bits
-    )
+        return recognize([tr.xy], 10**6, E, precision_bits=prec)
+    return recognize_quadratic(tr.xy, 10**6, E, tr.orbit.discriminant,
+                               precision_bits=prec)
 
 
 def recognize_minpoly(

@@ -57,7 +57,10 @@ class BinaryQuadraticForm:
 class ClassGroup:
     discriminant: int
     forms: tuple[BinaryQuadraticForm, ...]
-    order: int
+
+    @property
+    def order(self) -> int:
+        return len(self.forms)
 
     @property
     def principal(self) -> BinaryQuadraticForm:
@@ -115,7 +118,7 @@ def enumerate_reduced(D: int) -> ClassGroup:
             a += 1
         b += 2
     forms.sort()
-    return ClassGroup(D, tuple(forms), len(forms))
+    return ClassGroup(D, tuple(forms))
 
 
 def _gcdext(a: int, b: int) -> tuple[int, int, int]:

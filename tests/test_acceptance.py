@@ -296,7 +296,7 @@ def test_criterion_09_relation_machinery(capfd, reports):
         with mp.workprec(PREC + 20):
             zP = L.reduce(elliptic_log(P, E37, L))
             sets = [(zP,), (L.reduce(2 * zP),)]
-        rel = relation_search(sets, L, 10, PREC)
+        rel = relation_search(sets, L, 10)
         assert rel is not None
         assert rel.coefficients == (2, -1) and rel.torsion_slack == 1
         assert verify_relation([P, point_mul(2, P, E37)], rel, E37)
@@ -305,7 +305,7 @@ def test_criterion_09_relation_machinery(capfd, reports):
                 (L.reduce(L.omega1 / mp.pi),),
                 (L.reduce(L.omega2 * mp.sqrt(2) / mp.e),),
             ]
-        assert relation_search(synth, L, 10, PREC) is None
+        assert relation_search(synth, L, 10) is None
         verdicts = {
             "relation_found_verified",
             "relation_found_numerical",

@@ -1,6 +1,8 @@
 """Tests for orbit degrees, relation search/verification, and reports."""
 
+import ast
 import functools
+import inspect
 import itertools
 from fractions import Fraction
 
@@ -9,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpc
 
-from heegnerlab import analysis, lattice, qform
+from heegnerlab import analysis, lattice, modparam, qform
 from heegnerlab.analysis import (
     Relation,
     _coefficient_vectors,
@@ -100,8 +102,8 @@ def p_orbit_degree_oracle(orbit: OrbitEvaluation, n: int) -> int:
     """The p-based orbit degree that orbit_degree replaced: distinct
     x(n P^sigma) by clustering the complex x-values."""
     # n-multiplication is done on the torus as n*z mod the lattice
-    prec = orbit.precision_bits
     L = orbit.lattice
+    prec = L.precision_bits
     xs = []
     has_identity = False
     with mp.workprec(prec + 20):
@@ -124,7 +126,7 @@ def _synthetic_orbit(coordinates, prec=PREC):
     with mp.workprec(prec + 20):
         zs = tuple(s * L.omega1 + t * L.omega2 for s, t in coordinates)
     return OrbitEvaluation(curve=E37, discriminant=-7, points_z=zs,
-                           precision_bits=prec, terms_used=0, lattice=L)
+                           terms_used=0, lattice=L)
 
 
 class TestClusterCount:
@@ -218,7 +220,7 @@ class TestRelationSearch:
         z = orb.points_z[0]
         with mp.workprec(PREC + 20):
             doubled = (L.reduce(2 * z),)
-        rel = relation_search([orb.points_z, doubled], L, 5, PREC)
+        rel = relation_search([orb.points_z, doubled], L, 5)
         assert rel is not None
         assert rel.coefficients == (2, -1)
         assert rel.torsion_slack == 1
@@ -229,7 +231,7 @@ class TestRelationSearch:
         z = orb.points_z[0]
         with mp.workprec(PREC + 20):
             negated = (L.reduce(-z),)
-        rel = relation_search([orb.points_z, negated], L, 5, PREC)
+        rel = relation_search([orb.points_z, negated], L, 5)
         assert rel is not None
         assert rel.coefficients == (1, 1)
         assert rel.torsion_slack == 1
@@ -240,18 +242,25 @@ class TestRelationSearch:
         with mp.workprec(PREC + 20):
             s1 = (L.reduce(L.omega1 / mp.pi),)
             s2 = (L.reduce(L.omega2 * mp.sqrt(2) / mp.e),)
-        assert relation_search([s1, s2], L, 10, PREC) is None
+        assert relation_search([s1, s2], L, 10) is None
+
+    def test_precision_read_from_the_lattice(self):
+        # 100-bit orbits: the search works at the lattice's 100 bits
+        o7, o11 = (orbit_points(E37, D, 100) for D in (-7, -11))
+        assert o7.lattice.precision_bits == 100
+        rel = relation_search([o7.points_z, o11.points_z], o7.lattice, 5)
+        assert rel == Relation(coefficients=(1, 1), torsion_slack=1)
 
     def test_argument_validation(self):
         orb = self._base_orbit()
         one = [orb.points_z]
         L = orb.lattice
         with pytest.raises(ValueError):
-            relation_search(one, L, 5, PREC)
+            relation_search(one, L, 5)
         with pytest.raises(ValueError):
-            relation_search(one * 2, L, 0, PREC)
+            relation_search(one * 2, L, 0)
         with pytest.raises(ValueError):
-            relation_search(one * 2, L, 51, PREC)
+            relation_search(one * 2, L, 51)
 
 
 class TestVerifyRelation:
@@ -280,6 +289,14 @@ class TestVerifyRelation:
         assert verify_relation(points, Relation((1, 0, 1), 1), E37) is True
         with pytest.raises(FieldMismatch):
             verify_relation(points, Relation((1, 1, 0), 1), E37)
+
+    @pytest.mark.parametrize("coefficients", [(1, 1, 5), (1,)])
+    def test_length_mismatch_rejected(self, coefficients):
+        # every coefficient needs its point, and every point its coefficient
+        P = point(0, 0)
+        with pytest.raises(ValueError):
+            verify_relation([P, point_neg(P, E37)], Relation(coefficients, 1),
+                            E37)
 
 
 class TestIndependenceReport:
@@ -330,12 +347,6 @@ class TestIndependenceReport:
     def test_duplicate_discriminants_rejected(self):
         with pytest.raises(ValueError):
             independence_report(E37, [-7, -7], 5, PREC)
-
-    def test_ring_class_columns(self):
-        rep = independence_report(E37, [-7, -11], 5, PREC, conductor=3)
-        for e in rep.entries:
-            assert e.ring_class_number is not None
-            assert e.ring_class_odd_part is not None
 
     def test_divisibility_column(self):
         rep = independence_report(E37, [-7, -11], 5, PREC)
@@ -426,13 +437,13 @@ class TestSieveMatchesOracle:
         expected = box_search_oracle(sets, L, B, prec)
         if planted_holds:
             assert expected is not None
-        assert relation_search(sets, L, B, prec) == expected
+        assert relation_search(sets, L, B) == expected
 
     @settings(max_examples=25, deadline=None)
     @given(case=generic_sets())
     def test_transcendental_sets(self, case):
         sets, L, B, prec = case
-        assert (relation_search(sets, L, B, prec)
+        assert (relation_search(sets, L, B)
                 == box_search_oracle(sets, L, B, prec))
 
     def test_known_relations_unchanged(self):
@@ -444,7 +455,7 @@ class TestSieveMatchesOracle:
             doubled = (L.reduce(2 * z),)
             negated = (L.reduce(-z),)
         for other, coefficients in ((doubled, (2, -1)), (negated, (1, 1))):
-            rel = relation_search([base, other], L, 5, PREC)
+            rel = relation_search([base, other], L, 5)
             assert rel == Relation(coefficients=coefficients, torsion_slack=1)
             assert rel == box_search_oracle([base, other], L, 5, PREC)
 
@@ -541,3 +552,22 @@ class TestFieldFailures:
         rep = independence_report(E37, [-7, -11, -47], 2, PREC)
         traces = sum(not e.trace_is_identity for e in rep.entries)
         assert traces >= 1 and len(calls) == traces
+
+
+def test_precision_is_read_from_the_object():
+    # a function that takes a lattice, an orbit or a trace reads the
+    # precision from it; a second precision parameter could disagree
+    carriers = {"Lattice", "OrbitEvaluation", "TracePoint"}
+    offenders = []
+    for module in (analysis, lattice, modparam):
+        tree = ast.parse(inspect.getsource(module))
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            args = fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs
+            names = {a.arg for a in args}
+            typed = {n.id for a in args if a.annotation
+                     for n in ast.walk(a.annotation) if isinstance(n, ast.Name)}
+            if typed & carriers and names & {"prec", "precision_bits"}:
+                offenders.append(f"{module.__name__}.{fn.name}")
+    assert offenders == []

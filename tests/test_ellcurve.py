@@ -1,9 +1,11 @@
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from heegnerlab import ellcurve
 from heegnerlab.ellcurve import (
     CurveModel,
     INFINITY,
@@ -159,6 +161,21 @@ class TestGroupLawProperties:
         assert point_mul(m + n, P, E) == point_add(
             point_mul(m, P, E), point_mul(n, P, E), E)
 
+    @pytest.mark.parametrize("n, adds", [(0, 0), (1, 1), (2, 2), (3, 3),
+                                         (8, 4), (-8, 4), (13, 6)])
+    def test_point_mul_skips_the_doubling_above_the_top_bit(self, n, adds,
+                                                            monkeypatch):
+        # one doubling per bit below the top one, one addition per set bit
+        calls = []
+
+        def counted(P, Q, E):
+            calls.append(1)
+            return point_add(P, Q, E)
+
+        monkeypatch.setattr(ellcurve, "point_add", counted)
+        point_mul(n, point(0, 0), E37)
+        assert len(calls) == adds
+
     @settings(max_examples=20, deadline=None)
     @given(nonzero, nonzero)
     def test_sum_over_two_fields_raises(self, m, n):
@@ -287,8 +304,12 @@ class TestCoefficients:
         M=st.integers(1, 400),
     )
     def test_extending_a_prefix_equals_building_afresh(self, E, M0, M):
-        prefix = an_coeffs(E, M0)
-        assert an_coeffs(E, M, prefix) == an_coeffs(E, M)
+        # the store is emptied for each build and restored afterwards
+        with mock.patch.dict(ellcurve._PREFIXES, clear=True):
+            an_coeffs(E, M0)
+            extended = an_coeffs(E, M)
+        with mock.patch.dict(ellcurve._PREFIXES, clear=True):
+            assert extended == an_coeffs(E, M)
 
     def test_37a_initial_segment(self):
         q = an_coeffs(E37, 12)

@@ -6,8 +6,8 @@ from fractions import Fraction as F
 import pytest
 from mpmath import mp
 
-from heegnerlab import modparam
-from heegnerlab.ellcurve import CurveModel, QuadElt, an_coeffs
+from heegnerlab import ellcurve
+from heegnerlab.ellcurve import CurveModel, QuadElt, an_coeffs, ap
 from heegnerlab.errors import (ConvergenceTooSlow, HeegnerConditionFailed,
                               RecognitionFailed)
 from heegnerlab.heegner import heegner_condition, heegner_fiber
@@ -99,32 +99,48 @@ class TestFixedPointHorner:
 
 
 class TestCoefficientPrefix:
+    # the per-curve store of ellcurve.an_coeffs, as eval_phi uses it
     def test_one_growing_prefix_per_curve(self, monkeypatch):
-        monkeypatch.setattr(modparam, "_PREFIXES", {})
-        calls = []
+        monkeypatch.setattr(ellcurve, "_PREFIXES", {})
+        primes = []
 
-        def counted(E, M, prefix=None):
-            calls.append((M, prefix and len(prefix.coefficients)))
-            return an_coeffs(E, M, prefix)
+        def counted(E, p):
+            primes.append(p)
+            return ap(E, p)
 
-        monkeypatch.setattr(modparam, "an_coeffs", counted)
-        # term counts 383, 839, 227, 646, 839, 383, 646
+        monkeypatch.setattr(ellcurve, "ap", counted)
+        # term counts 383, 839, 227, 646, 839, 383, 646: one build to 383,
+        # one extension to 839, so every prime up to 839 is counted once
         for rep in heegner_fiber(-71, 37):
             eval_phi(E37, rep.tau(PREC + 20), PREC)
-        assert calls == [(383, None), (839, 383)]
+        up_to_839 = [p for p in range(2, 840)
+                     if all(p % d for d in range(2, math.isqrt(p) + 1))]
+        assert primes == up_to_839
         # keyed on the a-invariants and the level, not on the label
         eval_phi(dataclasses.replace(E37, label="x"), rep.tau(PREC + 20), PREC)
-        assert len(calls) == 2
-        assert list(modparam._PREFIXES) == [((0, 0, 1, -1, 0), 37)]
+        assert primes == up_to_839
+        assert list(ellcurve._PREFIXES) == [((0, 0, 1, -1, 0), 37)]
+        assert len(ellcurve._PREFIXES[(0, 0, 1, -1, 0), 37]) == 839
 
     def test_oldest_curve_evicted(self, monkeypatch):
-        monkeypatch.setattr(modparam, "_PREFIXES", {})
-        monkeypatch.setattr(modparam, "_PREFIX_CURVES", 2)
+        monkeypatch.setattr(ellcurve, "_PREFIXES", {})
+        monkeypatch.setattr(ellcurve, "_PREFIX_CURVES", 2)
         for E in (E37, E32, E49):
-            modparam._coefficients(E, 10)
-        assert list(modparam._PREFIXES) == [
+            an_coeffs(E, 10)
+        assert list(ellcurve._PREFIXES) == [
             (E32.a_invariants, 32), (E49.a_invariants, 49)
         ]
+
+    def test_interleaved_curves_keep_their_own_coefficients(self, monkeypatch):
+        monkeypatch.setattr(ellcurve, "_PREFIXES", {})
+        got = [(E, M, an_coeffs(E, M)) for E, M in
+               [(E37, 6), (E32, 12), (E37, 12), (E32, 30), (E37, 3)]]
+        for E, M, q in got:
+            monkeypatch.setattr(ellcurve, "_PREFIXES", {})
+            assert q == an_coeffs(E, M)  # a fresh build
+        assert got[1][2].coefficients == (1, 0, 0, 0, -2, 0, 0, 0, -3, 0, 0, 0)
+        assert got[2][2].coefficients == (1, -2, -3, 2, -2, 6, -1, 0, 6, 4,
+                                          -5, -6)
 
 
 def assert_gamma0_periods(E, prec=64):
@@ -354,7 +370,8 @@ def two_pair_trace_oracle(tr, E, precision_bits):
     with mp.workprec(precision_bits + 20):
         conj = (mp.conj(x), mp.conj(y))
     return two_pair_recognize_oracle(
-        [(x, y), conj], 10**6, E, tr.discriminant, precision_bits=precision_bits
+        [(x, y), conj], 10**6, E, tr.orbit.discriminant,
+        precision_bits=precision_bits
     )
 
 
@@ -416,8 +433,8 @@ class TestRecognize:
     def test_trace_of_non_fundamental_discriminant(self):
         # D = -124 = 2^2 * (-31): the trace lies over Q(sqrt(-31))
         tr = trace_point(orbit_points(E49, -124, PREC))
-        assert tr.discriminant == -124 and not tr.is_real
-        rec = recognize_trace(tr, E49, PREC)
+        assert tr.orbit.discriminant == -124 and not tr.is_real
+        rec = recognize_trace(tr)
         assert rec.kind == "quadratic"
         xq, yq = rec.value
         assert isinstance(xq, QuadElt) and xq.d == -31
@@ -425,7 +442,7 @@ class TestRecognize:
 
     def test_trace_routes_real_trace_to_rational(self):
         tr = trace_point(orbit_points(E37, -7, PREC))
-        rec = recognize_trace(tr, E37, PREC)
+        rec = recognize_trace(tr)
         assert rec.kind == "rational" and rec.value == (F(0), F(0))
 
     def test_rejects_wrong_curve_point(self):
@@ -463,7 +480,7 @@ class TestTwistClass:
         (-55, (F(-6, 5), QuadElt(F(3, 5), F(-4, 25), -55))),
     ], ids=["-48", "-55"])
     def test_49a_twist_traces(self, D, expected):
-        rec = recognize_trace(trace_point(orbit_points(E49, D, PREC)), E49, PREC)
+        rec = recognize_trace(trace_point(orbit_points(E49, D, PREC)))
         assert rec.kind == "quadratic"
         assert rec.value == expected
 
@@ -474,7 +491,7 @@ class TestTwistClass:
             tr = trace_point(orbit_points(E, D, PREC))
             if tr.is_identity or tr.is_real:
                 continue
-            rec = recognize_trace(tr, E, PREC)  # every one is recognized
+            rec = recognize_trace(tr)  # every one is recognized
             try:
                 old = two_pair_trace_oracle(tr, E, PREC)
             except RecognitionFailed:
@@ -490,7 +507,7 @@ class TestTwistClass:
     def test_bundled_32a_traces_stay_unrecognized(self, D):
         # the bundled model is 32a2, off the lattice phi maps to
         with pytest.raises(RecognitionFailed):
-            recognize_trace(trace_point(orbit_points(E32, D, PREC)), E32, PREC)
+            recognize_trace(trace_point(orbit_points(E32, D, PREC)))
 
     def test_value_is_in_the_principal_embedding(self):
         # sqrt(D) goes to its principal root; the complex conjugate point
