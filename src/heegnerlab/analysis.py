@@ -22,7 +22,6 @@ from .errors import (
     RecognitionFailed,
 )
 from .heegner import heegner_condition
-from .lattice import Lattice
 from .modparam import (OrbitEvaluation, orbit_points, recognize_trace,
                        trace_point)
 
@@ -30,24 +29,13 @@ _TORSION_CAP = 12
 _MAX_POINTS = 4  # points one relation search combines
 
 
-def _fixed_coordinates(zs, L: Lattice):
-    """Integer lattice coordinates (A, B) = round((s, t) 2^K), K =
-    L.precision_bits + 20, of each z = s omega1 + t omega2 in zs."""
-    K = L.precision_bits + 20
-    with mp.workprec(K):
-        return tuple(
-            tuple(int(mp.nint(mp.ldexp(c, K))) for c in L.coordinates(z))
-            for z in zs
-        )
-
-
 def orbit_degree(orbit: OrbitEvaluation, n: int) -> int:
     """Number of distinct x(n P^sigma) over the orbit: as x(P) = x(Q)
     exactly when Q = +-P, the classes of n z^sigma in C/L up to sign.
 
     With K = prec + 20 (prec = orbit.lattice.precision_bits) the orbit's
-    z's become integer coordinates (A, B), and n (A, B) stands for n z mod
-    2^K Z^2.
+    z's are its integer torus_coordinates (A, B), and n (A, B) stands for
+    n z mod 2^K Z^2.
     Two classes merge when both coordinates of their difference, or both
     of their sum, lie within tol = 2^(K - prec/2) of a multiple of 2^K; a
     nearest offset in [tol, 2^10 tol) raises ClusterAmbiguous.  The
@@ -58,8 +46,9 @@ def orbit_degree(orbit: OrbitEvaluation, n: int) -> int:
     (A, B) is within 1/2 + 2^K eta scale / |det| units of (s, t) 2^K.  For
     two points of one class, the difference or the sum of n (A, B) is then
     within n (1 + 2^(K+1) eta scale / |det|) units of a multiple of 2^K.
-    eval_phi errs below 2^-(prec+3) (a truncation tail below 2^-(prec+4)
-    plus Horner rounding below 2^-(prec+20)), so eta stays below
+    eval_phi errs below 2^-(prec+3), a truncation tail below 2^-(prec+4)
+    plus Horner rounding below 2^-(prec+20); the premise holds, as its term
+    count bounds the tail with the true |a_n| <= 2n.  So eta stays below
     2^-(prec-5) |det| / scale whenever |det| / scale > 2^-8 (about 2 on the
     bundled curves).  That bounds 2^(K+1) eta scale / |det| by 2^26 and the
     offset by 12 (1 + 2^26) < 2^30 units, far below tol = 2^(prec/2 + 20)
@@ -78,7 +67,7 @@ def orbit_degree(orbit: OrbitEvaluation, n: int) -> int:
                    abs((b + period // 2) % period - period // 2))
 
     reps: list[tuple[int, int]] = []
-    for A, B in _fixed_coordinates(orbit.points_z, orbit.lattice):
+    for A, B in orbit.torus_coordinates:
         a, b = n * A, n * B
         nearest = min((min(offset(a - ra, b - rb), offset(a + ra, b + rb))
                        for ra, rb in reps), default=period)
@@ -116,24 +105,23 @@ def _coefficient_vectors(r: int, B: int):
             yield vec
 
 
-def relation_search(embeddings, L: Lattice, B: int) -> Relation | None:
-    """Exhaustive box search for integer dependence among points on L, at
-    precision_bits = L.precision_bits.
-
-    embeddings: one tuple of conjugate z's per point.  A candidate
-    (n_1..n_r, t), 0 <= n_1 <= B, |n_i| <= B, 1 <= t <= 12, is accepted only
-    if z = t * sum n_i z_i^(sigma) is within tol * scale of L at every
-    combination of available conjugate embeddings, with the next-nearest
-    lattice point at least 2^10 times farther; here tol =
+def relation_search(orbits, B: int) -> Relation | None:
+    """Exhaustive box search for integer dependence among points, one per
+    orbit, whose conjugate embeddings z_i^(sigma) are the orbit's points_z;
+    the orbits share one lattice L, and precision_bits = L.precision_bits.
+    A candidate (n_1..n_r, t), 0 <= n_1 <= B, |n_i| <= B, 1 <= t <= 12, is
+    accepted only if z = t * sum n_i z_i^(sigma) is within tol * scale of L
+    at every combination of available conjugate embeddings, with the
+    next-nearest lattice point at least 2^10 times farther; here tol =
     2^-(precision_bits/2) and scale = max(|w1|, |w2|).  The first accepted
     candidate in lexicographic order (vector, then t) wins.
 
     That mpmath test runs only on the candidates that pass an exact integer
-    sieve.  With K = precision_bits + 20, every embedding z_i is stored as
-    its lattice coordinates (a_i, b_i) rounded to integers A_i = round(a_i
-    2^K), B_i = round(b_i 2^K), and a candidate survives only if, at every
-    combination, t * sum n_i A_i and t * sum n_i B_i both lie within sigma
-    of a multiple of 2^K.  The sieve never rejects an accepted candidate:
+    sieve.  With K = precision_bits + 20, every embedding z_i is read from
+    its orbit's torus_coordinates, its lattice coordinates (a_i, b_i)
+    rounded to integers A_i = round(a_i 2^K), B_i = round(b_i 2^K), and a
+    candidate survives only if, at every combination, t * sum n_i A_i and
+    t * sum n_i B_i both lie within sigma of a multiple of 2^K.  The sieve never rejects an accepted candidate:
     if |z - m| = |w| < tol * scale for a lattice point m, the coordinates
     (s, t') of w satisfy |s| <= |w2| |w| / |det| and |t'| <= |w1| |w| / |det|
     (det = Im(conj(w1) w2)), so both are below scale^2 tol / |det|.  sigma
@@ -143,15 +131,19 @@ def relation_search(embeddings, L: Lattice, B: int) -> Relation | None:
     >= 2^(K - precision_bits/2) units.  So the result equals that of the
     plain box search, at a tiny fraction of its mpmath work.
     """
-    r = len(embeddings)
+    r = len(orbits)
     if not 2 <= r <= _MAX_POINTS:
         raise ValueError(f"relation search supports 2..{_MAX_POINTS} points")
     if not 1 <= B <= 50:
         raise ValueError("B must be in 1..50")
+    L = orbits[0].lattice
+    if any(o.lattice != L for o in orbits):
+        raise ValueError("the orbits must share one lattice")
+    embeddings = [o.points_z for o in orbits]
     tol = mp.mpf(2) ** (-(L.precision_bits // 2))
     K = L.precision_bits + 20
     mask = (1 << K) - 1
-    fixed = [_fixed_coordinates(zs, L) for zs in embeddings]
+    fixed = [o.torus_coordinates for o in orbits]
     with mp.workprec(K):
         combos = list(itertools.product(*(range(len(zs)) for zs in embeddings)))
         scale = max(abs(L.omega1), abs(L.omega2))
@@ -280,8 +272,7 @@ def independence_report(
     relation = None
     verdict = "no_relation_up_to_bound"
     if len(orbits) >= 2:
-        found = relation_search([o.points_z for o in orbits],
-                                orbits[0].lattice, B)
+        found = relation_search(orbits, B)
         if found is not None:
             verdict = "relation_found_numerical"
             if all(p is not None for p in exact):

@@ -1,9 +1,10 @@
 """Numerical modular parametrization.
 
-Evaluates phi(tau) = sum a_n q^n / n on the upper half plane in integer
-fixed point over the coefficients that an_coeffs keeps per curve, takes
-whole conjugate orbits of class-field points to the torus C/L and forms
-trace points; only a trace is mapped to curve coordinates.  Precision is
+Evaluates phi(tau) = sum a_n q^n / n on the upper half plane, one whole
+orbit per pass, in integer fixed point over the coefficients that an_coeffs
+keeps per curve, takes conjugate orbits of class-field points to the torus
+C/L, with their integer lattice coordinates, and forms trace points; only a
+trace is mapped to curve coordinates.  Precision is
 chosen at orbit_points and eval_phi; an orbit and its trace read it from
 their lattice.  Recognition has one entry point per input shape: recognize
 for one point over Q, recognize_quadratic for one point over Q(sqrt(D)) in
@@ -18,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from mpmath import mp, mpc, mpf
 
@@ -29,54 +31,81 @@ from .lattice import Lattice, periods, weierstrass_map
 _M_CAP = 10**6
 
 
-def _terms_needed(abs_q: mpf, precision_bits: int) -> int:
-    # tail sum_{n>M} |q|^n/n < |q|^(M+1) / ((M+1)(1-|q|)); solve for M
-    target = mp.mpf(2) ** (-(precision_bits + 4))
-    if abs_q >= 1:
-        raise ConvergenceTooSlow("tau is not in the upper half plane")
-    M = 1
-    while M <= _M_CAP:
-        bound = abs_q ** (M + 1) / ((M + 1) * (1 - abs_q))
-        if bound < target:
-            return M
-        # |q|^M shrinks geometrically; step by the log-estimate remainder
-        M = max(M + 1, int(M * 1.3))
-    raise ConvergenceTooSlow(
-        "more than 10^6 q-series terms required; Im(tau) too small"
-    )
-
-
-def eval_phi(E: CurveModel, tau: mpc, precision_bits: int) -> tuple[mpc, int]:
-    """(value, M): value = sum_{n<=M} a_n e^{2 pi i n tau} / n, with M
-    chosen so the geometric tail bound stays below 2^-(precision_bits+4).
-    The value is the pre-lattice-reduction image of tau in C.
-
-    Horner's rule runs on integers: with g = bitlen(4(M+1)), values carry
-    K = precision_bits + 20 + g fraction bits, c_n = floor(a_n 2^K / n),
-    and q carries K + g bits.  Each of the M + 1 steps acc <- acc q + c_n
-    errs by under 4 units of 2^-K: sqrt(2) from flooring the product, 1
-    from c_n, sqrt(2) from q, as |c_n| <= d(n)/sqrt(n) <= 2 bounds |acc| by
-    2/(1-|q|) < 4(M+1) (the tail bound forces (M+1)(1-|q|) > 1/2).  Later
-    steps scale an error by |q| < 1: the sum is below 2^-(precision_bits+20).
-    The mpc Horner loop this replaced is the oracle in tests/test_modparam.py.
-    """
-    if mp.im(tau) < mp.mpf("1e-3"):
+def _terms_needed(im_tau: mpf, precision_bits: int) -> int:
+    """Least M >= 1 with 2 |q|^(M+1) / (1 - |q|) < 2^-(precision_bits+4),
+    |q| = exp(-2 pi Im tau): a bound on the tail sum_{n>M} |a_n q^n / n|,
+    as |a_n| <= d(n) sqrt(n) <= 2n.  In logarithms the condition reads
+    M + 1 > x = ((precision_bits + 5) log 2 - log(1 - |q|)) / (2 pi Im tau),
+    so M = floor(x); floats give x to far better than 10^-6, and M starts
+    just below it.  The bound in mpf decides from there: one evaluation
+    unless x lies within 10^-6 of an integer.  Im tau below 10^-3, or more
+    than 10^6 terms, raises ConvergenceTooSlow."""
+    if im_tau < 1e-3:
         raise ConvergenceTooSlow("Im(tau) below 10^-3")
-    with mp.workprec(precision_bits + 20):
-        M = _terms_needed(abs(mp.exp(2j * mp.pi * tau)), precision_bits)
-        a = an_coeffs(E, M).coefficients
-        g = (4 * M + 4).bit_length()
-        K = precision_bits + 20 + g
-        S = K + g
+    t = 2 * math.pi * float(im_tau)
+    x = ((precision_bits + 5) * math.log(2) - math.log(-math.expm1(-t))) / t
+    M = max(1, math.floor(x - 1e-6))
+    with mp.workprec(64):
+        t = 2 * mp.pi * im_tau
+        target = mp.ldexp(-mp.expm1(-t), -(precision_bits + 5))
+        while M <= _M_CAP and mp.exp(-t * (M + 1)) >= target:
+            M += 1
+    if M > _M_CAP:
+        raise ConvergenceTooSlow(
+            "more than 10^6 q-series terms required; Im(tau) too small"
+        )
+    return M
+
+
+def eval_phi(E: CurveModel, taus, precision_bits: int
+             ) -> tuple[tuple[mpc, ...], tuple[int, ...]]:
+    """(values, term counts) over the points taus, one orbit in one pass:
+    value_j = sum_{n<=M_j} a_n q_j^n / n, q_j = e^{2 pi i tau_j}, with M_j
+    the least count whose tail bound stays below 2^-(precision_bits+4)
+    (_terms_needed: |a_n| <= 2n gives a tail below 2 |q_j|^(M_j+1) /
+    (1 - |q_j|)).  A value is the pre-lattice-reduction image of tau_j in
+    C, and errs below 2^-(precision_bits+3) in all.  A single point is a
+    one-element taus.
+
+    Horner's rule runs on integers.  With M = max M_j (the a_n are
+    extended only that far) and g = bitlen(4(M+1)), values carry K =
+    precision_bits + 20 + g fraction bits, c_n = floor(a_n 2^K / n) is
+    built once for the orbit, and each q_j carries S = K + g bits.  Each of
+    the M_j + 1 steps acc <- acc q_j + c_n errs by under 4 units of 2^-K:
+    sqrt(2) from flooring the product, 1 from c_n, sqrt(2) from q_j, as
+    |c_n| <= d(n)/sqrt(n) <= 2 bounds |acc| by 2/(1-|q_j|) < 4(M_j+1) <= 2^g
+    (were (M_j+1)(1-|q_j|) <= 1/2, then |q_j|^(M_j+1) >= 1/2 and the tail
+    bound would exceed 1).  Later steps scale an error by |q_j| < 1, so the
+    rounding stays below 4(M_j+1) 2^-K <= 2^-(precision_bits+20): the K
+    shared by the orbit is at least each point's own.  A step forms the
+    complex product from three integer products, k = q_r (re + im), re' =
+    k - im (q_r + q_i), im' = k + re (q_i - q_r); these are the integers
+    re q_r - im q_i and re q_i + im q_r of the four-product form, so the
+    shifted result is the same to the bit and the bound above holds as
+    stated.  The mpc Horner loop this replaced is the oracle in
+    tests/test_modparam.py, beside a direct sum carried far past M_j.
+    """
+    Ms = tuple(_terms_needed(mp.im(tau), precision_bits) for tau in taus)
+    M = max(Ms)
+    g = (4 * M + 4).bit_length()
+    K = precision_bits + 20 + g
+    S = K + g
+    c = [(a << K) // n for n, a in enumerate(an_coeffs(E, M).coefficients, 1)]
+    values = []
+    for tau, Mj in zip(taus, Ms):
         with mp.workprec(S + 10):
             q = mp.exp(2j * mp.pi * tau)
             qr, qi = int(mp.ldexp(mp.re(q), S)), int(mp.ldexp(mp.im(q), S))
+        qs, qd = qr + qi, qi - qr
         re = im = 0
-        for n in range(M, 0, -1):
-            re, im = (((re * qr - im * qi) >> S) + (a[n - 1] << K) // n,
-                      (re * qi + im * qr) >> S)
-        re, im = (re * qr - im * qi) >> S, (re * qi + im * qr) >> S
-        return mp.mpc(mp.ldexp(re, -K), mp.ldexp(im, -K)), M
+        for cn in reversed(c[:Mj]):
+            k = qr * (re + im)
+            re, im = ((k - im * qs) >> S) + cn, (k + re * qd) >> S
+        k = qr * (re + im)
+        re, im = (k - im * qs) >> S, (k + re * qd) >> S
+        with mp.workprec(precision_bits + 20):
+            values.append(mp.mpc(mp.ldexp(re, -K), mp.ldexp(im, -K)))
+    return tuple(values), Ms
 
 
 @dataclass(frozen=True)
@@ -91,23 +120,33 @@ class OrbitEvaluation:
     terms_used: int
     lattice: Lattice
 
+    @cached_property
+    def torus_coordinates(self) -> tuple[tuple[int, int], ...]:
+        """Integer lattice coordinates (A, B) = round((s, t) 2^K), K =
+        prec + 20 with prec the lattice's precision_bits, of each z = s
+        omega1 + t omega2 in points_z; computed once per orbit."""
+        L = self.lattice
+        K = L.precision_bits + 20
+        with mp.workprec(K):
+            return tuple(
+                tuple(int(mp.nint(mp.ldexp(c, K))) for c in L.coordinates(z))
+                for z in self.points_z
+            )
+
 
 def orbit_points(E: CurveModel, D: int, precision_bits: int) -> OrbitEvaluation:
     """Evaluate phi at every fiber representative over level E.conductor and
-    discriminant D and reduce mod the period lattice.  An inadmissible D
-    raises HeegnerConditionFailed."""
+    discriminant D, in one eval_phi pass, and reduce mod the period
+    lattice.  terms_used is the largest term count of the orbit.  An
+    inadmissible D raises HeegnerConditionFailed."""
     fiber = heegner_fiber(D, E.conductor)
     L = periods(E, precision_bits)
-    zs = []
-    terms = 0
     with mp.workprec(precision_bits + 20):
-        for rep in fiber:
-            tau = rep.tau(precision_bits + 20)
-            phi, M = eval_phi(E, tau, precision_bits)
-            terms = max(terms, M)
-            zs.append(L.reduce(phi))
-    return OrbitEvaluation(curve=E, discriminant=D, points_z=tuple(zs),
-                           terms_used=terms, lattice=L)
+        taus = [rep.tau(precision_bits + 20) for rep in fiber]
+        values, Ms = eval_phi(E, taus, precision_bits)
+        zs = tuple(L.reduce(v) for v in values)
+    return OrbitEvaluation(curve=E, discriminant=D, points_z=zs,
+                           terms_used=max(Ms), lattice=L)
 
 
 @dataclass(frozen=True)

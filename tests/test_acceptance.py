@@ -27,6 +27,7 @@ from heegnerlab.ellcurve import (CurvePoint, an_coeffs, ap, point, point_mul,
 from heegnerlab.heegner import heegner_condition, heegner_fiber, star_act
 from heegnerlab.lattice import elliptic_log, periods, weierstrass_map
 from heegnerlab.modparam import orbit_points, recognize, trace_point
+from test_analysis import _orbits
 
 PREC = 200
 
@@ -296,7 +297,7 @@ def test_criterion_09_relation_machinery(capfd, reports):
         with mp.workprec(PREC + 20):
             zP = L.reduce(elliptic_log(P, E37, L))
             sets = [(zP,), (L.reduce(2 * zP),)]
-        rel = relation_search(sets, L, 10)
+        rel = relation_search(_orbits(sets, L), 10)
         assert rel is not None
         assert rel.coefficients == (2, -1) and rel.torsion_slack == 1
         assert verify_relation([P, point_mul(2, P, E37)], rel, E37)
@@ -305,7 +306,7 @@ def test_criterion_09_relation_machinery(capfd, reports):
                 (L.reduce(L.omega1 / mp.pi),),
                 (L.reduce(L.omega2 * mp.sqrt(2) / mp.e),),
             ]
-        assert relation_search(synth, L, 10) is None
+        assert relation_search(_orbits(synth, L), 10) is None
         verdicts = {
             "relation_found_verified",
             "relation_found_numerical",

@@ -129,6 +129,13 @@ def _synthetic_orbit(coordinates, prec=PREC):
                            terms_used=0, lattice=L)
 
 
+def _orbits(sets, L):
+    # one stand-in orbit per tuple of conjugate z's on L, the shape that
+    # relation_search takes; the search reads only the points and L
+    return [OrbitEvaluation(curve=E37, discriminant=-7, points_z=tuple(zs),
+                            terms_used=0, lattice=L) for zs in sets]
+
+
 class TestClusterCount:
     # dyadic coordinates, exact at every precision
     def test_distinct_values(self):
@@ -220,7 +227,7 @@ class TestRelationSearch:
         z = orb.points_z[0]
         with mp.workprec(PREC + 20):
             doubled = (L.reduce(2 * z),)
-        rel = relation_search([orb.points_z, doubled], L, 5)
+        rel = relation_search(_orbits([orb.points_z, doubled], L), 5)
         assert rel is not None
         assert rel.coefficients == (2, -1)
         assert rel.torsion_slack == 1
@@ -231,7 +238,7 @@ class TestRelationSearch:
         z = orb.points_z[0]
         with mp.workprec(PREC + 20):
             negated = (L.reduce(-z),)
-        rel = relation_search([orb.points_z, negated], L, 5)
+        rel = relation_search(_orbits([orb.points_z, negated], L), 5)
         assert rel is not None
         assert rel.coefficients == (1, 1)
         assert rel.torsion_slack == 1
@@ -242,25 +249,26 @@ class TestRelationSearch:
         with mp.workprec(PREC + 20):
             s1 = (L.reduce(L.omega1 / mp.pi),)
             s2 = (L.reduce(L.omega2 * mp.sqrt(2) / mp.e),)
-        assert relation_search([s1, s2], L, 10) is None
+        assert relation_search(_orbits([s1, s2], L), 10) is None
 
     def test_precision_read_from_the_lattice(self):
         # 100-bit orbits: the search works at the lattice's 100 bits
         o7, o11 = (orbit_points(E37, D, 100) for D in (-7, -11))
         assert o7.lattice.precision_bits == 100
-        rel = relation_search([o7.points_z, o11.points_z], o7.lattice, 5)
+        rel = relation_search([o7, o11], 5)
         assert rel == Relation(coefficients=(1, 1), torsion_slack=1)
 
     def test_argument_validation(self):
         orb = self._base_orbit()
-        one = [orb.points_z]
-        L = orb.lattice
+        one = [orb]
         with pytest.raises(ValueError):
-            relation_search(one, L, 5)
+            relation_search(one, 5)
         with pytest.raises(ValueError):
-            relation_search(one * 2, L, 0)
+            relation_search(one * 2, 0)
         with pytest.raises(ValueError):
-            relation_search(one * 2, L, 51)
+            relation_search(one * 2, 51)
+        with pytest.raises(ValueError):  # two lattices
+            relation_search([orb, orbit_points(E37, -7, 100)], 5)
 
 
 class TestVerifyRelation:
@@ -437,13 +445,13 @@ class TestSieveMatchesOracle:
         expected = box_search_oracle(sets, L, B, prec)
         if planted_holds:
             assert expected is not None
-        assert relation_search(sets, L, B) == expected
+        assert relation_search(_orbits(sets, L), B) == expected
 
     @settings(max_examples=25, deadline=None)
     @given(case=generic_sets())
     def test_transcendental_sets(self, case):
         sets, L, B, prec = case
-        assert (relation_search(sets, L, B)
+        assert (relation_search(_orbits(sets, L), B)
                 == box_search_oracle(sets, L, B, prec))
 
     def test_known_relations_unchanged(self):
@@ -455,7 +463,7 @@ class TestSieveMatchesOracle:
             doubled = (L.reduce(2 * z),)
             negated = (L.reduce(-z),)
         for other, coefficients in ((doubled, (2, -1)), (negated, (1, 1))):
-            rel = relation_search([base, other], L, 5)
+            rel = relation_search(_orbits([base, other], L), 5)
             assert rel == Relation(coefficients=coefficients, torsion_slack=1)
             assert rel == box_search_oracle([base, other], L, 5, PREC)
 

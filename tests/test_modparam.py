@@ -4,6 +4,8 @@ from fractions import Fraction
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp
 
 from heegnerlab import ellcurve
@@ -53,7 +55,7 @@ def mpc_horner_oracle(tau, precision_bits, coeffs):
     least a_1..a_M of the curve."""
     with mp.workprec(precision_bits + 20):
         q = mp.exp(2j * mp.pi * tau)
-        M = _terms_needed(abs(q), precision_bits)
+        M = _terms_needed(mp.im(tau), precision_bits)
         # Horner in q: phi = q*(c_1 + q*(c_2 + ...)), c_n = a_n/n
         acc = mp.mpc(0)
         for n in range(M, 0, -1):
@@ -62,14 +64,14 @@ def mpc_horner_oracle(tau, precision_bits, coeffs):
 
 
 # eval_phi's term counts on each fiber, in heegner_fiber order, at 200, 500
-# and 1000 bits, as the mpc Horner loop chose them
+# and 1000 bits: the least M with 2 |q|^(M+1) / (1 - |q|) < 2^-(prec+4)
 FIBER_TERMS = {
-    (37, -71): {200: [383, 839, 227, 646, 839, 383, 646],
-                500: [1090, 2394, 497, 1842, 2394, 1090, 1842],
-                1000: [2394, 4045, 1090, 3112, 4045, 2394, 3112]},
-    (49, -31): {200: [839, 839, 383],
-                500: [2394, 2394, 1090],
-                1000: [4045, 4045, 2394]},
+    (37, -71): {200: [400, 804, 199, 602, 804, 400, 602],
+                500: [981, 1967, 490, 1474, 1967, 981, 1474],
+                1000: [1950, 3904, 974, 2927, 3904, 1950, 2927]},
+    (49, -31): {200: [806, 806, 401],
+                500: [1971, 1971, 983],
+                1000: [3913, 3913, 1954]},
 }
 
 
@@ -82,11 +84,11 @@ class TestFixedPointHorner:
         terms = FIBER_TERMS[E.conductor, D][prec]
         assert len(fiber) == len(terms)
         coeffs = an_coeffs(E, max(terms))
-        for rep, expected_M in zip(fiber, terms):
-            tau = rep.tau(prec + 20)
-            with mp.workprec(prec + 20):
-                v, M = eval_phi(E, tau, prec)
-            assert M == expected_M
+        with mp.workprec(prec + 20):
+            taus = [rep.tau(prec + 20) for rep in fiber]
+            values, Ms = eval_phi(E, taus, prec)
+        assert list(Ms) == terms
+        for tau, v, M in zip(taus, values, Ms):
             horner, horner_M = mpc_horner_oracle(tau, prec, coeffs)
             direct = direct_sum_oracle(E, tau, M, prec + 40)
             with mp.workprec(prec + 40):
@@ -96,6 +98,59 @@ class TestFixedPointHorner:
                 # the mpc loop itself errs by up to M units of 2^-(prec+20)
                 assert horner_M == M
                 assert abs(v - horner) < mp.mpf(2) ** -(prec + 6) * scale
+
+
+def far_sum_oracle(E, tau, precision_bits):
+    """sum a_n q^n / n carried until its own remainder, bounded with |a_n|
+    <= 2n by 2 |q|^(terms+1) / (1 - |q|), is below 2^-(precision_bits+40);
+    powers of q by repeated multiplication at precision_bits + 80."""
+    with mp.workprec(precision_bits + 80):
+        q = mp.exp(2j * mp.pi * tau)
+        abs_q = abs(q)
+        y = 2 * math.pi * float(mp.im(tau))
+        terms = int(((precision_bits + 41) * math.log(2)
+                     - math.log(1 - float(abs_q))) / y) + 1
+        assert 2 * abs_q ** (terms + 1) / (1 - abs_q) < mp.mpf(2) ** -(
+            precision_bits + 40)
+        acc, qn = mp.mpc(0), mp.mpc(1)
+        for n, a in enumerate(an_coeffs(E, terms).coefficients, 1):
+            qn *= q
+            acc += a * qn / n
+        return acc, terms
+
+
+class TestTailBound:
+    # the oracles above stop at eval_phi's own M and never see the tail
+    @pytest.mark.parametrize("prec", [200, 500, 1000])
+    @pytest.mark.parametrize("E, D", [(E37, -71), (E49, -31)], ids=["37a", "49a"])
+    def test_total_error_against_a_far_sum(self, E, D, prec):
+        with mp.workprec(prec + 20):
+            taus = [rep.tau(prec + 20) for rep in heegner_fiber(D, E.conductor)]
+            values, Ms = eval_phi(E, taus, prec)
+        for tau, v, M in zip(taus, values, Ms):
+            far, terms = far_sum_oracle(E, tau, prec)
+            assert terms > M
+            with mp.workprec(prec + 40):
+                assert abs(v - far) < mp.mpf(2) ** -(prec + 3) * (1 + abs(far))
+
+    @settings(max_examples=200, deadline=None)
+    @given(im_tau=st.floats(1e-3, 3), prec=st.integers(16, 2000))
+    def test_least_count_meeting_the_bound(self, im_tau, prec):
+        def bound_met(M):  # 2 |q|^(M+1) / (1 - |q|) < 2^-(prec+4), in mpf
+            with mp.workprec(256):
+                abs_q = mp.exp(-2 * mp.pi * mp.mpf(im_tau))
+                return (2 * abs_q ** (M + 1) / (1 - abs_q)
+                        < mp.mpf(2) ** -(prec + 4))
+
+        M = _terms_needed(mp.mpf(im_tau), prec)
+        assert bound_met(M)
+        assert M == 1 or not bound_met(M - 1)
+
+    def test_too_slow_convergence_raises(self):
+        for im_tau, prec in ((mp.mpf("9.99e-4"), 200), (mp.mpf(0), 16),
+                             (mp.mpf("1e-3"), 10000)):  # the last needs 1.1e6
+            with pytest.raises(ConvergenceTooSlow):
+                _terms_needed(im_tau, prec)
 
 
 class TestCoefficientPrefix:
@@ -109,18 +164,20 @@ class TestCoefficientPrefix:
             return ap(E, p)
 
         monkeypatch.setattr(ellcurve, "ap", counted)
-        # term counts 383, 839, 227, 646, 839, 383, 646: one build to 383,
-        # one extension to 839, so every prime up to 839 is counted once
+        # one point at a time, term counts 400, 804, 199, 602, 804, 400, 602:
+        # one build to 400, one extension to 804, so every prime up to 804
+        # is counted once
         for rep in heegner_fiber(-71, 37):
-            eval_phi(E37, rep.tau(PREC + 20), PREC)
-        up_to_839 = [p for p in range(2, 840)
+            eval_phi(E37, [rep.tau(PREC + 20)], PREC)
+        up_to_804 = [p for p in range(2, 805)
                      if all(p % d for d in range(2, math.isqrt(p) + 1))]
-        assert primes == up_to_839
+        assert primes == up_to_804
         # keyed on the a-invariants and the level, not on the label
-        eval_phi(dataclasses.replace(E37, label="x"), rep.tau(PREC + 20), PREC)
-        assert primes == up_to_839
+        eval_phi(dataclasses.replace(E37, label="x"), [rep.tau(PREC + 20)],
+                 PREC)
+        assert primes == up_to_804
         assert list(ellcurve._PREFIXES) == [((0, 0, 1, -1, 0), 37)]
-        assert len(ellcurve._PREFIXES[(0, 0, 1, -1, 0), 37]) == 839
+        assert len(ellcurve._PREFIXES[(0, 0, 1, -1, 0), 37]) == 804
 
     def test_oldest_curve_evicted(self, monkeypatch):
         monkeypatch.setattr(ellcurve, "_PREFIXES", {})
@@ -155,7 +212,8 @@ def assert_gamma0_periods(E, prec=64):
         for d in (3, 5, 11):
             tau = mp.mpc(-d, 1) / N
             gamma_tau = mp.mpc(pow(d, -1, N), 1) / N
-            w = eval_phi(E, gamma_tau, prec)[0] - eval_phi(E, tau, prec)[0]
+            (v_gamma, v), _ = eval_phi(E, [gamma_tau, tau], prec)
+            w = v_gamma - v
             for c in L.coordinates(w):
                 assert abs(c - mp.nint(c)) < mp.mpf(2) ** -40
             coords.append(tuple(int(mp.nint(c)) for c in L.coordinates(w)))
@@ -167,22 +225,21 @@ class TestEvalPhi:
     def test_q_invariance(self):
         tau = heegner_fiber(-7, 37)[0].tau(PREC + 20)
         with mp.workprec(PREC + 20):
-            v1, _ = eval_phi(E37, tau, PREC)
-            v2, _ = eval_phi(E37, tau + 1, PREC)
+            (v1, v2), _ = eval_phi(E37, [tau, tau + 1], PREC)
             assert abs(v1 - v2) < mp.mpf(2) ** -(PREC - 5)
 
     def test_truncation_contract(self):
         tau = heegner_fiber(-83, 37)[0].tau(PREC + 60)
         with mp.workprec(PREC + 60):
-            v1, _ = eval_phi(E37, tau, PREC)
-            v2, _ = eval_phi(E37, tau, PREC + 40)
+            (v1,), _ = eval_phi(E37, [tau], PREC)
+            (v2,), _ = eval_phi(E37, [tau], PREC + 40)
             assert abs(v1 - v2) < mp.mpf(2) ** -(PREC - 2)
 
     def test_matches_direct_summation_oracle(self):
         # (37a, tau = (-17 + sqrt(-7))/74, 150 bits)
         with mp.workprec(220):
             tau = (-17 + mp.sqrt(mp.mpc(-7))) / 74
-            v, _ = eval_phi(E37, tau, 150)
+            (v,), _ = eval_phi(E37, [tau], 150)
             for terms in (600, 1200):
                 oracle = direct_sum_oracle(E37, tau, terms, 220)
                 assert abs(v - oracle) < mp.mpf(2) ** -140
@@ -204,7 +261,7 @@ class TestEvalPhi:
     def test_rejects_tiny_imaginary_part(self):
         with mp.workprec(100):
             with pytest.raises(ConvergenceTooSlow):
-                eval_phi(E37, mp.mpc(0, 1e-4), 100)
+                eval_phi(E37, [mp.mpc(0, 1e-4)], 100)
 
 
 class TestOrbits:
