@@ -33,51 +33,26 @@ def orbit_degree(orbit: OrbitEvaluation, n: int) -> int:
     """Number of distinct x(n P^sigma) over the orbit: as x(P) = x(Q)
     exactly when Q = +-P, the classes of n z^sigma in C/L up to sign.
 
-    With K = prec + 20 (prec = orbit.lattice.precision_bits) the orbit's
-    z's are its integer torus_coordinates (A, B), and n (A, B) stands for
-    n z mod 2^K Z^2.
-    Two classes merge when both coordinates of their difference, or both
-    of their sum, lie within tol = 2^(K - prec/2) of a multiple of 2^K; a
-    nearest offset in [tol, 2^10 tol) raises ClusterAmbiguous.  The
-    identity is the class of 0.
-
-    Margin: if z is accurate to eta in C, its coordinates are accurate to
-    eta scale / |det| (scale = max(|w1|, |w2|), det = Im(conj(w1) w2)), and
-    (A, B) is within 1/2 + 2^K eta scale / |det| units of (s, t) 2^K.  For
-    two points of one class, the difference or the sum of n (A, B) is then
-    within n (1 + 2^(K+1) eta scale / |det|) units of a multiple of 2^K.
-    eval_phi errs below 2^-(prec+3), a truncation tail below 2^-(prec+4)
-    plus Horner rounding below 2^-(prec+20); the premise holds, as its term
-    count bounds the tail with the true |a_n| <= 2n.  So eta stays below
-    2^-(prec-5) |det| / scale whenever |det| / scale > 2^-8 (about 2 on the
-    bundled curves).  That bounds 2^(K+1) eta scale / |det| by 2^26 and the
-    offset by 12 (1 + 2^26) < 2^30 units, far below tol = 2^(prec/2 + 20)
-    >= 2^46 units.  Distinct classes closer than 2^10 tol, 2^-(prec/2 - 10)
-    of a period, raise rather than merge.
+    The orbit's z's are its integer torus_coordinates (A, B), and n (A, B)
+    stands for n z.  Two classes merge when the difference or the sum of
+    their n (A, B) is near the lattice (Lattice.near, whose docstring shows
+    that two points of one class always are).  Distinct classes near each
+    other at slack 10, within 2^10 times the radius 2^-(prec/2) max|w_i|,
+    raise ClusterAmbiguous.  The identity is the class of 0.
     """
     if not 1 <= n <= _TORSION_CAP:
         raise ValueError("n must be in 1..12")
-    prec = orbit.lattice.precision_bits
-    K = prec + 20
-    period = 1 << K
-    tol = 1 << (K - prec // 2)
-
-    def offset(a, b):  # max-norm distance of (a, b) to 2^K Z^2
-        return max(abs((a + period // 2) % period - period // 2),
-                   abs((b + period // 2) % period - period // 2))
-
+    L = orbit.lattice
     reps: list[tuple[int, int]] = []
     for A, B in orbit.torus_coordinates:
         a, b = n * A, n * B
-        nearest = min((min(offset(a - ra, b - rb), offset(a + ra, b + rb))
-                       for ra, rb in reps), default=period)
-        if nearest < tol:
+        offsets = [(a - e * ra, b - e * rb) for ra, rb in reps for e in (1, -1)]
+        close = [o for o in offsets if L.near(*o, slack=10)]
+        if any(L.near(*o) for o in close):
             continue
-        if nearest < 2**10 * tol:
+        if close:
             raise ClusterAmbiguous(
-                f"classes {nearest / period:.3e} of a period apart, within "
-                "2^10 of the tolerance"
-            )
+                "two classes within 2^10 times the merge radius")
         reps.append((a, b))
     return len(reps)
 
@@ -108,28 +83,23 @@ def _coefficient_vectors(r: int, B: int):
 def relation_search(orbits, B: int) -> Relation | None:
     """Exhaustive box search for integer dependence among points, one per
     orbit, whose conjugate embeddings z_i^(sigma) are the orbit's points_z;
-    the orbits share one lattice L, and precision_bits = L.precision_bits.
-    A candidate (n_1..n_r, t), 0 <= n_1 <= B, |n_i| <= B, 1 <= t <= 12, is
-    accepted only if z = t * sum n_i z_i^(sigma) is within tol * scale of L
-    at every combination of available conjugate embeddings, with the
-    next-nearest lattice point at least 2^10 times farther; here tol =
-    2^-(precision_bits/2) and scale = max(|w1|, |w2|).  The first accepted
-    candidate in lexicographic order (vector, then t) wins.
+    the orbits share one lattice L.  A candidate (n_1..n_r, t), 0 <= n_1 <=
+    B, |n_i| <= B, 1 <= t <= 12, is accepted only if z = t * sum n_i
+    z_i^(sigma) is within R = 2^-(prec/2) max|w_i| of L at every
+    combination of conjugate embeddings, prec = L.precision_bits.  The
+    first accepted candidate in lexicographic order (vector, then t) wins.
 
-    That mpmath test runs only on the candidates that pass an exact integer
-    sieve.  With K = precision_bits + 20, every embedding z_i is read from
-    its orbit's torus_coordinates, its lattice coordinates (a_i, b_i)
-    rounded to integers A_i = round(a_i 2^K), B_i = round(b_i 2^K), and a
-    candidate survives only if, at every combination, t * sum n_i A_i and
-    t * sum n_i B_i both lie within sigma of a multiple of 2^K.  The sieve never rejects an accepted candidate:
-    if |z - m| = |w| < tol * scale for a lattice point m, the coordinates
-    (s, t') of w satisfy |s| <= |w2| |w| / |det| and |t'| <= |w1| |w| / |det|
-    (det = Im(conj(w1) w2)), so both are below scale^2 tol / |det|.  sigma
-    is twice that in units of 2^-K, plus 2^13 units: rounding the A_i
-    contributes at most t * sum |n_i| <= 2,400 half units, and the float
-    error of both sides at K bits is far below the spare scale^2 tol / |det|
-    >= 2^(K - precision_bits/2) units.  So the result equals that of the
-    plain box search, at a tiny fraction of its mpmath work.
+    An integer sieve runs first, on the exact sums t sum n_i (A_i, B_i) of
+    the orbits' torus_coordinates: a candidate survives only if, at every
+    combination, both lie within sigma = L.near_bound() + 2^13 of a
+    multiple of 2^K, K = prec + 20.  By Lattice.near's derivation a point
+    within R of L has coordinates below near_bound() units, and rounding
+    the A_i adds at most t sum |n_i| / 2 <= 1,200 more, so the sieve never
+    rejects an accepted candidate.  Survivors are accepted on mpc sums,
+    in the plain box search's own arithmetic (the oracle in
+    tests/test_analysis.py): a sum that lies on the radius to rounding is
+    then decided as that search decides it.  The oracle's next-nearest
+    clause always holds under near's precondition.
     """
     r = len(orbits)
     if not 2 <= r <= _MAX_POINTS:
@@ -140,15 +110,13 @@ def relation_search(orbits, B: int) -> Relation | None:
     if any(o.lattice != L for o in orbits):
         raise ValueError("the orbits must share one lattice")
     embeddings = [o.points_z for o in orbits]
-    tol = mp.mpf(2) ** (-(L.precision_bits // 2))
     K = L.precision_bits + 20
     mask = (1 << K) - 1
     fixed = [o.torus_coordinates for o in orbits]
+    sigma = L.near_bound() + 2**13
     with mp.workprec(K):
         combos = list(itertools.product(*(range(len(zs)) for zs in embeddings)))
-        scale = max(abs(L.omega1), abs(L.omega2))
-        det = abs(mp.im(mp.conj(L.omega1) * L.omega2))
-        sigma = int(mp.ceil(mp.ldexp(2 * scale**2 * tol / det, K))) + 2**13
+        R = mp.ldexp(max(abs(L.omega1), abs(L.omega2)), -(L.precision_bits // 2))
         for vec in _coefficient_vectors(r, B):
             sums = []  # integer coordinate sums, one per combination as needed
             for t in range(1, _TORSION_CAP + 1):
@@ -161,8 +129,7 @@ def relation_search(orbits, B: int) -> Relation | None:
                     ) > 2 * sigma:
                         break
                 else:
-                    if _near_lattice_everywhere(vec, t, embeddings, combos, L,
-                                                tol * scale):
+                    if _near_lattice_everywhere(vec, t, embeddings, combos, L, R):
                         return Relation(coefficients=vec, torsion_slack=t)
     return None
 
@@ -175,15 +142,13 @@ def _coordinate_sums(vec, combo, fixed) -> tuple[int, int]:
     return a, b
 
 
-def _near_lattice_everywhere(vec, t, embeddings, combos, L, bound) -> bool:
-    # the acceptance test: z within bound of L, next-nearest 2^10 farther
+def _near_lattice_everywhere(vec, t, embeddings, combos, L, R) -> bool:
+    # t * sum n_i z_i within R of L at every combination, in mpc
     for combo in combos:
         z = mp.mpc(0)
-        for i, (zs, ci) in enumerate(zip(embeddings, combo)):
-            z += vec[i] * zs[ci]
-        z *= t
-        d0, d1 = L.nearest_distances(z)
-        if d0 >= bound or d1 < (2**10) * bound:
+        for n, zs, ci in zip(vec, embeddings, combo):
+            z += n * zs[ci]
+        if L.distance(z * t) >= R:
             return False
     return True
 

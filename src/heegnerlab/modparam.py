@@ -4,14 +4,13 @@ Evaluates phi(tau) = sum a_n q^n / n on the upper half plane, one whole
 orbit per pass, in integer fixed point over the coefficients that an_coeffs
 keeps per curve, takes conjugate orbits of class-field points to the torus
 C/L, with their integer lattice coordinates, and forms trace points; only a
-trace is mapped to curve coordinates.  Precision is
-chosen at orbit_points and eval_phi; an orbit and its trace read it from
-their lattice.  Recognition has one entry point per input shape: recognize
-for one point over Q, recognize_quadratic for one point over Q(sqrt(D)) in
-its fixed embedding (twist points with x in Q included), recognize_minpoly
-for the conjugates of a number.  recognize_trace(tr) sends a trace point
-to the first or the second, reading the curve, the precision and the
-discriminant D, hence the quadratic field, from the trace's orbit.
+trace is mapped to curve coordinates.  Precision is chosen at orbit_points
+and eval_phi; an orbit and its trace read it from their lattice.
+Recognition has one entry point per input shape: recognize for one point
+over Q, recognize_quadratic for one point over Q(sqrt(D)) in its fixed
+embedding (twist points with x in Q included).  recognize_trace(tr) sends
+a trace point to one or the other, reading the curve, the precision and
+the discriminant D, hence the quadratic field, from the trace's orbit.
 """
 
 from __future__ import annotations
@@ -163,33 +162,35 @@ class TracePoint:
 
 
 def trace_point(orbit: OrbitEvaluation) -> TracePoint:
-    """Sum of the orbit in C/L.  A lattice-trivial sum is reported as the
-    identity; a sum landing in the strict index-two superlattice (1/2)L is
-    flagged rather than resolved."""
+    """Sum (A, B) of the orbit's integer torus_coordinates, exact, in 2^-K
+    units, K = prec + 20.  The identity if L.near(A, B); flagged, not
+    resolved, if only L.near(2A, 2B): a sum in the strict index-two
+    superlattice (1/2)L.  z is formed once from (A, B), reduced as L.reduce
+    does, both coordinates in [-d, 1 - d), d = 2^-(prec - 10) = 2^30 units."""
     L = orbit.lattice
     prec = L.precision_bits
+    K = prec + 20
+    A, B = map(sum, zip(*orbit.torus_coordinates))
+    d, mask = 1 << (K + 10 - prec), (1 << K) - 1
     with mp.workprec(prec + 20):
-        z = L.reduce(mp.fsum(mp.re(w) for w in orbit.points_z)
-                     + 1j * mp.fsum(mp.im(w) for w in orbit.points_z))
-        tol = mp.mpf(2) ** (-(prec // 2))
-        scale = max(abs(L.omega1), abs(L.omega2))
-        if L.distance(z) < tol * scale:
+        z = (mp.ldexp(((A + d) & mask) - d, -K) * L.omega1
+             + mp.ldexp(((B + d) & mask) - d, -K) * L.omega2)
+        if L.near(A, B):
             return TracePoint(orbit=orbit, z=z, xy=None, is_real=True,
                               half_lattice=False)
-        half = L.distance(2 * z) < tol * scale
         x, y = weierstrass_map(z, orbit.curve, L)
-        real = abs(mp.im(x)) < tol * (1 + abs(x)) and abs(mp.im(y)) < tol * (
-            1 + abs(y)
-        )
+        tol = mp.mpf(2) ** (-(prec // 2))
+        real = (abs(mp.im(x)) < tol * (1 + abs(x))
+                and abs(mp.im(y)) < tol * (1 + abs(y)))
         return TracePoint(orbit=orbit, z=z, xy=(x, y), is_real=real,
-                          half_lattice=half)
+                          half_lattice=L.near(2 * A, 2 * B))
 
 
 @dataclass(frozen=True)
 class RecognizedAlgebraic:
-    kind: str  # "rational" | "quadratic" | "minpoly"
+    kind: str  # "rational" | "quadratic"
     # rational: (Fraction, Fraction); quadratic: (x, y), each a Fraction or
-    # a QuadElt, not both Fractions; minpoly: tuple of int
+    # a QuadElt, not both Fractions
     value: object
     residual: mpf
 
@@ -286,54 +287,3 @@ def recognize_trace(tr: TracePoint) -> RecognizedAlgebraic:
         return recognize([tr.xy], 10**6, E, precision_bits=prec)
     return recognize_quadratic(tr.xy, 10**6, E, tr.orbit.discriminant,
                                precision_bits=prec)
-
-
-def recognize_minpoly(
-    values, denominator_bound: int, precision_bits: int = 200
-) -> RecognizedAlgebraic:
-    """Primitive integer minimal polynomial, leading coefficient first,
-    whose roots are the numerical conjugates in values.  Accepted only when
-    every conjugate is a root to within 2^-20."""
-    if denominator_bound < 1:
-        raise ValueError("denominator_bound must be positive")
-    with mp.workprec(precision_bits + 20):
-        xs = [mp.mpc(v) for v in values]
-    # expand prod (X - x_i), round coefficients, clear denominators
-    with mp.workprec(precision_bits + 40):
-        coeffs = [mp.mpc(1)]
-        for x in xs:
-            nxt = [mp.mpc(0)] * (len(coeffs) + 1)
-            for i, c in enumerate(coeffs):
-                nxt[i] += c
-                nxt[i + 1] -= c * x
-            coeffs = nxt
-        fracs = []
-        residual = mp.mpf(0)
-        for c in coeffs:
-            r, err = _round_rational(c, denominator_bound)
-            residual += err + abs(mp.im(c))
-            fracs.append(r)
-        if residual > _RESIDUAL_CAP:
-            raise RecognitionFailed(f"residual {mp.nstr(residual, 5)} too large")
-        lcm = math.lcm(*(f.denominator for f in fracs))
-        ints = [int(f * lcm) for f in fracs]
-        g = math.gcd(*ints)
-        if g > 1:
-            ints = [v // g for v in ints]
-        if ints[0] < 0:
-            ints = [-v for v in ints]
-        # confirm every conjugate is a root of the cleared polynomial
-        worst = mp.mpf(0)
-        scale = max(abs(v) for v in ints)
-        for x in xs:
-            val = mp.mpc(0)
-            for c in ints:
-                val = val * x + c
-            worst = max(worst, abs(val) / scale)
-        if worst > _RESIDUAL_CAP:
-            raise RecognitionFailed(
-                f"conjugates are not roots (residual {mp.nstr(worst, 5)})"
-            )
-        return RecognizedAlgebraic(
-            kind="minpoly", value=tuple(ints), residual=max(residual, worst)
-        )

@@ -2,8 +2,10 @@
 
 import ast
 import functools
+import importlib
 import inspect
 import itertools
+import pkgutil
 from fractions import Fraction
 
 import pytest
@@ -11,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpc
 
+import heegnerlab
 from heegnerlab import analysis, lattice, modparam, qform
 from heegnerlab.analysis import (
     Relation,
@@ -578,4 +581,26 @@ def test_precision_is_read_from_the_object():
                      for n in ast.walk(a.annotation) if isinstance(n, ast.Name)}
             if typed & carriers and names & {"prec", "precision_bits"}:
                 offenders.append(f"{module.__name__}.{fn.name}")
+    assert offenders == []
+
+
+def test_one_lattice_membership_rule():
+    # Lattice.near is the package's membership test.  distance and
+    # nearest_distances stay as its oracles and for the relation search's
+    # acceptance, which must decide a sum on the radius as the box oracle
+    # does; no other function calls them
+    oracles = {"distance", "nearest_distances"}
+    allowed = oracles | {"_near_lattice_everywhere"}
+    offenders = []
+    for info in pkgutil.iter_modules(heegnerlab.__path__):
+        module = importlib.import_module(f"heegnerlab.{info.name}")
+        tree = ast.parse(inspect.getsource(module))
+        inside = {id(node) for fn in ast.walk(tree)
+                  if isinstance(fn, ast.FunctionDef) and fn.name in allowed
+                  for node in ast.walk(fn)}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call) and id(node) not in inside
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in oracles):
+                offenders.append(f"{module.__name__}:{node.lineno}")
     assert offenders == []

@@ -330,6 +330,39 @@ class TestLatticeOps:
             assert d0 > 0
 
 
+class TestNearAgainstDistanceOracle:
+    # a lattice point plus r times the radius 2^-(prec/2) max|w_i| in a
+    # drawn direction; at slack s the radius is 2^s times larger
+    @settings(max_examples=80, deadline=None)
+    @given(
+        E=st.sampled_from([E37, E32, E49]),
+        prec=st.sampled_from([53, 100, 200, 1000]),
+        r_slack=st.sampled_from([(0, 0), (0.5, 0), (0.99, 0), (1.01, 0),
+                                 (1.5, 0), (2**9.9, 10), (2**10.1, 10)]),
+        m=st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+        angle=st.floats(0, 7),
+    )
+    def test_agrees_with_nearest_distances(self, E, prec, r_slack, m, angle):
+        r, slack = r_slack
+        L = periods(E, prec)
+        K = prec + 20
+        with mp.workprec(K + 20):
+            radius = mp.ldexp(max(abs(L.omega1), abs(L.omega2)), -(prec // 2))
+            z = m[0] * L.omega1 + m[1] * L.omega2 + r * radius * mp.expj(angle)
+            a, b = (int(mp.nint(mp.ldexp(c, K))) for c in L.coordinates(z))
+            expected = L.nearest_distances(z)[0] < mp.ldexp(radius, slack)
+        assert expected == (r < 2**slack)
+        assert L.near(a, b, slack) == expected
+
+    def test_skewed_lattice_raises(self):
+        # det / scale^2 = 10^-3 < 2^-8: no answer rather than a wrong one
+        L = Lattice(1, 1000j, 200)
+        with pytest.raises(PrecisionUnachievable):
+            L.near(0, 0)
+        with pytest.raises(PrecisionUnachievable):
+            L.near_bound()
+
+
 LATTICES = {E: periods(E, PREC) for E in (E37, E32, E49)}
 PRECS = (200, 500, 1000)
 LATTICES_BY_PREC = {(E, p): periods(E, p) for E in (E37, E32, E49) for p in PRECS}

@@ -22,11 +22,11 @@ from heegnerlab.modparam import (
     eval_phi,
     orbit_points,
     recognize,
-    recognize_minpoly,
     recognize_quadratic,
     recognize_trace,
     trace_point,
 )
+from test_analysis import _synthetic_orbit
 from test_lattice import curve_equation_residual
 
 E37 = CurveModel(0, 0, 1, -1, 0, 37, modular_degree=2, label="37a")
@@ -330,6 +330,54 @@ class TestTrace:
         assert rec.value == (F(0), F(0))
 
 
+def _radius_coordinates(r, angle, prec=PREC):
+    # lattice coordinates of r times the radius 2^-(prec/2) max|w_i| of 37a
+    L = periods(E37, prec)
+    with mp.workprec(prec + 20):
+        radius = mp.ldexp(max(abs(L.omega1), abs(L.omega2)), -(prec // 2))
+        return L.coordinates(r * radius * mp.expj(angle))
+
+
+class TestTraceFlags:
+    # synthetic 37a orbits whose coordinates sum to a chosen point
+    @pytest.mark.parametrize("total, identity, half", [
+        ((2, -1), True, False),
+        ((0.5, 0), False, True),
+        ((0.5, 1.5), False, True),
+    ])
+    def test_exact_sums(self, total, identity, half):
+        s, t = total
+        tr = trace_point(_synthetic_orbit(
+            [(0.375, 0.25), (s - 0.5, t + 0.125), (0.125, -0.375)]))
+        assert (tr.is_identity, tr.half_lattice) == (identity, half)
+        L = tr.orbit.lattice
+        with mp.workprec(PREC + 20):
+            target = (s % 1) * L.omega1 + (t % 1) * L.omega2
+            assert abs(tr.z - target) < mp.ldexp(1, -PREC)
+
+    @pytest.mark.parametrize("angle", [0, 1, 2.5, 4])
+    @pytest.mark.parametrize("s, r, identity, half", [
+        (1, 0.5, True, False),
+        (1, 2, False, False),
+        (0.5, 0.25, False, True),
+        (0.5, 1, False, False),
+    ])
+    def test_offsets_from_the_radius(self, s, r, identity, half, angle):
+        # the sum is s w1 + w2 plus r radii: 0.5 and 2 radii from L, and
+        # from w1/2 offsets that put 2z within 0.5 and at 2 radii of L
+        ds, dt = _radius_coordinates(r, angle)
+        with mp.workprec(PREC + 20):
+            tr = trace_point(_synthetic_orbit(
+                [(0.25, 0.75), (s - 0.25 + ds, 0.25 + dt)]))
+        assert (tr.is_identity, tr.half_lattice) == (identity, half)
+
+    def test_real_identity_trace(self):
+        # 37a D = -95, h = 8: the orbit sums to a lattice point
+        tr = trace_point(orbit_points(E37, -95, PREC))
+        assert len(tr.orbit.points_z) == 8
+        assert tr.is_identity and tr.xy is None and not tr.half_lattice
+
+
 # The recognizer that recognize_quadratic replaced, verbatim: it rounds the
 # symmetric functions of a point and its complex conjugate, takes square
 # roots and tries four embedding signs; it rejects every point whose two
@@ -444,31 +492,6 @@ def first_admissible(N, count=25):
 
 
 class TestRecognize:
-    def test_near_integer(self):
-        # a single value is the degree-1 case: X - 1 means the value 1
-        with mp.workprec(100):
-            v = mp.mpf(1) + mp.mpf(2) ** -60
-            rec = recognize_minpoly([v], 10, precision_bits=80)
-            assert rec.kind == "minpoly" and rec.value == (1, -1)
-
-    def test_exact_linear_factors(self):
-        rec = recognize_minpoly([mp.mpf(2), mp.mpf(3)], 10, precision_bits=100)
-        assert rec.kind == "minpoly"
-        assert tuple(rec.value) == (1, -5, 6)
-
-    def test_minpoly_of_sqrt2(self):
-        with mp.workprec(220):
-            s = mp.sqrt(2)
-            rec = recognize_minpoly([s, -s], 100, precision_bits=PREC)
-            assert tuple(rec.value) == (1, 0, -2)
-
-    def test_minpoly_of_class_field_conjugates(self):
-        orb = orbit_points(E37, -83, PREC)
-        xs = [weierstrass_map(z, E37, orb.lattice)[0] for z in orb.points_z]
-        rec = recognize_minpoly(xs, 10**6, precision_bits=PREC)
-        assert rec.kind == "minpoly"
-        assert len(rec.value) == 4  # degree 3 = h(-83)
-
     def test_quadratic_point_49a(self):
         orb = orbit_points(E49, -31, PREC)
         tr = trace_point(orb)
@@ -516,11 +539,6 @@ class TestRecognize:
         pair = (mp.mpf(0), mp.mpf(0))
         with pytest.raises(ValueError):
             recognize([pair, pair], 10, E37, precision_bits=PREC)
-
-    def test_residual_reported(self):
-        rec = recognize_minpoly([mp.mpf(0.5)], 10, precision_bits=100)
-        assert rec.value == (2, -1)
-        assert rec.residual >= 0
 
 
 # traces over Q(sqrt(D)) among the first 25 admissible D that the two-pair
