@@ -11,8 +11,6 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from mpmath import mp
-
 from . import arith
 from .ellcurve import CurveModel, CurvePoint, INFINITY, point, point_add, point_mul
 from .errors import (
@@ -35,10 +33,10 @@ def orbit_degree(orbit: OrbitEvaluation, n: int) -> int:
 
     The orbit's z's are its integer torus_coordinates (A, B), and n (A, B)
     stands for n z.  Two classes merge when the difference or the sum of
-    their n (A, B) is near the lattice (Lattice.near, whose docstring shows
-    that two points of one class always are).  Distinct classes near each
-    other at slack 10, within 2^10 times the radius 2^-(prec/2) max|w_i|,
-    raise ClusterAmbiguous.  The identity is the class of 0.
+    their n (A, B) is near L (Lattice.near; its docstring shows that two
+    points of one class always are, given a premise on the size of L).
+    Distinct classes within 2^10 times the radius 2^-(prec/2) max|w_i|
+    (slack 10) raise ClusterAmbiguous.  The identity is the class of 0.
     """
     if not 1 <= n <= _TORSION_CAP:
         raise ValueError("n must be in 1..12")
@@ -84,22 +82,17 @@ def relation_search(orbits, B: int) -> Relation | None:
     """Exhaustive box search for integer dependence among points, one per
     orbit, whose conjugate embeddings z_i^(sigma) are the orbit's points_z;
     the orbits share one lattice L.  A candidate (n_1..n_r, t), 0 <= n_1 <=
-    B, |n_i| <= B, 1 <= t <= 12, is accepted only if z = t * sum n_i
-    z_i^(sigma) is within R = 2^-(prec/2) max|w_i| of L at every
-    combination of conjugate embeddings, prec = L.precision_bits.  The
-    first accepted candidate in lexicographic order (vector, then t) wins.
+    B, |n_i| <= B, 1 <= t <= 12, is accepted only if Lattice.near holds
+    for the exact sum t sum n_i (A_i, B_i) of the orbits' torus_coordinates
+    at every combination of conjugate embeddings: z = t sum n_i z_i^(sigma)
+    is within 2^-(prec/2) max|w_i| of L, prec = L.precision_bits, and the
+    next-nearest lattice point is 2^10 times farther.  The first accepted
+    candidate in lexicographic order (vector, then t) wins.
 
-    An integer sieve runs first, on the exact sums t sum n_i (A_i, B_i) of
-    the orbits' torus_coordinates: a candidate survives only if, at every
-    combination, both lie within sigma = L.near_bound() + 2^13 of a
-    multiple of 2^K, K = prec + 20.  By Lattice.near's derivation a point
-    within R of L has coordinates below near_bound() units, and rounding
-    the A_i adds at most t sum |n_i| / 2 <= 1,200 more, so the sieve never
-    rejects an accepted candidate.  Survivors are accepted on mpc sums,
-    in the plain box search's own arithmetic (the oracle in
-    tests/test_analysis.py): a sum that lies on the radius to rounding is
-    then decided as that search decides it.  The oracle's next-nearest
-    clause always holds under near's precondition.
+    An inline sieve runs first: a candidate survives only if, at every
+    combination, both coordinates of the sum lie within sigma =
+    L.near_bound(), near's own bail-out bound, of a multiple of 2^K, K =
+    prec + 20.  So it rejects nothing that near accepts.
     """
     r = len(orbits)
     if not 2 <= r <= _MAX_POINTS:
@@ -109,28 +102,23 @@ def relation_search(orbits, B: int) -> Relation | None:
     L = orbits[0].lattice
     if any(o.lattice != L for o in orbits):
         raise ValueError("the orbits must share one lattice")
-    embeddings = [o.points_z for o in orbits]
-    K = L.precision_bits + 20
-    mask = (1 << K) - 1
     fixed = [o.torus_coordinates for o in orbits]
-    sigma = L.near_bound() + 2**13
-    with mp.workprec(K):
-        combos = list(itertools.product(*(range(len(zs)) for zs in embeddings)))
-        R = mp.ldexp(max(abs(L.omega1), abs(L.omega2)), -(L.precision_bits // 2))
-        for vec in _coefficient_vectors(r, B):
-            sums = []  # integer coordinate sums, one per combination as needed
-            for t in range(1, _TORSION_CAP + 1):
-                for k, combo in enumerate(combos):
-                    if k == len(sums):
-                        sums.append(_coordinate_sums(vec, combo, fixed))
-                    a, b = sums[k]
-                    if ((t * a + sigma) & mask) > 2 * sigma or (
-                        (t * b + sigma) & mask
-                    ) > 2 * sigma:
-                        break
-                else:
-                    if _near_lattice_everywhere(vec, t, embeddings, combos, L, R):
-                        return Relation(coefficients=vec, torsion_slack=t)
+    combos = list(itertools.product(*(range(len(c)) for c in fixed)))
+    mask = (1 << (L.precision_bits + 20)) - 1
+    sigma = L.near_bound()
+    for vec in _coefficient_vectors(r, B):
+        sums = []  # integer coordinate sums, one per combination as needed
+        for t in range(1, _TORSION_CAP + 1):
+            for k, combo in enumerate(combos):
+                if k == len(sums):
+                    sums.append(_coordinate_sums(vec, combo, fixed))
+                a, b = sums[k]
+                if (((t * a + sigma) & mask) > 2 * sigma
+                        or ((t * b + sigma) & mask) > 2 * sigma):
+                    break
+            else:
+                if all(L.near(t * a, t * b) for a, b in sums):
+                    return Relation(coefficients=vec, torsion_slack=t)
     return None
 
 
@@ -140,17 +128,6 @@ def _coordinate_sums(vec, combo, fixed) -> tuple[int, int]:
         a += n * coords[ci][0]
         b += n * coords[ci][1]
     return a, b
-
-
-def _near_lattice_everywhere(vec, t, embeddings, combos, L, R) -> bool:
-    # t * sum n_i z_i within R of L at every combination, in mpc
-    for combo in combos:
-        z = mp.mpc(0)
-        for n, zs, ci in zip(vec, embeddings, combo):
-            z += n * zs[ci]
-        if L.distance(z * t) >= R:
-            return False
-    return True
 
 
 def verify_relation(exact_points, rel: Relation, E: CurveModel) -> bool:

@@ -79,55 +79,54 @@ class Lattice:
 
     @cached_property
     def _metric(self) -> tuple[int, int, int, int]:
-        # near's G_ij and slack-0 bound, K = precision_bits + 20, once the
-        # precondition holds
+        # near's G_ij and slack-0 bail-out bound, once the precondition holds
         K, h = self.precision_bits + 20, self.precision_bits // 2
         with mp.workprec(K + 20):
             w1, w2 = mpc(self.omega1), mpc(self.omega2)
             scale2 = max(abs(w1), abs(w2)) ** 2
-            if abs(mp.im(mp.conj(w1) * w2)) < scale2 / 256:
+            det = abs(mp.im(mp.conj(w1) * w2))
+            if det < scale2 / 256:
                 raise PrecisionUnachievable(
                     "det / scale^2 below 2^-8: no integer lattice test")
             return (*(int(mp.nint(mp.ldexp(mp.re(mp.conj(u) * v) / scale2, K)))
                       for u, v in ((w1, w1), (w1, w2), (w2, w2))),
-                    1 << (K - h + 8))
+                    int(mp.ceil(mp.ldexp(scale2 / det, K - h))) + 1)
 
     def near_bound(self, slack: int = 0) -> int:
-        """near's bail-out bound on both centred coordinates, 2^-K units."""
+        """near's bail-out bound on both centred coordinates, in 2^-K
+        units: ceil(2^(K - h) scale^2 / det) + 1, times 2^slack."""
         return self._metric[3] << slack
 
     def near(self, a: int, b: int, slack: int = 0) -> bool:
-        """Whether z = (a omega1 + b omega2) 2^-K, K = precision_bits + 20
-        (the bits of OrbitEvaluation.torus_coordinates), lies within R =
-        2^(slack - h) scale of L, h = precision_bits // 2 and scale =
-        max(|w1|, |w2|), decided in integers on the lattice metric: the
-        membership rule of orbit_degree and trace_point.
+        """Whether z = (a w1 + b w2) 2^-K, K = precision_bits + 20 (the bits
+        of OrbitEvaluation.torus_coordinates), lies within R = 2^(slack - h)
+        scale of L, h = precision_bits // 2, scale = max(|w1|, |w2|): the
+        one membership rule of orbit_degree, trace_point and relation_search,
+        decided in integers on the lattice metric.
 
-        It needs det = |Im(conj(w1) w2)| >= 2^-8 scale^2 (0.82 on 37a, 1 on
-        32a, 0.66 on 49a); a lattice that fails raises PrecisionUnachievable.
-        By Cramer's rule w = s w1 + t w2 has |s| <= |w| |w2| / det and |t|
-        <= |w| |w1| / det, both at most 2^8 |w| / scale.  So a lattice point
-        within R of z is the centred representative (da, db) of (a, b) mod
-        2^K, both coordinates below near_bound(slack) = 2^(K - h + 8 +
-        slack) << 2^(K-1) units, as h >= 26.  The test bails out at that
-        bound, else compares |w|^2 with R^2 in integers: G11 da^2 + 2 G12
-        da db + G22 db^2 < 2^(3K - 2h + 2 slack), where rounding the G_ij
-        moves the left side by a relative 2^-(K-18) at most.  A nonzero v =
+        It needs det = |Im(conj(w1) w2)| >= 2^-8 scale^2 (0.82 scale^2 on
+        37a, 1 on 32a, 0.66 on 49a), else raises PrecisionUnachievable.  By
+        Cramer's rule w = s w1 + t w2 has |s|, |t| <= |w| scale / det.  So a
+        lattice point within R of z is the centred representative (da, db)
+        of (a, b) mod 2^K, both coordinates below near_bound(slack) < 2^(K -
+        h + 9 + slack) << 2^(K-1) units, as h >= 26.  The test bails out at
+        that bound, else compares |w|^2 with R^2 in integers: G11 da^2 + 2
+        G12 da db + G22 db^2 < 2^(3K - 2h + 2 slack), rounding the G_ij
+        moving the left side by a relative 2^-(K-18) at most.  A nonzero v =
         m w1 + n w2, n != 0 say, has |w1| |v| >= |n| det, so lambda_1 >= det
         / scale >= 2^-8 scale and, at slack 0, the next-nearest lattice
         point is at least 2^-8 scale - R >= 2^10 R away.
 
-        Margin: z accurate to eta in C puts an orbit's (A, B) within 1/2 +
-        2^K eta scale / det units of its coordinates.  eval_phi errs below
-        2^-(prec+3), so eta < 2^-(prec-5) det / scale when det / scale >
-        2^-8 (about 2 on the bundled curves).  For two points of one class
-        the difference or the sum of n (A, B), n <= 12, is then within 12
-        (1 + 2^26) < 2^30 units of a lattice point in each coordinate: at
-        most 2^(11-prec) scale in C, far inside R >= 2^-h scale.
+        Margin for orbit_degree, on the unchecked premise scale > 2^(12 + h -
+        prec) (scale is about 3 on the bundled curves): eval_phi's z errs
+        below eta = 2^-(prec+3), and rounding to (A, B) adds at most 2^-K
+        scale.  For two points of one class the difference or the sum of n
+        (A, B), n <= 12, is then within 24 (eta + 2^-K scale) < 2^(2-prec) +
+        2^-(prec+15) scale of L, below 2^-9 R under the premise.
         """
         K, h = self.precision_bits + 20, self.precision_bits // 2
-        g11, g12, g22, bound = self._metric
-        bound <<= slack
+        g11, g12, g22, _ = self._metric
+        bound = self.near_bound(slack)
         half, mask = 1 << (K - 1), (1 << K) - 1
         da, db = ((a + half) & mask) - half, ((b + half) & mask) - half
         if abs(da) >= bound or abs(db) >= bound:

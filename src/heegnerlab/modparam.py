@@ -168,8 +168,7 @@ def trace_point(orbit: OrbitEvaluation) -> TracePoint:
     superlattice (1/2)L.  z is formed once from (A, B), reduced as L.reduce
     does, both coordinates in [-d, 1 - d), d = 2^-(prec - 10) = 2^30 units."""
     L = orbit.lattice
-    prec = L.precision_bits
-    K = prec + 20
+    prec, K = L.precision_bits, L.precision_bits + 20
     A, B = map(sum, zip(*orbit.torus_coordinates))
     d, mask = 1 << (K + 10 - prec), (1 << K) - 1
     with mp.workprec(prec + 20):
