@@ -31,10 +31,10 @@ def orbit_degree(orbit: OrbitEvaluation, n: int) -> int:
     """Number of distinct x(n P^sigma) over the orbit: as x(P) = x(Q)
     exactly when Q = +-P, the classes of n z^sigma in C/L up to sign.
 
-    The orbit's z's are its integer torus_coordinates (A, B), and n (A, B)
-    stands for n z.  Two classes merge when the difference or the sum of
-    their n (A, B) is near L (Lattice.near; its docstring shows that two
-    points of one class always are, given a premise on the size of L).
+    The orbit stores each z as its torus_coordinates (A, B), exact mod 2^K,
+    and n (A, B) stands for n z.  Two classes merge when the difference or
+    the sum of their n (A, B) is near L (Lattice.near; its docstring shows
+    that two points of one class always are, given a premise on L's size).
     Distinct classes within 2^10 times the radius 2^-(prec/2) max|w_i|
     (slack 10) raise ClusterAmbiguous.  The identity is the class of 0.
     """
@@ -80,19 +80,19 @@ def _coefficient_vectors(r: int, B: int):
 
 def relation_search(orbits, B: int) -> Relation | None:
     """Exhaustive box search for integer dependence among points, one per
-    orbit, whose conjugate embeddings z_i^(sigma) are the orbit's points_z;
-    the orbits share one lattice L.  A candidate (n_1..n_r, t), 0 <= n_1 <=
-    B, |n_i| <= B, 1 <= t <= 12, is accepted only if Lattice.near holds
-    for the exact sum t sum n_i (A_i, B_i) of the orbits' torus_coordinates
-    at every combination of conjugate embeddings: z = t sum n_i z_i^(sigma)
-    is within 2^-(prec/2) max|w_i| of L, prec = L.precision_bits, and the
+    orbit, whose conjugate embeddings z_i^(sigma) are the orbit's
+    torus_coordinates (A_i, B_i); the orbits share one lattice L.  A
+    candidate (n_1..n_r, t), 0 <= n_1 <= B, |n_i| <= B, 1 <= t <= 12, is
+    accepted only if Lattice.near holds for the exact sum t sum n_i (A_i,
+    B_i) at every combination of embeddings: z = t sum n_i z_i^(sigma) is
+    within 2^-(prec/2) max|w_i| of L, prec = L.precision_bits, and the
     next-nearest lattice point is 2^10 times farther.  The first accepted
     candidate in lexicographic order (vector, then t) wins.
 
     An inline sieve runs first: a candidate survives only if, at every
     combination, both coordinates of the sum lie within sigma =
     L.near_bound(), near's own bail-out bound, of a multiple of 2^K, K =
-    prec + 20.  So it rejects nothing that near accepts.
+    L.torus_bits.  So it rejects nothing that near accepts.
     """
     r = len(orbits)
     if not 2 <= r <= _MAX_POINTS:
@@ -104,7 +104,7 @@ def relation_search(orbits, B: int) -> Relation | None:
         raise ValueError("the orbits must share one lattice")
     fixed = [o.torus_coordinates for o in orbits]
     combos = list(itertools.product(*(range(len(c)) for c in fixed)))
-    mask = (1 << (L.precision_bits + 20)) - 1
+    mask = (1 << L.torus_bits) - 1
     sigma = L.near_bound()
     for vec in _coefficient_vectors(r, B):
         sums = []  # integer coordinate sums, one per combination as needed
@@ -253,7 +253,7 @@ def _field_entry(E, D, precision_bits, B):
     orbit = None
     try:
         orbit = orbit_points(E, D, precision_bits)
-        h = len(orbit.points_z)  # one fiber point per ideal class
+        h = len(orbit.torus_coordinates)  # one fiber point per ideal class
         stage = "degree"
         degs = tuple(orbit_degree(orbit, n) for n in (1, 2, 3))
         stage = "trace"

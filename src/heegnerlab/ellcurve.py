@@ -358,19 +358,22 @@ def torsion_subgroup(E: CurveModel) -> tuple[tuple[CurvePoint, ...], tuple[int, 
 
 
 def _integer_cubic_roots(A: int, C: int) -> list[int]:
-    # integer roots of X^3 + A X + C, from rounded numeric real roots
-    from mpmath import mp, polyroots
-
+    # integer roots of f = X^3 + A X + C, ascending, by bisection: each lies
+    # in [-R, R], R = 1 + max(|A|, |C|), and with c = floor(sqrt(max(-A, 0)/3))
+    # f is monotone on the integers of [-R, -c-1] (up), [-c, c] (down, or a
+    # single point) and [c+1, R] (up), so each piece holds at most one root
+    R, c = 1 + max(abs(A), abs(C)), math.isqrt(max(-A, 0) // 3)
     roots = []
-    with mp.workprec(80):
-        rts = polyroots([1, 0, A, C], maxsteps=200, extraprec=60)
-    for r in rts:
-        if abs(mp.im(r)) < 1e-6:
-            n = int(mp.nint(mp.re(r)))
-            for X in (n - 1, n, n + 1):
-                if X**3 + A * X + C == 0:
-                    roots.append(X)
-    return sorted(set(roots))
+    for lo, hi, sign in ((-R, -c - 1, 1), (-c, c, -1), (c + 1, R, 1)):
+        while lo < hi:  # least X in [lo, hi] with sign * f(X) >= 0
+            mid = (lo + hi) // 2
+            if sign * (mid**3 + A * mid + C) >= 0:
+                hi = mid
+            else:
+                lo = mid + 1
+        if lo**3 + A * lo + C == 0:
+            roots.append(lo)
+    return roots
 
 
 def _torsion_order(P: CurvePoint, E: CurveModel) -> int | None:

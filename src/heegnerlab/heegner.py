@@ -37,7 +37,7 @@ class HeegnerPointRep:
         """Reduced form naming the ideal class of this fiber element."""
         return qform.reduce(self.form)
 
-    def tau(self, precision_bits: int = 53) -> mpc:
+    def tau(self, precision_bits: int) -> mpc:
         with mp.workprec(precision_bits):
             return (
                 -self.form.b + mp.sqrt(mpc(self.discriminant))

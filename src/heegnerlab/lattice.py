@@ -6,21 +6,21 @@ Gauss-reduced basis; the q-series they replaced is the test oracle in
 tests/test_lattice.py.  The elliptic logarithm is Carlson's closed form
 z = R_F(x - e1, x - e2, x - e3), certified against p and p' at working
 precision; it raises rather than return an uncertified value.  Precision
-is chosen once, at periods: p, the Weierstrass map and the elliptic
-logarithm all work at the lattice's precision_bits + 20.
+is chosen once, at periods: p, the Weierstrass map, the elliptic logarithm
+and every Lattice method work at precision_bits + 20 or more, whatever the
+ambient mp.prec.  The lattice owns the integer torus (torus, point, near).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property, lru_cache
 
 from mpmath import mp, mpc, mpf
 
 from .ellcurve import CurveModel, CurvePoint, QuadElt
 from .errors import IdentityPoint, PrecisionUnachievable
-
-from fractions import Fraction
 
 
 @dataclass(frozen=True)
@@ -62,25 +62,41 @@ class Lattice:
             return (tau, q, mp.pi / w1, (th2**4 + 2 * th4**4) / 3,
                     th3 * th4, (th2 * th3 * th4) ** 2)
 
+    @property
+    def torus_bits(self) -> int:
+        """K = precision_bits + 20, the fraction bits of torus and point."""
+        return self.precision_bits + 20
+
     def coordinates(self, z: mpc) -> tuple[mpf, mpf]:
         """Real coordinates (s, t) with z = s*omega1 + t*omega2."""
-        return _coordinates(z, self.omega1, self.omega2)
+        with mp.workprec(self.torus_bits):
+            return _coordinates(z, self.omega1, self.omega2)
+
+    def torus(self, z: mpc) -> tuple[int, int]:
+        """round((s, t) 2^K), K = torus_bits, for z's coordinates (s, t); z
+        need not be reduced: point and near read the pair mod 2^K only."""
+        K = self.torus_bits
+        with mp.workprec(K):
+            return tuple(int(mp.nint(mp.ldexp(c, K)))
+                         for c in self.coordinates(z))
+
+    def point(self, A: int, B: int) -> mpc:
+        """z with torus coordinates (A, B) mod 2^K, each in [-d, 2^K - d),
+        d = 2^30 units = 2^-(precision_bits - 10): rounding noise at an edge
+        of the parallelogram lands z near 0, never near a period."""
+        K, d = self.torus_bits, 1 << 30
+        with mp.workprec(K):
+            return (mp.ldexp((A + d) % (1 << K) - d, -K) * self.omega1
+                    + mp.ldexp((B + d) % (1 << K) - d, -K) * self.omega2)
 
     def reduce(self, z: mpc) -> mpc:
-        """Representative of z mod Lambda whose coordinates on the stated
-        basis both lie in [-d, 1 - d), d = 2^-(precision_bits - 10).  A
-        coordinate within d of an integer, where rounding noise decides on
-        which side of it the value falls, thus always lands near 0, never
-        near 1."""
-        d = mp.ldexp(1, 10 - self.precision_bits)
-        s, t = self.coordinates(z)
-        return ((s - mp.floor(s + d)) * self.omega1
-                + (t - mp.floor(t + d)) * self.omega2)
+        """Representative of z mod Lambda: point(*torus(z))."""
+        return self.point(*self.torus(z))
 
     @cached_property
     def _metric(self) -> tuple[int, int, int, int]:
         # near's G_ij and slack-0 bail-out bound, once the precondition holds
-        K, h = self.precision_bits + 20, self.precision_bits // 2
+        K, h = self.torus_bits, self.precision_bits // 2
         with mp.workprec(K + 20):
             w1, w2 = mpc(self.omega1), mpc(self.omega2)
             scale2 = max(abs(w1), abs(w2)) ** 2
@@ -98,11 +114,10 @@ class Lattice:
         return self._metric[3] << slack
 
     def near(self, a: int, b: int, slack: int = 0) -> bool:
-        """Whether z = (a w1 + b w2) 2^-K, K = precision_bits + 20 (the bits
-        of OrbitEvaluation.torus_coordinates), lies within R = 2^(slack - h)
-        scale of L, h = precision_bits // 2, scale = max(|w1|, |w2|): the
-        one membership rule of orbit_degree, trace_point and relation_search,
-        decided in integers on the lattice metric.
+        """Whether z = (a w1 + b w2) 2^-K, K = torus_bits, lies within R =
+        2^(slack - h) scale of L, h = precision_bits // 2, scale = max(|w1|,
+        |w2|): the one membership rule of orbit_degree, trace_point and
+        relation_search, decided in integers on the lattice metric.
 
         It needs det = |Im(conj(w1) w2)| >= 2^-8 scale^2 (0.82 scale^2 on
         37a, 1 on 32a, 0.66 on 49a), else raises PrecisionUnachievable.  By
@@ -118,13 +133,13 @@ class Lattice:
         point is at least 2^-8 scale - R >= 2^10 R away.
 
         Margin for orbit_degree, on the unchecked premise scale > 2^(12 + h -
-        prec) (scale is about 3 on the bundled curves): eval_phi's z errs
-        below eta = 2^-(prec+3), and rounding to (A, B) adds at most 2^-K
-        scale.  For two points of one class the difference or the sum of n
-        (A, B), n <= 12, is then within 24 (eta + 2^-K scale) < 2^(2-prec) +
-        2^-(prec+15) scale of L, below 2^-9 R under the premise.
+        prec) (about 3 on the bundled curves): eval_phi errs below eta =
+        2^-(prec+3), and torus adds under 2^(5-K) scale for coordinates below
+        2 (below 0.8 for every |D| < 400 on the bundled curves).  So n (A, B)
+        of two points of one class, n <= 12, differ or sum within 24 (eta +
+        2^(5-K) scale) < 2^(2-prec) + 2^-(prec+10) scale of L, below 2^-9 R.
         """
-        K, h = self.precision_bits + 20, self.precision_bits // 2
+        K, h = self.torus_bits, self.precision_bits // 2
         g11, g12, g22, _ = self._metric
         bound = self.near_bound(slack)
         half, mask = 1 << (K - 1), (1 << K) - 1
@@ -143,12 +158,12 @@ class Lattice:
         s, t = self.coordinates(z)
         s0, t0 = mp.nint(s), mp.nint(t)
         dists = []
-        for ds in (-1, 0, 1):
-            for dt in (-1, 0, 1):
-                w = z - (s0 + ds) * self.omega1 - (t0 + dt) * self.omega2
-                dists.append(abs(w))
-        dists.sort()
-        return (dists[0], dists[1])
+        with mp.workprec(self.torus_bits):
+            for ds in (-1, 0, 1):
+                for dt in (-1, 0, 1):
+                    w = z - (s0 + ds) * self.omega1 - (t0 + dt) * self.omega2
+                    dists.append(abs(w))
+        return tuple(sorted(dists)[:2])
 
 
 def _coordinates(z: mpc, w1: mpc, w2: mpc) -> tuple[mpf, mpf]:

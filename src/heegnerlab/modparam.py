@@ -2,10 +2,11 @@
 
 Evaluates phi(tau) = sum a_n q^n / n on the upper half plane, one whole
 orbit per pass, in integer fixed point over the coefficients that an_coeffs
-keeps per curve, takes conjugate orbits of class-field points to the torus
-C/L, with their integer lattice coordinates, and forms trace points; only a
-trace is mapped to curve coordinates.  Precision is chosen at orbit_points
-and eval_phi; an orbit and its trace read it from their lattice.
+keeps per curve, stores conjugate orbits of class-field points by their
+integer coordinates on the torus C/L (Lattice.torus), and sums them to
+trace points; only a trace is mapped to curve coordinates.  Precision is
+chosen at orbit_points and eval_phi; an orbit and its trace read it from
+their lattice.
 Recognition has one entry point per input shape: recognize for one point
 over Q, recognize_quadratic for one point over Q(sqrt(D)) in its fixed
 embedding (twist points with x in Q included).  recognize_trace(tr) sends
@@ -109,42 +110,32 @@ def eval_phi(E: CurveModel, taus, precision_bits: int
 
 @dataclass(frozen=True)
 class OrbitEvaluation:
-    """Images of a full conjugate orbit of class-field points on the torus:
-    points_z are lattice-reduced Abel-Jacobi images, one per ideal class.
-    weierstrass_map gives a point's curve coordinates."""
+    """A full conjugate orbit of class-field points on the torus, one per
+    ideal class, stored as the torus_coordinates (Lattice.torus) of their
+    Abel-Jacobi images; points_z are the reduced images (Lattice.point)."""
 
     curve: CurveModel
     discriminant: int
-    points_z: tuple[mpc, ...]
+    torus_coordinates: tuple[tuple[int, int], ...]
     terms_used: int
     lattice: Lattice
 
     @cached_property
-    def torus_coordinates(self) -> tuple[tuple[int, int], ...]:
-        """Integer lattice coordinates (A, B) = round((s, t) 2^K), K =
-        prec + 20 with prec the lattice's precision_bits, of each z = s
-        omega1 + t omega2 in points_z; computed once per orbit."""
-        L = self.lattice
-        K = L.precision_bits + 20
-        with mp.workprec(K):
-            return tuple(
-                tuple(int(mp.nint(mp.ldexp(c, K))) for c in L.coordinates(z))
-                for z in self.points_z
-            )
+    def points_z(self) -> tuple[mpc, ...]:
+        return tuple(self.lattice.point(*c) for c in self.torus_coordinates)
 
 
 def orbit_points(E: CurveModel, D: int, precision_bits: int) -> OrbitEvaluation:
     """Evaluate phi at every fiber representative over level E.conductor and
-    discriminant D, in one eval_phi pass, and reduce mod the period
-    lattice.  terms_used is the largest term count of the orbit.  An
-    inadmissible D raises HeegnerConditionFailed."""
+    discriminant D, in one eval_phi pass, and store each value's torus
+    coordinates on the period lattice.  terms_used is the largest term
+    count of the orbit.  An inadmissible D raises HeegnerConditionFailed."""
     fiber = heegner_fiber(D, E.conductor)
     L = periods(E, precision_bits)
-    with mp.workprec(precision_bits + 20):
-        taus = [rep.tau(precision_bits + 20) for rep in fiber]
-        values, Ms = eval_phi(E, taus, precision_bits)
-        zs = tuple(L.reduce(v) for v in values)
-    return OrbitEvaluation(curve=E, discriminant=D, points_z=zs,
+    taus = [rep.tau(precision_bits + 20) for rep in fiber]
+    values, Ms = eval_phi(E, taus, precision_bits)
+    return OrbitEvaluation(curve=E, discriminant=D,
+                           torus_coordinates=tuple(map(L.torus, values)),
                            terms_used=max(Ms), lattice=L)
 
 
@@ -163,17 +154,14 @@ class TracePoint:
 
 def trace_point(orbit: OrbitEvaluation) -> TracePoint:
     """Sum (A, B) of the orbit's integer torus_coordinates, exact, in 2^-K
-    units, K = prec + 20.  The identity if L.near(A, B); flagged, not
+    units, K = L.torus_bits.  The identity if L.near(A, B); flagged, not
     resolved, if only L.near(2A, 2B): a sum in the strict index-two
-    superlattice (1/2)L.  z is formed once from (A, B), reduced as L.reduce
-    does, both coordinates in [-d, 1 - d), d = 2^-(prec - 10) = 2^30 units."""
+    superlattice (1/2)L.  z = L.point(A, B)."""
     L = orbit.lattice
-    prec, K = L.precision_bits, L.precision_bits + 20
+    prec = L.precision_bits
     A, B = map(sum, zip(*orbit.torus_coordinates))
-    d, mask = 1 << (K + 10 - prec), (1 << K) - 1
+    z = L.point(A, B)
     with mp.workprec(prec + 20):
-        z = (mp.ldexp(((A + d) & mask) - d, -K) * L.omega1
-             + mp.ldexp(((B + d) & mask) - d, -K) * L.omega2)
         if L.near(A, B):
             return TracePoint(orbit=orbit, z=z, xy=None, is_real=True,
                               half_lattice=False)
@@ -215,7 +203,7 @@ def recognize(
     points,
     denominator_bound: int,
     E: CurveModel,
-    precision_bits: int = 200,
+    precision_bits: int,
 ) -> RecognizedAlgebraic:
     """Exact rational point of E behind one numerical point, given as
     [(x, y)].  Accepted only when the rounded point satisfies the curve
@@ -240,7 +228,7 @@ def recognize_quadratic(
     denominator_bound: int,
     E: CurveModel,
     D: int,
-    precision_bits: int = 200,
+    precision_bits: int,
 ) -> RecognizedAlgebraic:
     """Exact point of E over Q(sqrt(D)), D < 0, behind one numerical point
     (x, y) in the embedding that sends sqrt(D) to its principal root.  Each

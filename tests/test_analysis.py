@@ -128,14 +128,16 @@ def _synthetic_orbit(coordinates, prec=PREC):
     L = _lattice("37a", prec)
     with mp.workprec(prec + 20):
         zs = tuple(s * L.omega1 + t * L.omega2 for s, t in coordinates)
-    return OrbitEvaluation(curve=E37, discriminant=-7, points_z=zs,
+    return OrbitEvaluation(curve=E37, discriminant=-7,
+                           torus_coordinates=tuple(map(L.torus, zs)),
                            terms_used=0, lattice=L)
 
 
 def _orbits(sets, L):
     # one stand-in orbit per tuple of conjugate z's on L, the shape that
     # relation_search takes; the search reads only the points and L
-    return [OrbitEvaluation(curve=E37, discriminant=-7, points_z=tuple(zs),
+    return [OrbitEvaluation(curve=E37, discriminant=-7,
+                            torus_coordinates=tuple(map(L.torus, zs)),
                             terms_used=0, lattice=L) for zs in sets]
 
 
@@ -604,6 +606,21 @@ def test_precision_is_read_from_the_object():
                      for n in ast.walk(a.annotation) if isinstance(n, ast.Name)}
             if typed & carriers and names & {"prec", "precision_bits"}:
                 offenders.append(f"{module.__name__}.{fn.name}")
+    assert offenders == []
+
+
+def test_only_lattice_reads_the_basis():
+    # the lattice owns its basis and the integer torus: every other module
+    # goes through Lattice.torus, point, near and the other methods
+    basis = {"omega1", "omega2", "reduced_basis"}
+    offenders = []
+    for info in pkgutil.iter_modules(heegnerlab.__path__):
+        if info.name == "lattice":
+            continue
+        module = importlib.import_module(f"heegnerlab.{info.name}")
+        for node in ast.walk(ast.parse(inspect.getsource(module))):
+            if isinstance(node, ast.Attribute) and node.attr in basis:
+                offenders.append(f"{module.__name__}:{node.lineno}")
     assert offenders == []
 
 

@@ -2,7 +2,7 @@ from fractions import Fraction as F
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from heegnerlab import ellcurve
@@ -364,4 +364,50 @@ class TestTorsion:
             if P.is_infinity:
                 continue
             assert point_mul(2, P, E32).is_infinity
+
+    @pytest.mark.parametrize("k", [2, 30])
+    def test_cube_twist_has_one_two_torsion_point(self, k):
+        # y^2 = x^3 - 2^(3k): (2^k, 0) and nothing else; at k = 30 the
+        # numerical root finder this replaced did not converge
+        E = CurveModel(0, 0, 0, 0, -(2 ** (3 * k)), conductor=1)
+        points, structure = torsion_subgroup(E)
+        assert structure == (2,)
+        assert [(P.x, P.y) for P in points if not P.is_infinity] == [
+            (F(2**k), F(0))]
+
+
+def polyroots_integer_cubic_roots(A, C):
+    # the numerical root finder that _integer_cubic_roots replaced, verbatim:
+    # rounded mpmath polyroots, kept as the oracle on small coefficients
+    from mpmath import mp, polyroots
+
+    roots = []
+    with mp.workprec(80):
+        rts = polyroots([1, 0, A, C], maxsteps=200, extraprec=60)
+    for r in rts:
+        if abs(mp.im(r)) < 1e-6:
+            n = int(mp.nint(mp.re(r)))
+            for X in (n - 1, n, n + 1):
+                if X**3 + A * X + C == 0:
+                    roots.append(X)
+    return sorted(set(roots))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(-10**6, 10**6), st.integers(-10**9, 10**9))
+def test_integer_cubic_roots_match_polyroots(A, C):
+    assume(4 * A**3 + 27 * C**2 != 0)  # polyroots fails on a repeated root
+    assert ellcurve._integer_cubic_roots(A, C) == polyroots_integer_cubic_roots(A, C)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(-300, 300), min_size=2, max_size=2))
+def test_integer_cubic_roots_of_split_cubics(r):
+    # three integer roots summing to 0: X^3 + A X + C with A = e2, C = -e3;
+    # repeated roots, on which polyroots does not converge, included
+    r = [*r, -sum(r)]
+    A, C = r[0] * r[1] + r[0] * r[2] + r[1] * r[2], -r[0] * r[1] * r[2]
+    assert ellcurve._integer_cubic_roots(A, C) == sorted(set(r))
+    if len(set(r)) == 3:
+        assert polyroots_integer_cubic_roots(A, C) == sorted(r)
 

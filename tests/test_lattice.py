@@ -330,6 +330,48 @@ class TestLatticeOps:
             assert d0 > 0
 
 
+class TestTorus:
+    @pytest.mark.parametrize("E", [E37, E32, E49])
+    def test_methods_ignore_the_ambient_precision(self, E):
+        # a 200-bit lattice used at the default 53 bits gives what it gives
+        # under mp.workprec(K), to the bit
+        L = periods(E, PREC)
+        K = PREC + 20
+        with mp.workprec(K):
+            z = mp.mpf("0.3") * L.omega1 - mp.mpf("2.71") * L.omega2
+            want = L.coordinates(z), L.reduce(z), L.nearest_distances(z)
+        with mp.workprec(53):
+            assert (L.coordinates(z), L.reduce(z),
+                    L.nearest_distances(z)) == want
+        assert L.torus_bits == K
+        with mp.workprec(K):
+            A, B = L.torus(z)
+            want_point = L.point(A, B)
+        with mp.workprec(53):
+            assert L.torus(z) == (A, B)
+            assert L.point(A, B) == want_point
+
+    @settings(max_examples=60, deadline=None)
+    @given(E=st.sampled_from([E37, E32, E49]),
+           prec=st.sampled_from([53, 200, 1000]), data=st.data())
+    def test_point_torus_round_trip(self, E, prec, data):
+        L = periods(E, prec)
+        K, d = L.torus_bits, 1 << 30
+        coordinate = (st.integers(-(2 ** (K + 3)), 2 ** (K + 3))
+                      | st.integers(-d - 3, -d + 3)
+                      | st.integers(2**K - d - 3, 2**K - d + 3))
+        A, B = data.draw(coordinate), data.draw(coordinate)
+        m, n = data.draw(st.integers(-5, 5)), data.draw(st.integers(-5, 5))
+        z = L.point(A, B)
+        assert L.point(A + m * 2**K, B + n * 2**K) == z
+        # z and its coordinates are each formed at K bits: a few roundings of
+        # 2^-K relative, magnified by at most scale^2 / det <= 1.52 (49a),
+        # keep the round trip within 13 * 1.52 + 1 < 21 units (4 measured)
+        for got, c in zip(L.torus(z), (A, B)):
+            # the representative of c mod 2^K in [-d, 2^K - d)
+            assert abs(got - ((c + d) % 2**K - d)) < 21
+
+
 class TestNearAgainstDistanceOracle:
     # a lattice point plus r times the radius 2^-(prec/2) max|w_i| in a
     # drawn direction; at slack s the radius is 2^s times larger

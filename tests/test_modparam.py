@@ -318,7 +318,9 @@ class TestTrace:
         import dataclasses
 
         orb = orbit_points(E37, -83, PREC)
-        perm = dataclasses.replace(orb, points_z=orb.points_z[::-1])
+        perm = dataclasses.replace(
+            orb, torus_coordinates=tuple(map(orb.lattice.torus,
+                                             orb.points_z[::-1])))
         with mp.workprec(PREC):
             t1, t2 = trace_point(orb), trace_point(perm)
             assert abs(t1.z - t2.z) < mp.mpf(2) ** -(PREC - 20)
