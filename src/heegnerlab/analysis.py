@@ -87,12 +87,9 @@ def relation_search(orbits, B: int) -> Relation | None:
     B_i) at every combination of embeddings: z = t sum n_i z_i^(sigma) is
     within 2^-(prec/2) max|w_i| of L, prec = L.precision_bits, and the
     next-nearest lattice point is 2^10 times farther.  The first accepted
-    candidate in lexicographic order (vector, then t) wins.
-
-    An inline sieve runs first: a candidate survives only if, at every
-    combination, both coordinates of the sum lie within sigma =
-    L.near_bound(), near's own bail-out bound, of a multiple of 2^K, K =
-    L.torus_bits.  So it rejects nothing that near accepts.
+    candidate in lexicographic order (vector, then t) wins.  Only the t
+    that L.torsion_candidates returns for the sum at the first embeddings,
+    a necessary condition of near there, have their combinations built.
     """
     r = len(orbits)
     if not 2 <= r <= _MAX_POINTS:
@@ -103,31 +100,15 @@ def relation_search(orbits, B: int) -> Relation | None:
     if any(o.lattice != L for o in orbits):
         raise ValueError("the orbits must share one lattice")
     fixed = [o.torus_coordinates for o in orbits]
-    combos = list(itertools.product(*(range(len(c)) for c in fixed)))
-    mask = (1 << L.torus_bits) - 1
-    sigma = L.near_bound()
     for vec in _coefficient_vectors(r, B):
-        sums = []  # integer coordinate sums, one per combination as needed
-        for t in range(1, _TORSION_CAP + 1):
-            for k, combo in enumerate(combos):
-                if k == len(sums):
-                    sums.append(_coordinate_sums(vec, combo, fixed))
-                a, b = sums[k]
-                if (((t * a + sigma) & mask) > 2 * sigma
-                        or ((t * b + sigma) & mask) > 2 * sigma):
-                    break
-            else:
-                if all(L.near(t * a, t * b) for a, b in sums):
-                    return Relation(coefficients=vec, torsion_slack=t)
+        a = sum(n * c[0][0] for n, c in zip(vec, fixed))
+        b = sum(n * c[0][1] for n, c in zip(vec, fixed))
+        for t in L.torsion_candidates(a, b, _TORSION_CAP):
+            if all(L.near(t * sum(n * x for n, (x, _) in zip(vec, pts)),
+                          t * sum(n * y for n, (_, y) in zip(vec, pts)))
+                   for pts in itertools.product(*fixed)):
+                return Relation(coefficients=vec, torsion_slack=t)
     return None
-
-
-def _coordinate_sums(vec, combo, fixed) -> tuple[int, int]:
-    a = b = 0
-    for n, coords, ci in zip(vec, fixed, combo):
-        a += n * coords[ci][0]
-        b += n * coords[ci][1]
-    return a, b
 
 
 def verify_relation(exact_points, rel: Relation, E: CurveModel) -> bool:

@@ -16,11 +16,7 @@ from dataclasses import dataclass
 from mpmath import mp, mpc
 
 from . import arith, qform
-from .errors import (
-    DiscriminantMismatch,
-    HeegnerConditionFailed,
-    InvalidDiscriminant,
-)
+from .errors import DiscriminantMismatch, HeegnerConditionFailed
 
 
 @dataclass(frozen=True)
@@ -46,8 +42,7 @@ class HeegnerPointRep:
 
 def heegner_condition(D: int, N: int) -> bool:
     """gcd(D, N) = 1 and every prime dividing N splits in Q(sqrt(D))."""
-    if D >= 0 or D % 4 not in (0, 1):
-        raise InvalidDiscriminant(f"{D} is not a negative discriminant")
+    qform.check_discriminant(D)
     if N < 1:
         raise ValueError("N must be positive")
     if math.gcd(D, N) != 1:

@@ -113,6 +113,15 @@ class Lattice:
         units: ceil(2^(K - h) scale^2 / det) + 1, times 2^slack."""
         return self._metric[3] << slack
 
+    def torsion_candidates(self, a: int, b: int, limit: int) -> list[int]:
+        """The t in 1..limit, ascending, with both centred coordinates of t
+        (a, b) mod 2^K at most sigma = near_bound(): near(t a, t b) bails
+        out unless both are below sigma, so it holds for no other t."""
+        sigma, mask = self.near_bound(), (1 << self.torus_bits) - 1
+        return [t for t in range(1, limit + 1)
+                if ((t * a + sigma) & mask) <= 2 * sigma
+                and ((t * b + sigma) & mask) <= 2 * sigma]
+
     def near(self, a: int, b: int, slack: int = 0) -> bool:
         """Whether z = (a w1 + b w2) 2^-K, K = torus_bits, lies within R =
         2^(slack - h) scale of L, h = precision_bits // 2, scale = max(|w1|,

@@ -129,10 +129,15 @@ def orbit_points(E: CurveModel, D: int, precision_bits: int) -> OrbitEvaluation:
     """Evaluate phi at every fiber representative over level E.conductor and
     discriminant D, in one eval_phi pass, and store each value's torus
     coordinates on the period lattice.  terms_used is the largest term
-    count of the orbit.  An inadmissible D raises HeegnerConditionFailed."""
+    count of the orbit.  An inadmissible D raises HeegnerConditionFailed.
+    Each tau is formed at prec + 40 bits, prec = precision_bits: Re tau, in
+    [-1, 0], errs by at most 2^-(prec+40) and Im tau = y by 2^-(prec+39) y;
+    for y >= 10^-3 (eval_phi's floor), |dphi/dtau| <= 4 pi |q| / (1 -
+    |q|)^2 < 2^18.3 and y |dphi/dtau| < 2^8.4.  So phi moves by under
+    2^-(prec+21): each value errs below 2^-(prec+3), Lattice.near's eta."""
     fiber = heegner_fiber(D, E.conductor)
     L = periods(E, precision_bits)
-    taus = [rep.tau(precision_bits + 20) for rep in fiber]
+    taus = [rep.tau(precision_bits + 40) for rep in fiber]
     values, Ms = eval_phi(E, taus, precision_bits)
     return OrbitEvaluation(curve=E, discriminant=D,
                            torus_coordinates=tuple(map(L.torus, values)),
@@ -193,6 +198,16 @@ def _mpf_to_fraction(x: mpf) -> Fraction:
     return -v if sign else v
 
 
+def _screen(residual: mpf, x: mpc, y: mpc) -> None:
+    """RecognitionFailed unless residual <= min(2^-20, max(2^-(p//2) (1 +
+    |x| + |y|)^2, 2^-(p-30))), p = mp.prec = precision_bits + 20: genuine
+    algebraic inputs round to machine accuracy; a merely small residual
+    (~bound^-2) signals a spurious continued-fraction hit."""
+    strict = mp.ldexp(1, -(mp.prec // 2)) * (1 + abs(x) + abs(y)) ** 2
+    if residual > min(_RESIDUAL_CAP, max(strict, mp.ldexp(1, 30 - mp.prec))):
+        raise RecognitionFailed(f"residual {mp.nstr(residual, 5)} too large")
+
+
 def _round_rational(v, bound: int) -> tuple[Fraction, mpf]:
     r = _mpf_to_fraction(mp.re(v)).limit_denominator(bound)
     err = abs(mp.re(v) - mp.mpf(r.numerator) / r.denominator)
@@ -206,8 +221,9 @@ def recognize(
     precision_bits: int,
 ) -> RecognizedAlgebraic:
     """Exact rational point of E behind one numerical point, given as
-    [(x, y)].  Accepted only when the rounded point satisfies the curve
-    equation exactly."""
+    [(x, y)].  The residual, the rounding error of Re x and Re y plus |Im
+    x| + |Im y|, must pass _screen, and the rounded point must satisfy the
+    curve equation exactly."""
     if denominator_bound < 1:
         raise ValueError("denominator_bound must be positive")
     [(x, y)] = points
@@ -216,8 +232,7 @@ def recognize(
         rx, ex = _round_rational(x, denominator_bound)
         ry, ey = _round_rational(y, denominator_bound)
         residual = ex + ey + abs(mp.im(x)) + abs(mp.im(y))
-    if residual > _RESIDUAL_CAP:
-        raise RecognitionFailed(f"residual {mp.nstr(residual, 5)} too large")
+        _screen(residual, x, y)
     if not E.on_curve(rx, ry):
         raise RecognitionFailed("rounded point misses the curve equation")
     return RecognizedAlgebraic(kind="rational", value=(rx, ry), residual=residual)
@@ -235,7 +250,7 @@ def recognize_quadratic(
     coordinate v is read as u + w sqrt(D) with u = Re v and w = Im v /
     sqrt(|D|), and u, w are rounded to denominators up to
     denominator_bound^2; a twist point (x in Q, y in sqrt(D) Q) is one
-    case.  Accepted only when the exact point satisfies the curve equation."""
+    case.  _screen and the exact curve equation decide acceptance."""
     if denominator_bound < 1:
         raise ValueError("denominator_bound must be positive")
     if D >= 0:
@@ -250,12 +265,7 @@ def recognize_quadratic(
             w, ew = _round_rational(mp.im(v) / root, bound)
             exact.append(QuadElt.make(u, w, D))
             residual += eu + ew * root
-        # genuine algebraic inputs round to machine accuracy; a merely-small
-        # residual (~bound^-2) signals a spurious continued-fraction hit
-        strict = mp.mpf(2) ** (-(mp.prec // 2)) * (1 + abs(x) + abs(y)) ** 2
-        screen = min(_RESIDUAL_CAP, max(strict, mp.mpf(2) ** (-(mp.prec - 30))))
-        if residual > screen:
-            raise RecognitionFailed(f"residual {mp.nstr(residual, 5)} too large")
+        _screen(residual, x, y)
     if not E.on_curve(*exact):
         raise RecognitionFailed("quadratic point misses the curve equation")
     return RecognizedAlgebraic(kind="quadratic", value=tuple(exact),

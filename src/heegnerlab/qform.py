@@ -67,9 +67,14 @@ class ClassGroup:
         return principal_form(self.discriminant)
 
 
-def principal_form(D: int) -> BinaryQuadraticForm:
+def check_discriminant(D: int) -> None:
+    """Raise InvalidDiscriminant unless D < 0 and D = 0 or 1 mod 4."""
     if D >= 0 or D % 4 not in (0, 1):
         raise InvalidDiscriminant(f"{D} is not a negative discriminant")
+
+
+def principal_form(D: int) -> BinaryQuadraticForm:
+    check_discriminant(D)
     if D % 4 == 0:
         return BinaryQuadraticForm(1, 0, -D // 4)
     return BinaryQuadraticForm(1, 1, (1 - D) // 4)
@@ -101,8 +106,7 @@ def enumerate_reduced(D: int) -> ClassGroup:
     Iterates over b of the right parity with 3b^2 <= |D| and splits
     (b^2 - D)/4 into divisor pairs a*c.
     """
-    if D >= 0 or D % 4 not in (0, 1):
-        raise InvalidDiscriminant(f"{D} is not a negative discriminant")
+    check_discriminant(D)
     forms = []
     b = D & 1
     while 3 * b * b <= -D:

@@ -611,8 +611,9 @@ def test_precision_is_read_from_the_object():
 
 def test_only_lattice_reads_the_basis():
     # the lattice owns its basis and the integer torus: every other module
-    # goes through Lattice.torus, point, near and the other methods
-    basis = {"omega1", "omega2", "reduced_basis"}
+    # goes through Lattice.torus, point, near and the other methods, and
+    # reads neither the torus format nor near's bail-out bound
+    basis = {"omega1", "omega2", "reduced_basis", "torus_bits", "near_bound"}
     offenders = []
     for info in pkgutil.iter_modules(heegnerlab.__path__):
         if info.name == "lattice":

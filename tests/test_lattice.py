@@ -405,6 +405,54 @@ class TestNearAgainstDistanceOracle:
             L.near_bound()
 
 
+def _centred(x, K):
+    # the representative of x mod 2^K in [-2^(K-1), 2^(K-1))
+    x %= 1 << K
+    return x - (1 << K) if x >= 1 << (K - 1) else x
+
+
+@st.composite
+def screened_pairs(draw):
+    """(L, a, b): a pair that some t0 <= 12 sends to within an offset e of
+    a lattice point, e drawn inside, on and just outside the screen's bound
+    sigma and near zero, or a pair of arbitrary integers."""
+    L = periods(draw(st.sampled_from([E37, E32, E49])),
+                draw(st.sampled_from([53, 100, 200])))
+    K, sigma = L.torus_bits, L.near_bound()
+    if draw(st.booleans()):
+        wide = st.integers(-(2 ** (K + 3)), 2 ** (K + 3))
+        return L, draw(wide), draw(wide)
+    t0 = draw(st.integers(1, 12))
+    edge = st.sampled_from([s * (sigma + e) for s in (1, -1) for e in (-1, 0, 1)])
+    offset = st.one_of(st.integers(-3, 3), st.integers(-2 * sigma, 2 * sigma),
+                       edge)
+    a, b = ((draw(st.integers(-(2 ** K), 2 ** K)) * 2**K + draw(offset)) // t0
+            for _ in range(2))
+    return L, a, b
+
+
+K200 = PREC + 20
+
+
+class TestTorsionCandidates:
+    # 3 (a, b) = (5 2^K + 1, -2^K - 2), 1 and -2 units from L: near holds at
+    # t = 3, 6, 9, 12, and t (a, b) is a third of a period away for the rest
+    @settings(max_examples=150, deadline=None)
+    @given(case=screened_pairs())
+    @example(case=(periods(E37, PREC), (5 * 2**K200 + 1) // 3,
+                   -(2**K200 + 2) // 3))
+    def test_screen_is_centred_bound_and_keeps_near(self, case):
+        L, a, b = case
+        K, sigma = L.torus_bits, L.near_bound()
+        ts = L.torsion_candidates(a, b, 12)
+        assert ts == [t for t in range(1, 13)
+                      if abs(_centred(t * a, K)) <= sigma
+                      and abs(_centred(t * b, K)) <= sigma]
+        for t in range(1, 13):
+            if L.near(t * a, t * b):
+                assert t in ts
+
+
 LATTICES = {E: periods(E, PREC) for E in (E37, E32, E49)}
 PRECS = (200, 500, 1000)
 LATTICES_BY_PREC = {(E, p): periods(E, p) for E in (E37, E32, E49) for p in PRECS}

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
-from heegnerlab import ellcurve
+from heegnerlab import ellcurve, modparam
 from heegnerlab.ellcurve import CurveModel, QuadElt, an_coeffs, ap
 from heegnerlab.errors import (ConvergenceTooSlow, HeegnerConditionFailed,
                               RecognitionFailed)
@@ -297,6 +297,25 @@ class TestOrbits:
         assert L2 is not L
         assert (L2.omega1, L2.omega2) == (L.omega1, L.omega2)
 
+    def test_tau_rounding_stays_below_the_error_budget(self, monkeypatch):
+        # 32a D = -3999, the class with a = 5344: Im tau = 0.0059, where
+        # |dphi/dtau| is about 2^13; tau formed at prec + 20 bits moved phi
+        # by 2^-218.9, above the 2^-220 that orbit_points allows for it
+        rep = next(r for r in heegner_fiber(-3999, 32) if r.form.a == 5344)
+        seen = []
+
+        def recording_eval_phi(E, taus, prec):
+            seen.append(eval_phi(E, taus, prec))
+            return seen[-1]
+
+        monkeypatch.setattr(modparam, "heegner_fiber", lambda D, N: (rep,))
+        monkeypatch.setattr(modparam, "eval_phi", recording_eval_phi)
+        orbit = orbit_points(E32, -3999, PREC)
+        [((value,), (M,))] = seen
+        exact, (M_exact,) = eval_phi(E32, [rep.tau(PREC + 200)], PREC)
+        assert orbit.terms_used == M == M_exact == 3911
+        assert abs(value - exact[0]) < mp.ldexp(1, -(PREC + 20))
+
     def test_edge_point_reduces_near_zero(self):
         # z_1 of 37a D = -108 is real; at 300 bits rounding noise puts its
         # t just below 0 or just above, and either way it must stay near 0
@@ -541,6 +560,15 @@ class TestRecognize:
         pair = (mp.mpf(0), mp.mpf(0))
         with pytest.raises(ValueError):
             recognize([pair, pair], 10, E37, precision_bits=PREC)
+
+    @pytest.mark.parametrize("y", [0, -1])
+    def test_near_miss_fails_the_screen(self, y):
+        # (2^-26, y + 2^-26) rounds to the point (0, y) of 37a with residual
+        # 2^-25, below 2^-20 but far above the 220-bit screen
+        with mp.workprec(PREC + 20):
+            near_miss = (mp.ldexp(1, -26), y + mp.ldexp(1, -26))
+        with pytest.raises(RecognitionFailed):
+            recognize([near_miss], 10**6, E37, precision_bits=PREC)
 
 
 # traces over Q(sqrt(D)) among the first 25 admissible D that the two-pair
