@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 from . import arith
-from .ellcurve import CurveModel, CurvePoint, INFINITY, point, point_add, point_mul
+from .ellcurve import CurveModel, CurvePoint, INFINITY, point_add, point_mul
 from .errors import (
     ClusterAmbiguous,
     FieldMismatch,
@@ -25,6 +25,12 @@ from .modparam import (OrbitEvaluation, orbit_points, recognize_trace,
 
 _TORSION_CAP = 12
 _MAX_POINTS = 4  # points one relation search combines
+
+
+def _check_bound(B: int) -> None:
+    # the coefficient bound of one relation search
+    if not 1 <= B <= 50:
+        raise ValueError("B must be in 1..50")
 
 
 def orbit_degree(orbit: OrbitEvaluation, n: int) -> int:
@@ -94,8 +100,7 @@ def relation_search(orbits, B: int) -> Relation | None:
     r = len(orbits)
     if not 2 <= r <= _MAX_POINTS:
         raise ValueError(f"relation search supports 2..{_MAX_POINTS} points")
-    if not 1 <= B <= 50:
-        raise ValueError("B must be in 1..50")
+    _check_bound(B)
     L = orbits[0].lattice
     if any(o.lattice != L for o in orbits):
         raise ValueError("the orbits must share one lattice")
@@ -161,13 +166,15 @@ def independence_report(
 ) -> IndependenceReport:
     """Run the whole pipeline over several imaginary quadratic fields and
     assemble the three-valued verdict.  At most four discriminants may be
-    admissible, the relation search's limit.  A domain error
+    admissible and B must be in 1..50, the relation search's limits, both
+    checked before any orbit is evaluated.  A domain error
     (HeegnerlabError) in one field is recorded in its entry as
     "<stage>: <type>: <message>", with stage one of orbit, degree, trace,
     recognize; any other exception propagates.  The relation's coefficients
     are aligned with discs, 0 for a field that did not join the search."""
     if len(set(discs)) != len(discs):
         raise ValueError("discriminants must be distinct")
+    _check_bound(B)
     admissible = [heegner_condition(D, E.conductor) for D in discs]
     if sum(admissible) > _MAX_POINTS:
         raise ValueError(
@@ -178,13 +185,8 @@ def independence_report(
     joined = []  # index in discs of each orbit
     for i, (D, ok) in enumerate(zip(discs, admissible)):
         if not ok:
-            entries.append(
-                FieldEntry(
-                    discriminant=D,
-                    admissible=False,
-                    error="HeegnerConditionFailed",
-                )
-            )
+            entries.append(FieldEntry(discriminant=D, admissible=False,
+                                      error="HeegnerConditionFailed"))
             continue
         entry, orbit, exact_pt = _field_entry(E, D, precision_bits, B)
         entries.append(entry)
@@ -269,7 +271,5 @@ def _recognize_trace(tr):
         rec = recognize_trace(tr)
     except RecognitionFailed as exc:
         return f"unrecognized: {exc}", None
-    if rec.kind == "rational":
-        rx, ry = rec.value
-        return f"rational ({rx}, {ry})", point(rx, ry)
-    return f"{rec.kind} {rec.value}", CurvePoint(rec.value[0], rec.value[1])
+    P = CurvePoint(*rec.value)
+    return f"{rec.kind} {P}", P

@@ -1,8 +1,10 @@
 """Command line front end.
 
-Every subcommand prints human-readable text by default and a deterministic
+Every subcommand returns a payload and its human-readable text lines;
+run_command prints the lines by default and the payload as a deterministic
 JSON document with --json.  Exit codes: 0 success, 1 domain error (failed
-precondition, failed recognition, ...), 2 usage or parse error.
+precondition, failed recognition, ...), 2 usage or parse error, --prec
+outside 53..1000 included.
 """
 
 from __future__ import annotations
@@ -16,10 +18,10 @@ from fractions import Fraction
 from mpmath import mp
 
 from . import analysis, arith, db, modparam, qform
-from .ellcurve import QuadElt, an_coeffs, torsion_subgroup
-from .errors import HeegnerlabError
+from .ellcurve import CurvePoint, QuadElt, an_coeffs, torsion_subgroup
+from .errors import HeegnerlabError, RecognitionFailed
 from .heegner import heegner_fiber
-from .lattice import weierstrass_map
+from .lattice import PRECISION_BITS, weierstrass_map
 
 
 def _digits(prec_bits: int) -> int:
@@ -68,12 +70,11 @@ def jsonify(v, prec_bits: int):
     return str(v)
 
 
-def _emit(payload: dict, args, text_lines) -> None:
-    if args.json:
-        print(json.dumps(jsonify(payload, args.prec), sort_keys=True))
-    else:
-        for line in text_lines:
-            print(line)
+def _precision(text: str) -> int:
+    bits, lo, hi = int(text), PRECISION_BITS[0], PRECISION_BITS[-1]
+    if bits not in PRECISION_BITS:
+        raise argparse.ArgumentTypeError(f"{bits} is not in {lo}..{hi}")
+    return bits
 
 
 def _form_dict(f):
@@ -93,16 +94,10 @@ def cmd_classgroup(args):
         "structure": list(structure),
         "forms": [_form_dict(f) for f in cg.forms],
     }
-    _emit(
-        payload,
-        args,
-        [
-            f"discriminant {args.disc}: h = {len(cg.forms)}, "
-            f"structure {' x '.join(f'Z/{d}' for d in structure) or 'trivial'}"
-        ]
-        + [f"  ({f.a}, {f.b}, {f.c})" for f in cg.forms],
-    )
-    return 0
+    return payload, [
+        f"discriminant {args.disc}: h = {len(cg.forms)}, "
+        f"structure {' x '.join(f'Z/{d}' for d in structure) or 'trivial'}"
+    ] + [f"  ({f.a}, {f.b}, {f.c})" for f in cg.forms]
 
 
 def cmd_ring_class(args):
@@ -113,8 +108,7 @@ def cmd_ring_class(args):
         "ring_class_number": h,
         "odd_part": arith.odd_part(h).odd_part,
     }
-    _emit(payload, args, [f"h_{args.conductor}({args.disc}) = {h}"])
-    return 0
+    return payload, [f"h_{args.conductor}({args.disc}) = {h}"]
 
 
 def cmd_heegner_list(args):
@@ -134,18 +128,16 @@ def cmd_heegner_list(args):
             f"  ({rep.form.a}, {rep.form.b}, {rep.form.c})"
             f"  tau = {_num(tau, args.prec)}"
         )
-    _emit({"discriminant": args.disc, "level": args.level, "points": reps},
-          args, lines)
-    return 0
+    return {"discriminant": args.disc, "level": args.level,
+            "points": reps}, lines
 
 
 def cmd_coeffs(args):
     E = _curve(args)
     q = an_coeffs(E, args.terms)
     payload = {"curve": E.label, "coefficients": list(q.coefficients)}
-    _emit(payload, args,
-          [f"a_1..a_{args.terms}: {' '.join(str(c) for c in q.coefficients)}"])
-    return 0
+    return payload, [
+        f"a_1..a_{args.terms}: {' '.join(str(c) for c in q.coefficients)}"]
 
 
 def cmd_point(args):
@@ -153,14 +145,13 @@ def cmd_point(args):
     orbit = modparam.orbit_points(E, args.disc, args.prec)
     tr = modparam.trace_point(orbit)
     points_xy = [weierstrass_map(z, E, orbit.lattice) for z in orbit.points_z]
-    recog = None
-    recog_err = None
+    recog = recog_err = None
     if not tr.is_identity:
         try:
             rec = modparam.recognize_trace(tr)
             recog = {"kind": rec.kind, "value": rec.value,
                      "residual": mp.nstr(rec.residual, 5)}
-        except HeegnerlabError as exc:
+        except RecognitionFailed as exc:
             recog_err = str(exc)
     payload = {
         "curve": E.label,
@@ -192,14 +183,10 @@ def cmd_point(args):
         if tr.half_lattice:
             lines.append("warning: trace lies in an index-2 superlattice")
     if recog:
-        val = recog["value"]
-        if isinstance(val, tuple) and len(val) == 2:
-            val = f"({val[0]}, {val[1]})"
-        lines.append(f"recognized ({recog['kind']}): {val}")
+        lines.append(f"recognized ({rec.kind}): {CurvePoint(*rec.value)}")
     elif recog_err:
         lines.append(f"recognition failed: {recog_err}")
-    _emit(payload, args, lines)
-    return 0
+    return payload, lines
 
 
 def cmd_orbit_degree(args):
@@ -212,8 +199,7 @@ def cmd_orbit_degree(args):
         "multiplier": args.mul,
         "orbit_degree": deg,
     }
-    _emit(payload, args, [f"orbit degree of {args.mul}*P: {deg}"])
-    return 0
+    return payload, [f"orbit degree of {args.mul}*P: {deg}"]
 
 
 def cmd_torsion(args):
@@ -231,8 +217,7 @@ def cmd_torsion(args):
     lines = [f"torsion subgroup of {E.label}: order {len(points)} ({desc})"]
     for P in points:
         lines.append(f"  {P}")
-    _emit(payload, args, lines)
-    return 0
+    return payload, lines
 
 
 def cmd_independence(args):
@@ -256,8 +241,7 @@ def cmd_independence(args):
             f"torsion slack {report.relation.torsion_slack}"
         )
     lines.append(report.hypothesis_note)
-    _emit(payload, args, lines)
-    return 0
+    return payload, lines
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -269,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
                         default=argparse.SUPPRESS, help="JSON output")
     common.add_argument("--database", default=argparse.SUPPRESS,
                         help="curve database path")
-    common.add_argument("--prec", type=int, default=argparse.SUPPRESS,
+    common.add_argument("--prec", type=_precision, default=argparse.SUPPRESS,
                         help="working precision in bits (default 200)")
     parser = argparse.ArgumentParser(
         prog="heegnerlab",
@@ -345,10 +329,15 @@ def run_command(argv=None) -> int:
         if not hasattr(args, dest):
             setattr(args, dest, default)
     try:
-        return args.func(args)
+        payload, lines = args.func(args)
     except (HeegnerlabError, ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    if args.json:
+        lines = [json.dumps(jsonify(payload, args.prec), sort_keys=True)]
+    for line in lines:
+        print(line)
+    return 0
 
 
 def main() -> None:

@@ -15,6 +15,8 @@ from importlib import resources
 from .ellcurve import CurveModel
 from .errors import ParseError, ValidationError
 
+# integers are tested with type(v) is int: JSON true and false load as
+# bool, a subclass of int
 _REQUIRED = {"label", "a_invariants", "conductor"}
 _OPTIONAL = {"cm_discriminant", "modular_degree", "known_generators"}
 
@@ -29,22 +31,14 @@ class CurveDatabaseEntry:
     known_generators: tuple[tuple[Fraction, Fraction], ...] = ()
 
     def curve(self) -> CurveModel:
-        a1, a2, a3, a4, a6 = self.a_invariants
-        return CurveModel(
-            a1,
-            a2,
-            a3,
-            a4,
-            a6,
-            conductor=self.conductor,
-            label=self.label,
-            cm_discriminant=self.cm_discriminant,
-            modular_degree=self.modular_degree,
-        )
+        return CurveModel(*self.a_invariants, conductor=self.conductor,
+                          label=self.label,
+                          cm_discriminant=self.cm_discriminant,
+                          modular_degree=self.modular_degree)
 
 
 def _parse_rational(raw, where: str) -> Fraction:
-    if isinstance(raw, int):
+    if type(raw) is int:
         return Fraction(raw)
     if isinstance(raw, str):
         try:
@@ -72,17 +66,17 @@ def _parse_entry(obj, index: int) -> CurveDatabaseEntry:
     if (
         not isinstance(ai, list)
         or len(ai) != 5
-        or not all(isinstance(a, int) for a in ai)
+        or not all(type(a) is int for a in ai)
     ):
         raise ParseError(f"{where}: a_invariants must be five integers")
     N = obj["conductor"]
-    if not isinstance(N, int) or N < 1:
+    if type(N) is not int or N < 1:
         raise ParseError(f"{where}: conductor must be a positive integer")
     cm = obj.get("cm_discriminant")
-    if cm is not None and (not isinstance(cm, int) or cm >= 0):
+    if cm is not None and (type(cm) is not int or cm >= 0):
         raise ParseError(f"{where}: cm_discriminant must be a negative integer")
     deg = obj.get("modular_degree")
-    if deg is not None and (not isinstance(deg, int) or deg < 1):
+    if deg is not None and (type(deg) is not int or deg < 1):
         raise ParseError(f"{where}: modular_degree must be a positive integer")
     gens = []
     for j, g in enumerate(obj.get("known_generators", ())):

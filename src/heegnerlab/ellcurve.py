@@ -18,19 +18,6 @@ from .errors import FieldMismatch
 Rat = Fraction
 
 
-def _sqfree_split(d: int) -> tuple[int, int]:
-    # d = s^2 * d0 with d0 squarefree; returns (d0, s)
-    s = 1
-    d0 = d
-    f = 2
-    while f * f <= abs(d0):
-        while d0 % (f * f) == 0:
-            d0 //= f * f
-            s *= f
-        f += 1
-    return d0, s
-
-
 @dataclass(frozen=True)
 class QuadElt:
     """Exact element x + y*sqrt(d) of a quadratic field, d squarefree != 0, 1."""
@@ -44,7 +31,10 @@ class QuadElt:
         x, y = Fraction(x), Fraction(y)
         if y == 0:
             return x
-        d0, s = _sqfree_split(d)
+        # d = s^2 d0, d0 squarefree
+        s, d0 = 1, -1 if d < 0 else 1
+        for p, e in arith.factorize(abs(d)).items():
+            s, d0 = s * p ** (e // 2), d0 * p ** (e % 2)
         return QuadElt(x, y * s, d0)
 
     def _coerce(self, other):
@@ -266,7 +256,8 @@ def ap(E: CurveModel, p: int) -> int:
     bad prime the count includes the singular point, so a_p is p minus the
     nonsingular points: 1 split multiplicative, -1 non-split, 0 additive."""
     a = p + 1 - _count_points(E, p)
-    assert a * a <= 4 * p, f"Hasse bound violated at {p}"
+    if a * a > 4 * p:
+        raise ArithmeticError(f"Hasse bound violated at {p}")
     return a
 
 
@@ -393,5 +384,6 @@ def _torsion_structure(pts, E: CurveModel) -> tuple[int, ...]:
     mx = max(orders)
     if mx == n:
         return (n,)
-    assert mx * 2 == n, "unexpected torsion structure"
+    if mx * 2 != n:
+        raise ArithmeticError("unexpected torsion structure")
     return (2, mx)

@@ -22,6 +22,8 @@ from mpmath import mp, mpc, mpf
 from .ellcurve import CurveModel, CurvePoint, QuadElt
 from .errors import IdentityPoint, PrecisionUnachievable
 
+PRECISION_BITS = range(53, 1001)  # the precisions periods admits
+
 
 @dataclass(frozen=True)
 class Lattice:
@@ -182,9 +184,8 @@ def _coordinates(z: mpc, w1: mpc, w2: mpc) -> tuple[mpf, mpf]:
             (x1 * mp.im(z) - y1 * mp.re(z)) / det)
 
 
-def _two_division_values(E: CurveModel, prec: int):
+def _two_division_values(c4: int, c6: int, prec: int):
     # roots of 4t^3 - g2 t - g3, the 2-division values of the p-function
-    c4, c6 = E.c_invariants
     with mp.workprec(prec):
         g2 = mpf(c4) / 12
         g3 = mpf(c6) / 216
@@ -201,21 +202,21 @@ def periods(E: CurveModel, precision_bits: int) -> Lattice:
     beta = |e1 - e2| = sqrt(3 e1^2 - g2/4), the real period
     w1 = 2 pi / AGM(2 sqrt(beta), sqrt(2 beta + 3 e1)) and
     w2 = w1/2 + i pi / AGM(2 sqrt(beta), sqrt(2 beta - 3 e1)).
-    Either way Im(w2/w1) > 0.  Calls on one model and precision share one
-    Lattice, and with it its reduced basis and theta constants.
+    Either way Im(w2/w1) > 0.  Calls on one (c4, c6) and precision share
+    one Lattice, and with it its reduced basis and theta constants.
     """
-    if not 53 <= precision_bits <= 1000:
-        raise PrecisionUnachievable("precision_bits must be in 53..1000")
-    return _agm_lattice(E.a_invariants, precision_bits)
+    lo, hi = PRECISION_BITS[0], PRECISION_BITS[-1]
+    if not lo <= precision_bits <= hi:
+        raise PrecisionUnachievable(f"precision_bits must be in {lo}..{hi}")
+    return _agm_lattice(*E.c_invariants, precision_bits)
 
 
 @lru_cache(maxsize=16)
-def _agm_lattice(a_invariants: tuple[int, ...], precision_bits: int) -> Lattice:
-    E = CurveModel(*a_invariants, conductor=0)  # only its invariants are read
+def _agm_lattice(c4: int, c6: int, precision_bits: int) -> Lattice:
     work = precision_bits + 40
-    roots, g2, g3 = _two_division_values(E, work)
+    roots, g2, g3 = _two_division_values(c4, c6, work)
     with mp.workprec(work):
-        if E.discriminant > 0:
+        if c4**3 > c6**2:  # 1728 disc = c4^3 - c6^2
             es = sorted((mp.re(r) for r in roots), reverse=True)
             e1, e2, e3 = es
             w1 = mp.pi / mp.agm(mp.sqrt(e1 - e3), mp.sqrt(e1 - e2))
@@ -297,7 +298,7 @@ def elliptic_log(P: CurvePoint, E: CurveModel, L: Lattice) -> mpc:
         raise ValueError("elliptic log of the identity is the lattice itself")
     prec = L.precision_bits
     b2 = E.b_invariants[0]
-    roots, g2, _ = _two_division_values(E, prec + 20)
+    roots, g2, _ = _two_division_values(*E.c_invariants, prec + 20)
     with mp.workprec(prec + 20):
         x, y = embed(P.x, prec + 20), embed(P.y, prec + 20)
         xw = x + mpf(b2) / 12

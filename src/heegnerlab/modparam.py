@@ -22,6 +22,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from mpmath import mp, mpc, mpf
+from mpmath.libmp import to_rational
 
 from .ellcurve import CurveModel, QuadElt, an_coeffs
 from .errors import ConvergenceTooSlow, RecognitionFailed
@@ -70,19 +71,19 @@ def eval_phi(E: CurveModel, taus, precision_bits: int
     Horner's rule runs on integers.  With M = max M_j (the a_n are
     extended only that far) and g = bitlen(4(M+1)), values carry K =
     precision_bits + 20 + g fraction bits, c_n = floor(a_n 2^K / n) is
-    built once for the orbit, and each q_j carries S = K + g bits.  Each of
-    the M_j + 1 steps acc <- acc q_j + c_n errs by under 4 units of 2^-K:
-    sqrt(2) from flooring the product, 1 from c_n, sqrt(2) from q_j, as
-    |c_n| <= d(n)/sqrt(n) <= 2 bounds |acc| by 2/(1-|q_j|) < 4(M_j+1) <= 2^g
-    (were (M_j+1)(1-|q_j|) <= 1/2, then |q_j|^(M_j+1) >= 1/2 and the tail
-    bound would exceed 1).  Later steps scale an error by |q_j| < 1, so the
-    rounding stays below 4(M_j+1) 2^-K <= 2^-(precision_bits+20): the K
-    shared by the orbit is at least each point's own.  A step forms the
-    complex product from three integer products, k = q_r (re + im), re' =
-    k - im (q_r + q_i), im' = k + re (q_i - q_r); these are the integers
-    re q_r - im q_i and re q_i + im q_r of the four-product form, so the
-    shifted result is the same to the bit and the bound above holds as
-    stated.  The mpc Horner loop this replaced is the oracle in
+    built once for the orbit with c_0 = 0, and each q_j carries S = K + g
+    bits.  Each of the M_j + 1 steps acc <- acc q_j + c_n, n = M_j..0,
+    errs by under 4 units of 2^-K: sqrt(2) from flooring the product, 1
+    from c_n, sqrt(2) from q_j, as |c_n| <= d(n)/sqrt(n) <= 2 bounds |acc|
+    by 2/(1-|q_j|) < 4(M_j+1) <= 2^g (were (M_j+1)(1-|q_j|) <= 1/2, then
+    |q_j|^(M_j+1) >= 1/2 and the tail bound would exceed 1).  Later steps
+    scale an error by |q_j| < 1, so the rounding stays below 4(M_j+1) 2^-K
+    <= 2^-(precision_bits+20): the K shared by the orbit is at least each
+    point's own.  A step forms the complex product from three integer
+    products, k = q_r (re + im), re' = k - im (q_r + q_i), im' = k + re
+    (q_i - q_r); these are the integers re q_r - im q_i and re q_i + im q_r
+    of the four-product form, so the shifted result is the same to the bit
+    and the bound above holds as stated.  The mpc Horner loop this replaced is the oracle in
     tests/test_modparam.py, beside a direct sum carried far past M_j.
     """
     Ms = tuple(_terms_needed(mp.im(tau), precision_bits) for tau in taus)
@@ -90,7 +91,8 @@ def eval_phi(E: CurveModel, taus, precision_bits: int
     g = (4 * M + 4).bit_length()
     K = precision_bits + 20 + g
     S = K + g
-    c = [(a << K) // n for n, a in enumerate(an_coeffs(E, M).coefficients, 1)]
+    c = [0] + [(a << K) // n
+               for n, a in enumerate(an_coeffs(E, M).coefficients, 1)]
     values = []
     for tau, Mj in zip(taus, Ms):
         with mp.workprec(S + 10):
@@ -98,11 +100,9 @@ def eval_phi(E: CurveModel, taus, precision_bits: int
             qr, qi = int(mp.ldexp(mp.re(q), S)), int(mp.ldexp(mp.im(q), S))
         qs, qd = qr + qi, qi - qr
         re = im = 0
-        for cn in reversed(c[:Mj]):
+        for cn in reversed(c[:Mj + 1]):
             k = qr * (re + im)
             re, im = ((k - im * qs) >> S) + cn, (k + re * qd) >> S
-        k = qr * (re + im)
-        re, im = (k - im * qs) >> S, (k + re * qd) >> S
         with mp.workprec(precision_bits + 20):
             values.append(mp.mpc(mp.ldexp(re, -K), mp.ldexp(im, -K)))
     return tuple(values), Ms
@@ -190,26 +190,19 @@ class RecognizedAlgebraic:
 _RESIDUAL_CAP = 2.0**-20
 
 
-def _mpf_to_fraction(x: mpf) -> Fraction:
-    sign, man, exp, _ = x._mpf_
-    if man == 0:
-        return Fraction(0)
-    v = Fraction(int(man), 1) * (Fraction(2) ** int(exp))
-    return -v if sign else v
-
-
 def _screen(residual: mpf, x: mpc, y: mpc) -> None:
-    """RecognitionFailed unless residual <= min(2^-20, max(2^-(p//2) (1 +
-    |x| + |y|)^2, 2^-(p-30))), p = mp.prec = precision_bits + 20: genuine
-    algebraic inputs round to machine accuracy; a merely small residual
-    (~bound^-2) signals a spurious continued-fraction hit."""
+    """RecognitionFailed unless residual <= min(2^-20, 2^-(p//2) (1 + |x| +
+    |y|)^2), p = mp.prec = precision_bits + 20, at least 73 as periods
+    admits precision_bits >= 53: genuine algebraic inputs round to machine
+    accuracy; a merely small residual (~bound^-2) signals a spurious
+    continued-fraction hit."""
     strict = mp.ldexp(1, -(mp.prec // 2)) * (1 + abs(x) + abs(y)) ** 2
-    if residual > min(_RESIDUAL_CAP, max(strict, mp.ldexp(1, 30 - mp.prec))):
+    if residual > min(_RESIDUAL_CAP, strict):
         raise RecognitionFailed(f"residual {mp.nstr(residual, 5)} too large")
 
 
 def _round_rational(v, bound: int) -> tuple[Fraction, mpf]:
-    r = _mpf_to_fraction(mp.re(v)).limit_denominator(bound)
+    r = Fraction(*to_rational(mp.re(v)._mpf_)).limit_denominator(bound)
     err = abs(mp.re(v) - mp.mpf(r.numerator) / r.denominator)
     return r, err
 

@@ -208,7 +208,8 @@ def group_structure(G: ClassGroup) -> tuple[int, ...]:
             for i in range(r):
                 largest[i] *= p
             s += r
-    assert math.prod(largest) == h
+    if math.prod(largest) != h:
+        raise ArithmeticError("invariant factors do not multiply to h")
     return tuple(reversed(largest))
 
 

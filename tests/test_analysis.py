@@ -377,6 +377,26 @@ class TestIndependenceReport:
         with pytest.raises(ValueError):
             independence_report(E37, [-7, -7], 5, PREC)
 
+    @pytest.mark.parametrize("discs, B", [([-7, -11], 0), ([-7, -11], 51),
+                                          ([-7], 100)])
+    def test_bound_checked_before_any_orbit(self, monkeypatch, discs, B):
+        # one check of 1 <= B <= 50, shared with relation_search, before
+        # any orbit is evaluated, also when no search will run
+        seen = []
+        monkeypatch.setattr(analysis, "orbit_points",
+                            lambda *args: seen.append(args))
+        with pytest.raises(ValueError, match=r"B must be in 1\.\.50"):
+            independence_report(E37, discs, B, PREC)
+        assert seen == []
+
+    def test_quadratic_recognition_text(self):
+        # an exact point prints as CurvePoint does, in Q(sqrt(D)) too
+        rep = independence_report(E49, [-19, -31], 4, PREC)
+        assert [e.recognition for e in rep.entries] == [
+            "quadratic (1/2 + -1/2*sqrt(-19), -5/2 + -1/2*sqrt(-19))",
+            "quadratic (-19/32 + 3/32*sqrt(-31), -45/128 + -3/128*sqrt(-31))",
+        ]
+
     def test_divisibility_column(self):
         rep = independence_report(E37, [-7, -11], 5, PREC)
         for e in rep.entries:
@@ -606,6 +626,17 @@ def test_precision_is_read_from_the_object():
                      for n in ast.walk(a.annotation) if isinstance(n, ast.Name)}
             if typed & carriers and names & {"prec", "precision_bits"}:
                 offenders.append(f"{module.__name__}.{fn.name}")
+    assert offenders == []
+
+
+def test_no_assert_in_the_package():
+    # python -O strips assert statements: a check on a result raises
+    offenders = []
+    for info in pkgutil.iter_modules(heegnerlab.__path__):
+        module = importlib.import_module(f"heegnerlab.{info.name}")
+        for node in ast.walk(ast.parse(inspect.getsource(module))):
+            if isinstance(node, ast.Assert):
+                offenders.append(f"{module.__name__}:{node.lineno}")
     assert offenders == []
 
 

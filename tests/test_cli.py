@@ -10,9 +10,14 @@ from pathlib import Path
 import pytest
 from mpmath import mp
 
+from heegnerlab import modparam
 from heegnerlab.cli import build_parser, jsonify, run_command
+from heegnerlab.errors import PrecisionUnachievable
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+# the text each README example printed before every subcommand returned its
+# payload and lines to run_command
+README_TEXT = Path(__file__).resolve().parent / "readme_cli_text.json"
 
 
 def run_json(capsys, args):
@@ -118,6 +123,19 @@ class TestPoint:
         assert rec["value"][1]["sqrt_of"] == -3
 
 
+    def test_other_domain_errors_of_recognition_exit_1(self, capsys,
+                                                        monkeypatch):
+        # point reports a failed recognition in its output; any other
+        # domain error is an error of the request
+        def uncertified(tr):
+            raise PrecisionUnachievable("no certificate")
+
+        monkeypatch.setattr(modparam, "recognize_trace", uncertified)
+        assert run_command(["point", "--curve", "37a", "--disc", "-7"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "no certificate" in captured.err
+
+
 class TestNoiseDigits:
     def test_noise_part_prints_zero(self, capsys):
         # the real trace of 37a D = -108 has an imaginary part near 1e-96
@@ -179,6 +197,30 @@ class TestIndependence:
         assert doc["verdict"] == "relation_found_verified"
         assert doc["relation"]["coefficients"] == [1, 1]
 
+    def test_quadratic_recognition_text(self, capsys):
+        # an exact point over Q(sqrt(D)) prints as CurvePoint does, not as
+        # a dataclass repr, in text and in --json
+        argv = ["independence", "--curve", "49a", "--discs", "-19,-31",
+                "--bound", "4"]
+        want = ["quadratic (1/2 + -1/2*sqrt(-19), -5/2 + -1/2*sqrt(-19))",
+                "quadratic (-19/32 + 3/32*sqrt(-31), -45/128 + -3/128*sqrt(-31))"]
+        assert run_command(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.strip() for line in lines
+                if line.strip().startswith("quadratic")] == want
+        code, doc = run_json(capsys, argv)
+        assert code == 0
+        assert [e["recognition"] for e in doc["entries"]] == want
+
+    def test_bound_outside_1_to_50_exits_1(self, capsys):
+        # refused before any orbit, even with one field and no search
+        argv = ["independence", "--curve", "37a", "--discs", "-7"]
+        for bound in ("0", "51", "100"):
+            assert run_command(argv + ["--bound", bound]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "B must be in 1..50" in captured.err
+
     def test_inadmissible_entry_flagged(self, capsys):
         code, doc = run_json(
             capsys,
@@ -202,6 +244,23 @@ class TestPlumbing:
         assert run_command(["classgroup"]) == 2
         assert run_command(["no-such-command"]) == 2
         assert run_command([]) == 2
+
+    @pytest.mark.parametrize("prec", ["0", "20", "52", "1001", "2000"])
+    def test_precision_outside_53_to_1000_exits_2(self, capsys, prec):
+        # at --prec 0 heegner-list printed every tau as 0.0 and exited 0
+        for argv in (["heegner-list", "--disc", "-83", "--level", "37"],
+                     ["point", "--curve", "37a", "--disc", "-7"]):
+            assert run_command(argv + ["--prec", prec]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "53..1000" in captured.err
+
+    @pytest.mark.parametrize("prec", ["53", "1000"])
+    def test_precision_range_ends_are_accepted(self, capsys, prec):
+        argv = ["heegner-list", "--disc", "-83", "--level", "37"]
+        code, doc = run_json(capsys, argv + ["--prec", prec])
+        assert code == 0
+        assert {p["tau"]["prec_bits"] for p in doc["points"]} == {int(prec)}
 
     def test_global_flags_before_subcommand(self, capsys):
         code = run_command(["--json", "classgroup", "--disc", "-23"])
@@ -253,3 +312,9 @@ class TestReadme:
     def test_cli_example_runs(self, capsys, argv):
         code, _ = run_json(capsys, argv)
         assert code == 0
+
+    @pytest.mark.parametrize("argv", readme_cli_lines(), ids=" ".join)
+    def test_cli_example_text_is_unchanged(self, capsys, argv):
+        want = json.loads(README_TEXT.read_text())[" ".join(argv)]
+        assert run_command(argv) == 0
+        assert capsys.readouterr().out == want

@@ -78,6 +78,20 @@ class TestParsing:
         with pytest.raises(ParseError, match="top level"):
             load_database(write_db(tmp_path, GOOD))
 
+    @pytest.mark.parametrize("field, value", [
+        ("a_invariants", [0, 0, True, -1, 0]),
+        ("conductor", True),
+        ("modular_degree", True),
+        ("cm_discriminant", False),
+        ("known_generators", [[False, False]]),
+    ])
+    def test_json_booleans_are_not_integers(self, tmp_path, field, value):
+        # bool is a subclass of int, so an isinstance check would load
+        # [0, 0, true, -1, 0] as 37a and modular_degree true as 1
+        bad = dict(GOOD, **{field: value})
+        with pytest.raises(ParseError):
+            load_database(write_db(tmp_path, [bad]))
+
     def test_error_names_entry(self, tmp_path):
         bad = dict(GOOD, conductor=-5)
         with pytest.raises(ParseError, match=r"entry 0 \(37a\)"):

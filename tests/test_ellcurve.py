@@ -66,6 +66,29 @@ class TestQuadElt:
         assert a + a.conjugate() == 1
         assert a * a.conjugate() == F(1, 4) - 9 * (-7)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 300), st.integers(-10**5, 10**5).filter(bool),
+           st.fractions(max_denominator=50), st.fractions(max_denominator=50))
+    def test_make_matches_the_loop_oracle(self, s, d0, x, y):
+        # QuadElt.make on s^2 d0 against the trial-division loop it replaced
+        assume(y != 0)
+        d, t = sqfree_split_oracle(s * s * d0)
+        assert QuadElt.make(x, y, s * s * d0) == QuadElt(x, y * t, d)
+
+
+def sqfree_split_oracle(d):
+    """(d0, s) with d = s^2 d0, d0 squarefree: the loop that QuadElt.make
+    ran before it read the square part off arith.factorize."""
+    s = 1
+    d0 = d
+    f = 2
+    while f * f <= abs(d0):
+        while d0 % (f * f) == 0:
+            d0 //= f * f
+            s *= f
+        f += 1
+    return d0, s
+
 
 class TestInvariants:
     def test_37a(self):
@@ -253,6 +276,13 @@ class TestPointCounting:
         E = BAD_REDUCTION_CURVES[label]
         for p in prime_divisors(E.conductor):
             assert ap(E, p) == ap_bad_oracle(E, p), (label, p)
+
+    def test_hasse_violation_raises(self, monkeypatch):
+        # a count of 1 at p = 5 gives a_5 = 5, above 2 sqrt(5); the check
+        # is a raise, not an assert, so it holds under python -O too
+        monkeypatch.setattr(ellcurve, "_count_points", lambda E, p: 1)
+        with pytest.raises(ArithmeticError, match="Hasse bound violated at 5"):
+            ap(E37, 5)
 
 
 def loop_an_coeffs_oracle(E, M):

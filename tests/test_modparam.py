@@ -119,6 +119,77 @@ def far_sum_oracle(E, tau, precision_bits):
         return acc, terms
 
 
+def two_step_horner_oracle(E, taus, precision_bits):
+    """eval_phi's values as it formed them before c_0 = 0 joined the loop:
+    M_j steps acc <- acc q_j + c_n, n = M_j..1, then one trailing multiply
+    by q_j, with the same K, S and three-product step."""
+    Ms = [_terms_needed(mp.im(tau), precision_bits) for tau in taus]
+    g = (4 * max(Ms) + 4).bit_length()
+    K = precision_bits + 20 + g
+    S = K + g
+    c = [(a << K) // n
+         for n, a in enumerate(an_coeffs(E, max(Ms)).coefficients, 1)]
+    values = []
+    for tau, Mj in zip(taus, Ms):
+        with mp.workprec(S + 10):
+            q = mp.exp(2j * mp.pi * tau)
+            qr, qi = int(mp.ldexp(mp.re(q), S)), int(mp.ldexp(mp.im(q), S))
+        qs, qd = qr + qi, qi - qr
+        re = im = 0
+        for cn in reversed(c[:Mj]):
+            k = qr * (re + im)
+            re, im = ((k - im * qs) >> S) + cn, (k + re * qd) >> S
+        k = qr * (re + im)
+        re, im = (k - im * qs) >> S, (k + re * qd) >> S
+        with mp.workprec(precision_bits + 20):
+            values.append(mp.mpc(mp.ldexp(re, -K), mp.ldexp(im, -K)))
+    return tuple(values)
+
+
+class TestHornerStep:
+    @pytest.mark.parametrize("prec", [53, 200, 1000])
+    @pytest.mark.parametrize("E, D", [(E37, -71), (E49, -31)], ids=["37a", "49a"])
+    def test_same_bits_as_the_trailing_multiply(self, E, D, prec):
+        taus = [rep.tau(prec + 40) for rep in heegner_fiber(D, E.conductor)]
+        values, _ = eval_phi(E, taus, prec)
+        assert values == two_step_horner_oracle(E, taus, prec)
+
+
+def mpf_to_fraction_oracle(x):
+    """The exact value of an mpf, read off its mantissa and exponent as
+    _round_rational did before it used mpmath's to_rational."""
+    sign, man, exp, _ = x._mpf_
+    if man == 0:
+        return Fraction(0)
+    v = Fraction(int(man), 1) * (Fraction(2) ** int(exp))
+    return -v if sign else v
+
+
+@st.composite
+def mpf_values(draw):
+    # (precision, zero or a value with a random prec-bit mantissa, from
+    # 2^-40 to 2^64 in magnitude: no float holds it exactly)
+    prec = draw(st.integers(53, 1000))
+    rnd = draw(st.randoms(use_true_random=False))
+    man = rnd.getrandbits(prec) | 1 << (prec - 1)
+    man *= draw(st.sampled_from([1, -1, 0]))
+    exp = draw(st.integers(-40, 64)) - prec
+    with mp.workprec(prec):
+        return prec, mp.ldexp(mp.mpf(man), exp)
+
+
+class TestRoundRational:
+    @settings(max_examples=200, deadline=None)
+    @given(mpf_values(), st.integers(1, 10**12))
+    def test_matches_the_oracle(self, value, bound):
+        prec, v = value
+        with mp.workprec(prec + 20):
+            r, err = _round_rational(mp.mpc(v, 1), bound)
+            want = mpf_to_fraction_oracle(v).limit_denominator(bound)
+            assert r == want
+            assert err == abs(v - mp.mpf(want.numerator) / want.denominator)
+
+
 class TestTailBound:
     # the oracles above stop at eval_phi's own M and never see the tail
     @pytest.mark.parametrize("prec", [200, 500, 1000])
