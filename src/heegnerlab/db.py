@@ -100,6 +100,12 @@ def _validate(entry: CurveDatabaseEntry, where: str) -> None:
     E = entry.curve()
     if E.discriminant == 0:
         raise ValidationError(f"{where}: singular model (discriminant 0)")
+    # Ogg: ord_p N <= ord_p Delta on any integral model
+    if E.discriminant % entry.conductor:
+        raise ValidationError(
+            f"{where}: conductor {entry.conductor} does not divide the"
+            f" discriminant {E.discriminant}"
+        )
     for j, (x, y) in enumerate(entry.known_generators):
         if not E.on_curve(x, y):
             raise ValidationError(

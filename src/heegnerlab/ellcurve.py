@@ -1,6 +1,8 @@
 """Exact elliptic curve core: Weierstrass models, group law over Q and over
-quadratic fields, point counting mod p, Hecke coefficient recursion over one
-stored, growing prefix per curve, and the Lutz-Nagell torsion enumeration.
+quadratic fields, a_p by baby-step giant-step mod p (by point counting where
+that cannot decide), Hecke coefficient recursion over one stored, growing
+prefix per curve, and the Lutz-Nagell torsion enumeration.  Integers and
+Fractions only: no mpmath, no floats.
 
 Analytic pieces (period lattices, Weierstrass map, elliptic logarithm) live
 in the lattice module.
@@ -92,9 +94,10 @@ class QuadElt:
         return self.inverse() * other
 
     def __pow__(self, n: int):
+        base = self if n >= 0 else self.inverse()
         result: QuadElt | Fraction = Fraction(1)
-        for _ in range(n):
-            result = self * result
+        for _ in range(abs(n)):
+            result = base * result
         return result
 
     def __eq__(self, other):
@@ -228,8 +231,8 @@ def point_mul(n: int, P: CurvePoint, E: CurveModel) -> CurvePoint:
 
 
 def _count_points(E: CurveModel, p: int) -> int:
-    """#E(F_p) including infinity, by direct counting; on a model with bad
-    reduction at p this includes its one singular point."""
+    """#E(F_p) including infinity, by direct counting in O(p); on a model
+    with bad reduction at p this includes its one singular point."""
     if p == 2:
         n = 1
         for x in range(2):
@@ -251,11 +254,95 @@ def _count_points(E: CurveModel, p: int) -> int:
     return n
 
 
+def _add_mod(P, Q, a: int, p: int):
+    # affine group law on y^2 = x^3 + a x + b over F_p, None for infinity
+    if P is None:
+        return Q
+    if Q is None:
+        return P
+    x1, y1 = P
+    x2, y2 = Q
+    if x1 == x2:
+        if (y1 + y2) % p == 0:
+            return None
+        lam = (3 * x1 * x1 + a) * pow(2 * y1, -1, p) % p
+    else:
+        lam = (y2 - y1) * pow(x2 - x1, -1, p) % p
+    x3 = (lam * lam - x1 - x2) % p
+    return x3, (lam * (x1 - x3) - y1) % p
+
+
+def _mul_mod(n: int, P, a: int, p: int):
+    result = None
+    while n:
+        if n & 1:
+            result = _add_mod(result, P, a, p)
+        n >>= 1
+        if n:
+            P = _add_mod(P, P, a, p)
+    return result
+
+
+def _hasse_candidates(P, a: int, p: int, H: int) -> set[int]:
+    """Every u with |u| <= H and (p + 1 - u) P = O, by baby-step giant-step:
+    u = k m + j - H with j P = (p + 1 + H) P - k (m P), 0 <= j, k < m.  A
+    point of small order takes several baby-step indices, all kept."""
+    m = math.isqrt(2 * H) + 1  # m^2 > 2H covers u + H in 0..2H
+    baby: dict = {}
+    R = None
+    for j in range(m):
+        baby.setdefault(R, []).append(j)
+        R = _add_mod(R, P, a, p)
+    step = R if R is None else (R[0], -R[1] % p)  # -m P
+    R = _mul_mod(p + 1 + H, P, a, p)
+    found = set()
+    for k in range(m):
+        for j in baby.get(R, ()):
+            u = k * m + j - H
+            if u <= H:
+                found.add(u)
+        R = _add_mod(R, step, a, p)
+    return found
+
+
+def _ap_bsgs(E: CurveModel, p: int) -> int | None:
+    """a_p at a prime p not dividing 6 Delta by Shanks-Mestre baby-step
+    giant-step (Cohen, GTM 138, 7.4), or None if every x0 leaves more than
+    one candidate.  The short model Y^2 = f(X) = X^3 + A X + B, A = -27 c4,
+    B = -54 c6, is E over F_p.  Each x0 with c = f(x0) != 0 gives the point
+    (c x0, c^2) of y^2 = x^3 + c^2 A x + c^3 B, with no square root: that
+    curve is E when c is a square mod p, else its quadratic twist, whose
+    order is p + 1 + a_p.  By Lagrange a_p is in every candidate set, and
+    by Hasse it lies in [-H, H], H = floor(2 sqrt p); one survivor is a_p.
+    Mestre's theorem leaves none ambiguous after every x0 for p > 457."""
+    c4, c6 = E.c_invariants
+    A, B = -27 * c4 % p, -54 * c6 % p
+    H = math.isqrt(4 * p)
+    candidates = None
+    for x0 in range(p):
+        c = (x0 * x0 * x0 + A * x0 + B) % p
+        if c == 0:
+            continue
+        found = _hasse_candidates((c * x0 % p, c * c % p), c * c * A % p, p, H)
+        if pow(c, (p - 1) // 2, p) != 1:  # a point of the twist
+            found = {-u for u in found}
+        candidates = found if candidates is None else candidates & found
+        if len(candidates) == 1:
+            return candidates.pop()
+    return None
+
+
 def ap(E: CurveModel, p: int) -> int:
     """a_p = p + 1 - #E(F_p) at every prime p of the minimal model E.  At a
-    bad prime the count includes the singular point, so a_p is p minus the
-    nonsingular points: 1 split multiplicative, -1 non-split, 0 additive."""
-    a = p + 1 - _count_points(E, p)
+    prime p not dividing 6 Delta it comes from baby-step giant-step on the
+    short model (_ap_bsgs), certified as the one value in the Hasse interval
+    that every point tried allows.  At p | 6 Delta, and at the few small p
+    that stay ambiguous, points are counted: at a bad prime the count
+    includes the singular point, so a_p is p minus the nonsingular points,
+    1 split multiplicative, -1 non-split, 0 additive."""
+    a = None if 6 * E.discriminant % p == 0 else _ap_bsgs(E, p)
+    if a is None:
+        a = p + 1 - _count_points(E, p)
     if a * a > 4 * p:
         raise ArithmeticError(f"Hasse bound violated at {p}")
     return a
@@ -275,7 +362,7 @@ _PREFIX_CURVES = 8
 
 def an_coeffs(E: CurveModel, M: int) -> QExpansion:
     """Fourier coefficients a_1..a_M of the newform attached to E, from
-    counting a_p at primes and the Hecke recursion.  One growing prefix is
+    ap at primes and the Hecke recursion.  One growing prefix is
     kept per (a-invariants, conductor), for at most 8 curves with the
     oldest dropped; only the a_n beyond it are computed."""
     if M < 1 or M > 10**6:

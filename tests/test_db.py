@@ -104,6 +104,16 @@ class TestValidation:
         with pytest.raises(ValidationError, match="singular"):
             load_database(write_db(tmp_path, [bad]))
 
+    @pytest.mark.parametrize("N", [38, 74, 37 * 37])
+    def test_conductor_not_dividing_the_discriminant_rejected(self, tmp_path,
+                                                              N):
+        # 37a has discriminant 37: a mistyped conductor would change the
+        # Heegner condition and the good primes of the Hecke recursion
+        bad = dict(GOOD, conductor=N)
+        with pytest.raises(ValidationError,
+                           match=f"conductor {N} does not divide"):
+            load_database(write_db(tmp_path, [bad]))
+
     def test_generator_on_curve_accepted(self, tmp_path):
         entries = load_database(write_db(tmp_path, [GOOD]))
         assert entries[0].known_generators == (

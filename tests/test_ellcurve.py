@@ -1,3 +1,7 @@
+import ast
+import importlib
+import inspect
+import math
 from fractions import Fraction as F
 from unittest import mock
 
@@ -65,6 +69,14 @@ class TestQuadElt:
         a = QuadElt.make(F(1, 2), F(3), -7)
         assert a + a.conjugate() == 1
         assert a * a.conjugate() == F(1, 4) - 9 * (-7)
+
+    @pytest.mark.parametrize("n", [-3, -2, -1, 0, 1, 2, 3])
+    def test_integer_powers(self, n):
+        # a negative exponent inverts: 1 + sqrt(-7) has norm 8
+        a = QuadElt.make(1, 1, -7)
+        assert a**n * a**-n == 1
+        if n == -1:
+            assert a**n == QuadElt.make(F(1, 8), F(-1, 8), -7)
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 300), st.integers(-10**5, 10**5).filter(bool),
@@ -230,6 +242,12 @@ def ap_bad_oracle(E, p):
     return p - n
 
 
+PRIMES_BELOW_3000 = [p for p in range(2, 3000)
+                     if all(p % f for f in range(2, math.isqrt(p) + 1))]
+# the O(p) count, bound before any test patches the module attribute
+ellcurve_count_points = ellcurve._count_points
+
+
 # minimal models with every reduction type: split and non-split
 # multiplicative, additive at 2, 3 and 7, and prime conductors up to 5077
 BAD_REDUCTION_CURVES = {
@@ -278,17 +296,51 @@ class TestPointCounting:
             assert ap(E, p) == ap_bad_oracle(E, p), (label, p)
 
     def test_hasse_violation_raises(self, monkeypatch):
-        # a count of 1 at p = 5 gives a_5 = 5, above 2 sqrt(5); the check
-        # is a raise, not an assert, so it holds under python -O too
+        # p = 37 divides the discriminant, so ap counts; a count of 1 gives
+        # a_37 = 37, above 2 sqrt(37); the check is a raise, not an assert,
+        # so it holds under python -O too
         monkeypatch.setattr(ellcurve, "_count_points", lambda E, p: 1)
-        with pytest.raises(ArithmeticError, match="Hasse bound violated at 5"):
-            ap(E37, 5)
+        with pytest.raises(ArithmeticError, match="Hasse bound violated at 37"):
+            ap(E37, 37)
+
+    @pytest.mark.parametrize("E, p, counted", [
+        (E37, 2, True), (E37, 3, True), (E37, 37, True),  # p | 6 Delta
+        (E32, 29, True),  # every x0 leaves both -10 = a_29 and 10
+        (E37, 29, False), (E32, 31, False), (E49, 1009, False),
+    ])
+    def test_only_bad_and_ambiguous_primes_are_counted(self, E, p, counted,
+                                                       monkeypatch):
+        calls = []
+
+        def spy(E, p):
+            calls.append(p)
+            return ellcurve_count_points(E, p)
+
+        monkeypatch.setattr(ellcurve, "_count_points", spy)
+        assert ap(E, p) == naive_ap(E, p)
+        assert calls == ([p] if counted else [])
+
+    @pytest.mark.parametrize("label", ["37a", "32a", "32a1", "49a", "389a1",
+                                       "5077a1"])
+    def test_ap_equals_the_count_at_good_primes_below_3000(self, label):
+        E = BAD_REDUCTION_CURVES[label]
+        for p in PRIMES_BELOW_3000:
+            if E.conductor % p:
+                assert ap(E, p) == p + 1 - ellcurve_count_points(E, p), p
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.integers(-50, 50), min_size=5, max_size=5),
+           st.sampled_from(PRIMES_BELOW_3000))
+    def test_ap_equals_the_count_on_random_curves(self, ai, p):
+        E = CurveModel(*ai, conductor=1)
+        assume(E.discriminant != 0)
+        assert ap(E, p) == p + 1 - ellcurve_count_points(E, p)
 
 
 def loop_an_coeffs_oracle(E, M):
     """a_1..a_M as an_coeffs built them before the smallest-prime-factor
-    sieve: a_p over a prime loop, prime powers from the Hecke recursion,
-    composites from trial division."""
+    sieve: a_p from the point count over a prime loop, prime powers from
+    the Hecke recursion, composites from trial division."""
     a = [0] * (M + 1)
     a[1] = 1
     sieve = bytearray([1]) * (M + 1)
@@ -300,7 +352,7 @@ def loop_an_coeffs_oracle(E, M):
         if not sieve[p]:
             continue
         good = E.conductor % p != 0
-        app = ap(E, p) if good else ap_bad_oracle(E, p)
+        app = p + 1 - ellcurve_count_points(E, p) if good else ap_bad_oracle(E, p)
         a[p] = app
         pk = p * p
         while pk <= M:
@@ -346,8 +398,6 @@ class TestCoefficients:
         assert q.coefficients == (1, -2, -3, 2, -2, 6, -1, 0, 6, 4, -5, -6)
 
     def test_multiplicativity(self):
-        import math
-
         q = an_coeffs(E37, 2000)
         for m in range(2, 45):
             for n in range(2, 45):
@@ -363,8 +413,6 @@ class TestCoefficients:
                 assert q.a(p**k) == q.a(p) * q.a(p ** (k - 1)) - p * q.a(p ** (k - 2))
 
     def test_hasse_bound(self):
-        import math
-
         q = an_coeffs(E37, 500)
         for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 41, 43, 47):
             assert abs(q.a(p)) <= 2 * math.isqrt(p) + 1
@@ -441,3 +489,28 @@ def test_integer_cubic_roots_of_split_cubics(r):
     if len(set(r)) == 3:
         assert polyroots_integer_cubic_roots(A, C) == sorted(r)
 
+
+def test_ellcurve_imports_only_exact_modules():
+    # ellcurve and the package modules it imports stay pure-integer: no
+    # mpmath, no float module, and from math only the integer functions
+    exact = {"__future__", "dataclasses", "fractions", "math"}
+    integer_math = {"comb", "gcd", "isqrt", "lcm", "prod"}
+    seen, todo, offenders = set(), ["heegnerlab.ellcurve"], []
+    while todo:
+        name = todo.pop()
+        if name in seen:
+            continue
+        seen.add(name)
+        tree = ast.parse(inspect.getsource(importlib.import_module(name)))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                offenders += [a.name for a in node.names if a.name not in exact]
+            elif isinstance(node, ast.ImportFrom) and node.level:
+                todo += [f"heegnerlab.{node.module or a.name}" for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module not in exact:
+                offenders.append(node.module)
+            elif (isinstance(node, ast.Attribute) and node.attr not in integer_math
+                  and isinstance(node.value, ast.Name) and node.value.id == "math"):
+                offenders.append(f"math.{node.attr}")
+    assert seen == {"heegnerlab.ellcurve", "heegnerlab.arith", "heegnerlab.errors"}
+    assert offenders == []
