@@ -72,12 +72,9 @@ def odd_part(n: int) -> OddPartDecomposition:
     """Split n = odd * 2^k."""
     if n < 1:
         raise ValueError("n must be positive")
-    k = 0
-    m = n
-    while m % 2 == 0:
-        m //= 2
-        k += 1
-    return OddPartDecomposition(value=n, odd_part=m, two_exponent=k)
+    m = prime_to_B_part(n, 2)
+    return OddPartDecomposition(value=n, odd_part=m,
+                                two_exponent=(n // m).bit_length() - 1)
 
 
 def prime_to_B_part(n: int, B: int) -> int:

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 
+from . import arith
 from .ellcurve import CurveModel
 from .errors import ParseError, ValidationError
 
@@ -96,16 +97,38 @@ def _parse_entry(obj, index: int) -> CurveDatabaseEntry:
     return entry
 
 
+def _kraus(c4: int, c6: int) -> bool:
+    """Kraus's conditions (Kraus 1989; Cremona, Algorithms for Modular
+    Elliptic Curves, 3.2): some integral model has invariants c4, c6 iff
+    1728 | c4^3 - c6^2, v3(c6) != 2, and c6 = -1 mod 4 or v2(c4) >= 4 and
+    c6 = 0 or 8 mod 32."""
+    return ((c4**3 - c6**2) % 1728 == 0 and (c6 % 9 or c6 % 27 == 0)
+            and (c6 % 4 == 3 or c4 % 16 == 0 and c6 % 32 in (0, 8)))
+
+
 def _validate(entry: CurveDatabaseEntry, where: str) -> None:
-    E = entry.curve()
+    E, N = entry.curve(), entry.conductor
     if E.discriminant == 0:
         raise ValidationError(f"{where}: singular model (discriminant 0)")
     # Ogg: ord_p N <= ord_p Delta on any integral model
-    if E.discriminant % entry.conductor:
+    if E.discriminant % N:
         raise ValidationError(
-            f"{where}: conductor {entry.conductor} does not divide the"
+            f"{where}: conductor {N} does not divide the"
             f" discriminant {E.discriminant}"
         )
+    # a minimal model has bad reduction exactly at the primes of Delta
+    if arith.prime_to_B_part(abs(E.discriminant), N) != 1:
+        raise ValidationError(
+            f"{where}: conductor {N} and discriminant {E.discriminant} have"
+            " different prime divisors"
+        )
+    # non-minimal at p iff the model scaled by u = p is integral (Kraus);
+    # for p >= 5 the conditions then always hold
+    c4, c6 = E.c_invariants
+    for p in arith.prime_divisors(N):
+        if c4 % p**4 == 0 and c6 % p**6 == 0 and _kraus(c4 // p**4,
+                                                         c6 // p**6):
+            raise ValidationError(f"{where}: the model is not minimal at {p}")
     for j, (x, y) in enumerate(entry.known_generators):
         if not E.on_curve(x, y):
             raise ValidationError(

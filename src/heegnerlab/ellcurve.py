@@ -30,14 +30,16 @@ class QuadElt:
 
     @staticmethod
     def make(x, y, d) -> "QuadElt | Fraction":
+        # x + y sqrt(d), d = s^2 d0, d0 squarefree; a Fraction if y = 0 or d0 = 1
+        if d == 0:
+            raise ValueError("d must be nonzero")
         x, y = Fraction(x), Fraction(y)
         if y == 0:
             return x
-        # d = s^2 d0, d0 squarefree
         s, d0 = 1, -1 if d < 0 else 1
         for p, e in arith.factorize(abs(d)).items():
             s, d0 = s * p ** (e // 2), d0 * p ** (e % 2)
-        return QuadElt(x, y * s, d0)
+        return x + s * y if d0 == 1 else QuadElt(x, y * s, d0)
 
     def _coerce(self, other):
         if isinstance(other, QuadElt):
@@ -212,18 +214,21 @@ def point_add(P: CurvePoint, Q: CurvePoint, E: CurveModel) -> CurvePoint:
     return CurvePoint(x3, y3)
 
 
-def point_mul(n: int, P: CurvePoint, E: CurveModel) -> CurvePoint:
-    if n < 0:
-        return point_mul(-n, point_neg(P, E), E)
-    result = INFINITY
-    acc = P
+def _multiple(n: int, P, add, zero, *law):
+    # n P, n >= 0, by double-and-add under add(P, Q, *law) with identity zero
+    result = zero
     while n:
         if n & 1:
-            result = point_add(result, acc, E)
+            result = add(result, P, *law)
         n >>= 1
         if n:  # no doubling above the top bit
-            acc = point_add(acc, acc, E)
+            P = add(P, P, *law)
     return result
+
+
+def point_mul(n: int, P: CurvePoint, E: CurveModel) -> CurvePoint:
+    return _multiple(abs(n), point_neg(P, E) if n < 0 else P, point_add,
+                     INFINITY, E)
 
 
 # ---------------------------------------------------------------------------
@@ -272,17 +277,6 @@ def _add_mod(P, Q, a: int, p: int):
     return x3, (lam * (x1 - x3) - y1) % p
 
 
-def _mul_mod(n: int, P, a: int, p: int):
-    result = None
-    while n:
-        if n & 1:
-            result = _add_mod(result, P, a, p)
-        n >>= 1
-        if n:
-            P = _add_mod(P, P, a, p)
-    return result
-
-
 def _hasse_candidates(P, a: int, p: int, H: int) -> set[int]:
     """Every u with |u| <= H and (p + 1 - u) P = O, by baby-step giant-step:
     u = k m + j - H with j P = (p + 1 + H) P - k (m P), 0 <= j, k < m.  A
@@ -294,7 +288,7 @@ def _hasse_candidates(P, a: int, p: int, H: int) -> set[int]:
         baby.setdefault(R, []).append(j)
         R = _add_mod(R, P, a, p)
     step = R if R is None else (R[0], -R[1] % p)  # -m P
-    R = _mul_mod(p + 1 + H, P, a, p)
+    R = _multiple(p + 1 + H, P, _add_mod, None, a, p)
     found = set()
     for k in range(m):
         for j in baby.get(R, ()):

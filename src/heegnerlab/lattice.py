@@ -4,11 +4,13 @@ Periods of every curve come from the real AGM, for either sign of the
 discriminant.  p and p' are Jacobi theta quotients (DLMF 23.6) on a
 Gauss-reduced basis; the q-series they replaced is the test oracle in
 tests/test_lattice.py.  The elliptic logarithm is Carlson's closed form
-z = R_F(x - e1, x - e2, x - e3), certified against p and p' at working
-precision; it raises rather than return an uncertified value.  Precision
-is chosen once, at periods: p, the Weierstrass map, the elliptic logarithm
-and every Lattice method work at precision_bits + 20 or more, whatever the
-ambient mp.prec.  The lattice owns the integer torus (torus, point, near).
+z = R_F(x - e1, x - e2, x - e3), with the e_i that periods solved once for
+the lattice, certified against p and p' at working precision; it raises
+rather than return an uncertified value.  Precision is chosen once, at
+periods: p, the Weierstrass map, the elliptic logarithm and every Lattice
+method work at precision_bits + 20 or more, whatever the ambient mp.prec.
+The lattice owns the integer torus (torus, point, near) and complex
+conjugation on it (conjugate).
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ class Lattice:
     omega1: mpc
     omega2: mpc
     precision_bits: int
+    two_division: tuple[mpc, ...] = ()  # e1, e2, e3, kept by periods
 
     @cached_property
     def reduced_basis(self) -> tuple[mpc, mpc]:
@@ -94,6 +97,13 @@ class Lattice:
     def reduce(self, z: mpc) -> mpc:
         """Representative of z mod Lambda: point(*torus(z))."""
         return self.point(*self.torus(z))
+
+    def conjugate(self, A: int, B: int) -> tuple[int, int]:
+        """Torus coordinates (A + c B, -B) of conj(z), z at (A, B): periods
+        gives w1 real and conj(w2) = c w1 - w2, c = round(2 Re(w2/w1))."""
+        with mp.workprec(self.torus_bits):
+            c = int(mp.nint(2 * mp.re(self.omega2 / self.omega1)))
+        return A + c * B, -B
 
     @cached_property
     def _metric(self) -> tuple[int, int, int, int]:
@@ -184,15 +194,6 @@ def _coordinates(z: mpc, w1: mpc, w2: mpc) -> tuple[mpf, mpf]:
             (x1 * mp.im(z) - y1 * mp.re(z)) / det)
 
 
-def _two_division_values(c4: int, c6: int, prec: int):
-    # roots of 4t^3 - g2 t - g3, the 2-division values of the p-function
-    with mp.workprec(prec):
-        g2 = mpf(c4) / 12
-        g3 = mpf(c6) / 216
-        roots = mp.polyroots([4, 0, -g2, -g3], extraprec=prec // 2 + 40)
-    return roots, g2, g3
-
-
 def periods(E: CurveModel, precision_bits: int) -> Lattice:
     """Lattice of the invariant differential dx / (2y + a1 x + a3), by the AGM
     (Cohen, GTM 138, Alg. 7.4.7).
@@ -202,8 +203,10 @@ def periods(E: CurveModel, precision_bits: int) -> Lattice:
     beta = |e1 - e2| = sqrt(3 e1^2 - g2/4), the real period
     w1 = 2 pi / AGM(2 sqrt(beta), sqrt(2 beta + 3 e1)) and
     w2 = w1/2 + i pi / AGM(2 sqrt(beta), sqrt(2 beta - 3 e1)).
-    Either way Im(w2/w1) > 0.  Calls on one (c4, c6) and precision share
-    one Lattice, and with it its reduced basis and theta constants.
+    Either way Im(w2/w1) > 0, and the Lattice keeps e1, e2, e3, the roots
+    of 4t^3 - c4/12 t - c6/216, for elliptic_log.  Calls on one (c4, c6) and
+    precision share one Lattice, and with it its reduced basis and theta
+    constants.
     """
     lo, hi = PRECISION_BITS[0], PRECISION_BITS[-1]
     if not lo <= precision_bits <= hi:
@@ -214,11 +217,12 @@ def periods(E: CurveModel, precision_bits: int) -> Lattice:
 @lru_cache(maxsize=16)
 def _agm_lattice(c4: int, c6: int, precision_bits: int) -> Lattice:
     work = precision_bits + 40
-    roots, g2, g3 = _two_division_values(c4, c6, work)
     with mp.workprec(work):
+        g2 = mpf(c4) / 12
+        roots = mp.polyroots([4, 0, -g2, -mpf(c6) / 216],
+                             extraprec=work // 2 + 40)
         if c4**3 > c6**2:  # 1728 disc = c4^3 - c6^2
-            es = sorted((mp.re(r) for r in roots), reverse=True)
-            e1, e2, e3 = es
+            roots = e1, e2, e3 = sorted(map(mp.re, roots), reverse=True)
             w1 = mp.pi / mp.agm(mp.sqrt(e1 - e3), mp.sqrt(e1 - e2))
             w2 = mp.mpc(0, 1) * mp.pi / mp.agm(
                 mp.sqrt(e1 - e3), mp.sqrt(e2 - e3)
@@ -230,7 +234,7 @@ def _agm_lattice(c4: int, c6: int, precision_bits: int) -> Lattice:
             w2 = w1 / 2 + mp.mpc(0, 1) * mp.pi / mp.agm(
                 2 * mp.sqrt(beta), mp.sqrt(2 * beta - 3 * e1)
             )
-        return Lattice(+w1, +w2, precision_bits)
+        return Lattice(+w1, +w2, precision_bits, tuple(roots))
 
 
 def weierstrass_p(z: mpc, L: Lattice) -> tuple[mpc, mpc]:
@@ -293,23 +297,25 @@ def elliptic_log(P: CurvePoint, E: CurveModel, L: Lattice) -> mpc:
     half period p' vanishes, so xw fixes z only to half precision; there one
     Newton step on p'(z) = yw, with p'' = 6p^2 - g2/2 nonzero, restores it
     and is certified in turn.  A point that fails raises PrecisionUnachievable.
+    The e_i are L.two_division; a Lattice built without them raises ValueError.
     """
     if P.is_infinity:
         raise ValueError("elliptic log of the identity is the lattice itself")
+    if not L.two_division:
+        raise ValueError("elliptic_log needs the 2-division values of periods")
     prec = L.precision_bits
     b2 = E.b_invariants[0]
-    roots, g2, _ = _two_division_values(*E.c_invariants, prec + 20)
     with mp.workprec(prec + 20):
         x, y = embed(P.x, prec + 20), embed(P.y, prec + 20)
         xw = x + mpf(b2) / 12
         yw = 2 * y + E.a1 * x + E.a3
         tol = mp.mpf(2) ** (-(prec - 20)) * (1 + abs(xw))
-        z = mp.elliprf(*(xw - e for e in roots))
+        z = mp.elliprf(*(xw - e for e in L.two_division))
         p, dp = weierstrass_p(z, L)
         if abs(dp - yw) > abs(-dp - yw):
             z, dp = -z, -dp
         if abs(dp - yw) > tol:
-            z += (yw - dp) / (6 * p * p - g2 / 2)
+            z += (yw - dp) / (6 * p * p - mpf(E.c_invariants[0]) / 24)
             p, dp = weierstrass_p(z, L)
         if abs(p - xw) > tol or abs(dp - yw) > tol:
             raise PrecisionUnachievable(

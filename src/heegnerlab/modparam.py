@@ -4,14 +4,16 @@ Evaluates phi(tau) = sum a_n q^n / n on the upper half plane, one whole
 orbit per pass, in integer fixed point over the coefficients that an_coeffs
 keeps per curve, stores conjugate orbits of class-field points by their
 integer coordinates on the torus C/L (Lattice.torus), and sums them to
-trace points; only a trace is mapped to curve coordinates.  Precision is
-chosen at orbit_points and eval_phi; an orbit and its trace read it from
-their lattice.
-Recognition has one entry point per input shape: recognize for one point
-over Q, recognize_quadratic for one point over Q(sqrt(D)) in its fixed
-embedding (twist points with x in Q included).  recognize_trace(tr) sends
-a trace point to one or the other, reading the curve, the precision and
-the discriminant D, hence the quadratic field, from the trace's orbit.
+trace points; only a trace is mapped to curve coordinates, and its flags
+(identity, half-lattice, real) are Lattice.near on its torus sum.
+Precision is chosen at orbit_points and eval_phi; an orbit and its trace
+read it from their lattice.
+Recognition has one entry point per input shape, both one reader (_read):
+recognize for one point over Q, recognize_quadratic for one point over
+Q(sqrt(D)) in its fixed embedding (twist points with x in Q included).
+recognize_trace(tr) sends a trace point to one or the other, reading the
+curve, the precision and the discriminant D, hence the quadratic field,
+from the trace's orbit.
 """
 
 from __future__ import annotations
@@ -149,7 +151,7 @@ class TracePoint:
     orbit: OrbitEvaluation  # for discriminant D: the trace is in E(Q(sqrt(D)))
     z: mpc
     xy: tuple[mpc, mpc] | None  # None exactly for the identity
-    is_real: bool  # imaginary parts of (x, y) vanish to tolerance
+    is_real: bool  # z = conj(z) mod L (Lattice.conjugate): (x, y) is real
     half_lattice: bool  # z sits in (1/2)L but not L: index discrepancy
 
     @property
@@ -161,21 +163,19 @@ def trace_point(orbit: OrbitEvaluation) -> TracePoint:
     """Sum (A, B) of the orbit's integer torus_coordinates, exact, in 2^-K
     units, K = L.torus_bits.  The identity if L.near(A, B); flagged, not
     resolved, if only L.near(2A, 2B): a sum in the strict index-two
-    superlattice (1/2)L.  z = L.point(A, B)."""
+    superlattice (1/2)L.  z = L.point(A, B).  Real if L.near(A - A', B -
+    B'), (A', B') = L.conjugate(A, B): p(conj z) = conj p(z) on a real
+    lattice and (x, y) fixes z mod L."""
     L = orbit.lattice
-    prec = L.precision_bits
     A, B = map(sum, zip(*orbit.torus_coordinates))
     z = L.point(A, B)
-    with mp.workprec(prec + 20):
-        if L.near(A, B):
-            return TracePoint(orbit=orbit, z=z, xy=None, is_real=True,
-                              half_lattice=False)
-        x, y = weierstrass_map(z, orbit.curve, L)
-        tol = mp.mpf(2) ** (-(prec // 2))
-        real = (abs(mp.im(x)) < tol * (1 + abs(x))
-                and abs(mp.im(y)) < tol * (1 + abs(y)))
-        return TracePoint(orbit=orbit, z=z, xy=(x, y), is_real=real,
-                          half_lattice=L.near(2 * A, 2 * B))
+    if L.near(A, B):
+        return TracePoint(orbit=orbit, z=z, xy=None, is_real=True,
+                          half_lattice=False)
+    Ac, Bc = L.conjugate(A, B)
+    return TracePoint(orbit=orbit, z=z, xy=weierstrass_map(z, orbit.curve, L),
+                      is_real=L.near(A - Ac, B - Bc),
+                      half_lattice=L.near(2 * A, 2 * B))
 
 
 @dataclass(frozen=True)
@@ -207,62 +207,54 @@ def _round_rational(v, bound: int) -> tuple[Fraction, mpf]:
     return r, err
 
 
-def recognize(
-    points,
-    denominator_bound: int,
-    E: CurveModel,
-    precision_bits: int,
-) -> RecognizedAlgebraic:
-    """Exact rational point of E behind one numerical point, given as
-    [(x, y)].  The residual, the rounding error of Re x and Re y plus |Im
-    x| + |Im y|, must pass _screen, and the rounded point must satisfy the
-    curve equation exactly."""
+def _read(point, denominator_bound: int, E: CurveModel, D: int | None,
+          precision_bits: int) -> RecognizedAlgebraic:
+    """The one reader, at precision_bits + 20: each coordinate v is u + w
+    sqrt(D) in lattice.embed's principal-root embedding, u = Re v, w = Im v
+    / r, r = sqrt(|D|); u, and over Q(sqrt(D)) w, round to denominators up
+    to the bound, squared over Q(sqrt(D)) (over Q, D is None, r = 1, w = 0).
+    The residual e_u + r e_w over x and y is the L1 distance from the
+    embedded exact point; _screen and the exact curve equation decide."""
     if denominator_bound < 1:
         raise ValueError("denominator_bound must be positive")
-    [(x, y)] = points
+    bound = denominator_bound if D is None else denominator_bound**2
     with mp.workprec(precision_bits + 20):
-        x, y = mp.mpc(x), mp.mpc(y)
-        rx, ex = _round_rational(x, denominator_bound)
-        ry, ey = _round_rational(y, denominator_bound)
-        residual = ex + ey + abs(mp.im(x)) + abs(mp.im(y))
-        _screen(residual, x, y)
-    if not E.on_curve(rx, ry):
-        raise RecognitionFailed("rounded point misses the curve equation")
-    return RecognizedAlgebraic(kind="rational", value=(rx, ry), residual=residual)
+        xy = [mp.mpc(v) for v in point]
+        root = mp.mpf(1) if D is None else mp.sqrt(-D)
+        exact, residual = [], mp.mpf(0)
+        for v in xy:
+            u, eu = _round_rational(v, bound)
+            t = mp.im(v) / root
+            w, ew = (0, abs(t)) if D is None else _round_rational(t, bound)
+            exact.append(u if D is None else QuadElt.make(u, w, D))
+            residual += eu + ew * root
+        _screen(residual, *xy)
+    if not E.on_curve(*exact):
+        raise RecognitionFailed(f"{'rounded' if D is None else 'quadratic'}"
+                                " point misses the curve equation")
+    return RecognizedAlgebraic(kind="rational" if D is None else "quadratic",
+                               value=tuple(exact), residual=residual)
 
 
-def recognize_quadratic(
-    point,
-    denominator_bound: int,
-    E: CurveModel,
-    D: int,
-    precision_bits: int,
-) -> RecognizedAlgebraic:
+def recognize(points, denominator_bound: int, E: CurveModel,
+              precision_bits: int) -> RecognizedAlgebraic:
+    """Exact rational point of E behind one numerical point, given as
+    [(x, y)] (_read over Q): the residual is the rounding error of Re x and
+    Re y plus |Im x| + |Im y|."""
+    if len(points) != 1:
+        raise ValueError("recognize reads one point, given as [(x, y)]")
+    return _read(points[0], denominator_bound, E, None, precision_bits)
+
+
+def recognize_quadratic(point, denominator_bound: int, E: CurveModel, D: int,
+                        precision_bits: int) -> RecognizedAlgebraic:
     """Exact point of E over Q(sqrt(D)), D < 0, behind one numerical point
-    (x, y) in the embedding that sends sqrt(D) to its principal root.  Each
-    coordinate v is read as u + w sqrt(D) with u = Re v and w = Im v /
-    sqrt(|D|), and u, w are rounded to denominators up to
-    denominator_bound^2; a twist point (x in Q, y in sqrt(D) Q) is one
-    case.  _screen and the exact curve equation decide acceptance."""
-    if denominator_bound < 1:
-        raise ValueError("denominator_bound must be positive")
+    (x, y) in the principal-root embedding (_read over Q(sqrt(D))), u and w
+    rounded to denominators up to denominator_bound^2; a twist point (x in
+    Q, y in sqrt(D) Q) is one case."""
     if D >= 0:
         raise ValueError("D must be negative")
-    bound = denominator_bound * denominator_bound
-    with mp.workprec(precision_bits + 20):
-        x, y = (mp.mpc(v) for v in point)
-        root = mp.sqrt(-D)
-        exact, residual = [], mp.mpf(0)
-        for v in (x, y):
-            u, eu = _round_rational(v, bound)
-            w, ew = _round_rational(mp.im(v) / root, bound)
-            exact.append(QuadElt.make(u, w, D))
-            residual += eu + ew * root
-        _screen(residual, x, y)
-    if not E.on_curve(*exact):
-        raise RecognitionFailed("quadratic point misses the curve equation")
-    return RecognizedAlgebraic(kind="quadratic", value=tuple(exact),
-                               residual=residual)
+    return _read(point, denominator_bound, E, D, precision_bits)
 
 
 def recognize_trace(tr: TracePoint) -> RecognizedAlgebraic:

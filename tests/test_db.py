@@ -3,9 +3,14 @@
 import json
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from heegnerlab.db import CurveDatabaseEntry, find_curve, load_database
+from heegnerlab.db import (CurveDatabaseEntry, _kraus, find_curve,
+                           load_database)
+from heegnerlab.ellcurve import CurveModel
 from heegnerlab.errors import ParseError, ValidationError
+from test_ellcurve import BAD_REDUCTION_CURVES
 
 
 def write_db(tmp_path, doc):
@@ -128,6 +133,81 @@ class TestValidation:
     def test_duplicate_labels_rejected(self, tmp_path):
         with pytest.raises(ValidationError, match="duplicate"):
             load_database(write_db(tmp_path, [GOOD, GOOD]))
+
+
+def _scaled(a_invariants, u):
+    # the model with x, y scaled by u^2, u^3: a_i -> u^i a_i, Delta -> u^12 Delta
+    return [u**i * a for i, a in zip((1, 2, 3, 4, 6), a_invariants)]
+
+
+# entries that loaded before the minimality check and gave wrong a_n
+NOT_MINIMAL_OR_WRONG_PRIMES = {
+    "37a with N = 1": ([0, 0, 1, -1, 0], 1),  # a_1369 -36 instead of 1
+    "37a scaled by 2": ([0, 0, 8, -16, 0], 37),  # a_2 0 instead of -2
+    "37a scaled by 37": ([0, 0, 37**3, -37**4, 0], 37),  # a_1369 0, not 1
+}
+
+
+class TestMinimality:
+    @pytest.mark.parametrize("label", BAD_REDUCTION_CURVES)
+    def test_minimal_models_load(self, tmp_path, label):
+        E = BAD_REDUCTION_CURVES[label]
+        entry = {"label": label, "a_invariants": list(E.a_invariants),
+                 "conductor": E.conductor}
+        [loaded] = load_database(write_db(tmp_path, [entry]))
+        assert (loaded.a_invariants, loaded.conductor) == (E.a_invariants,
+                                                           E.conductor)
+
+    @pytest.mark.parametrize("name", NOT_MINIMAL_OR_WRONG_PRIMES)
+    def test_wrong_entries_rejected(self, tmp_path, name):
+        ai, N = NOT_MINIMAL_OR_WRONG_PRIMES[name]
+        bad = {"label": "x", "a_invariants": ai, "conductor": N}
+        with pytest.raises(ValidationError,
+                           match="not minimal|different prime divisors"):
+            load_database(write_db(tmp_path, [bad]))
+
+    @pytest.mark.parametrize("u", [2, 3, 5])
+    @pytest.mark.parametrize("label", BAD_REDUCTION_CURVES)
+    def test_scaled_models_rejected(self, tmp_path, label, u):
+        E = BAD_REDUCTION_CURVES[label]
+        bad = {"label": label, "a_invariants": _scaled(E.a_invariants, u),
+               "conductor": E.conductor}
+        with pytest.raises(ValidationError,
+                           match="not minimal|different prime divisors"):
+            load_database(write_db(tmp_path, [bad]))
+
+    @pytest.mark.parametrize("u", [2, 3, 5])
+    @pytest.mark.parametrize("name", NOT_MINIMAL_OR_WRONG_PRIMES)
+    def test_scaled_wrong_entries_rejected(self, tmp_path, name, u):
+        ai, N = NOT_MINIMAL_OR_WRONG_PRIMES[name]
+        bad = {"label": "x", "a_invariants": _scaled(ai, u), "conductor": N}
+        with pytest.raises(ValidationError):
+            load_database(write_db(tmp_path, [bad]))
+
+    def test_v3_of_c6_equal_to_2_keeps_a_model_minimal(self, tmp_path):
+        # y^2 + y = x^3 - 61: Delta = -3^13, c4 = 0 and c6 = 3^6 * 72, yet
+        # v3(72) = 2, so no integral model has invariants (0, 72) and this
+        # one is minimal at 3; N = 243 has the primes of Delta
+        ai = [0, 0, 1, 0, -61]
+        E = CurveModel(*ai, conductor=243)
+        assert E.discriminant == -3**13 and E.c_invariants == (0, 3**6 * 72)
+        entry = {"label": "x", "a_invariants": ai, "conductor": 243}
+        load_database(write_db(tmp_path, [entry]))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(-60, 60), min_size=5, max_size=5),
+           st.sampled_from([2, 3, 5]))
+    def test_kraus_on_random_models(self, ai, p):
+        # an integral model meets Kraus's conditions; dividing out p, it
+        # meets them again only if p^12 | Delta (the model scaled by p)
+        E = CurveModel(*ai, conductor=1)
+        assume(E.discriminant != 0)
+        c4, c6 = E.c_invariants
+        assert _kraus(c4, c6)
+        assert _kraus(c4 * p**4, c6 * p**6)
+        if c4 % p**4 == 0 and c6 % p**6 == 0 and _kraus(c4 // p**4,
+                                                         c6 // p**6):
+            assert E.discriminant % p**12 == 0
 
 
 class TestEntryToCurve:

@@ -59,6 +59,19 @@ class TestQuadElt:
         assert QuadElt.make(F(3), F(0), -7) == F(3)
         assert isinstance(QuadElt.make(F(3), F(0), -7), F)
 
+    @pytest.mark.parametrize("x, y, d, value", [
+        (0, 1, 4, F(2)), (F(1, 2), F(1, 3), 9, F(3, 2)), (1, 1, 1, F(2)),
+    ])
+    def test_square_d_is_rational(self, x, y, d, value):
+        # sqrt(4) = 2: make(0, 1, 4) was QuadElt(0, 2, d=1), unequal to 2
+        v = QuadElt.make(x, y, d)
+        assert isinstance(v, F) and v == value
+
+    @pytest.mark.parametrize("y", [0, 1])
+    def test_zero_d_raises(self, y):
+        with pytest.raises(ValueError, match="d must be nonzero"):
+            QuadElt.make(1, y, 0)
+
     def test_field_mismatch(self):
         a = QuadElt.make(0, 1, -7)
         b = QuadElt.make(0, 1, -11)
@@ -82,10 +95,12 @@ class TestQuadElt:
     @given(st.integers(1, 300), st.integers(-10**5, 10**5).filter(bool),
            st.fractions(max_denominator=50), st.fractions(max_denominator=50))
     def test_make_matches_the_loop_oracle(self, s, d0, x, y):
-        # QuadElt.make on s^2 d0 against the trial-division loop it replaced
+        # QuadElt.make on s^2 d0 against the trial-division loop it replaced;
+        # a square s^2 d0 (d = 1) gives the rational x + t y
         assume(y != 0)
         d, t = sqfree_split_oracle(s * s * d0)
-        assert QuadElt.make(x, y, s * s * d0) == QuadElt(x, y * t, d)
+        expected = x + y * t if d == 1 else QuadElt(x, y * t, d)
+        assert QuadElt.make(x, y, s * s * d0) == expected
 
 
 def sqfree_split_oracle(d):

@@ -1,11 +1,16 @@
+import ast
+import importlib
+import inspect
+import pkgutil
 import random
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from mpmath import mp
+from mpmath import mp, mpf
 
+import heegnerlab
 from heegnerlab.ellcurve import (CurveModel, CurvePoint, point, point_add,
                                  point_mul)
 from heegnerlab.errors import IdentityPoint, PrecisionUnachievable
@@ -545,3 +550,102 @@ class TestLogProperties:
             tol = mp.mpf(2) ** -(PREC - 20) * (1 + abs(qx))
             assert abs(x - qx) < tol
             assert abs(y - qy) < tol * (1 + abs(qx))
+
+
+def two_division_values_oracle(c4: int, c6: int, prec: int):
+    # roots of 4t^3 - g2 t - g3, the 2-division values of the p-function
+    with mp.workprec(prec):
+        g2 = mpf(c4) / 12
+        g3 = mpf(c6) / 216
+        roots = mp.polyroots([4, 0, -g2, -g3], extraprec=prec // 2 + 40)
+    return roots, g2, g3
+
+
+def _sorted_roots(roots):
+    return sorted(roots, key=lambda r: (mp.re(r), mp.im(r)))
+
+
+class TestTwoDivisionValues:
+    # the lattice keeps the e_i its AGM solved at prec + 40; elliptic_log
+    # solved them again at prec + 20 with two_division_values_oracle
+    @pytest.mark.parametrize("prec", [53, 200, 1000])
+    @pytest.mark.parametrize("E", [E37, E32, E49], ids=["37a", "32a", "49a"])
+    def test_match_the_cubic_solve_of_elliptic_log(self, E, prec):
+        L = periods(E, prec)
+        roots, _, _ = two_division_values_oracle(*E.c_invariants, prec + 20)
+        assert len(L.two_division) == 3
+        with mp.workprec(prec + 40):
+            for e, o in zip(_sorted_roots(L.two_division),
+                            _sorted_roots(roots)):
+                assert abs(e - o) <= mp.ldexp(1, -(prec + 10)) * (1 + abs(o))
+
+    def test_elliptic_log_solves_no_cubic(self, monkeypatch):
+        L = periods(E49, PREC)  # built, and cached, before the spy
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            raise AssertionError("polyroots called")
+
+        monkeypatch.setattr(mp, "polyroots", spy)
+        z = elliptic_log(point(F(2), F(-1)), E49, L)
+        with mp.workprec(PREC + 20):
+            x, _ = weierstrass_map(z, E49, L)
+            assert abs(x - 2) < mp.ldexp(1, -(PREC - 20))
+        assert calls == []
+
+    def test_hand_built_lattice_raises_value_error(self):
+        L = periods(E37, PREC)
+        bare = Lattice(L.omega1, L.omega2, PREC)
+        with pytest.raises(ValueError, match="2-division values"):
+            elliptic_log(point(F(0), F(0)), E37, bare)
+
+
+def test_polyroots_only_in_the_agm():
+    # one cubic solve per lattice: the only polyroots call in the package
+    # is the one inside _agm_lattice
+    calls = []
+    for info in pkgutil.iter_modules(heegnerlab.__path__):
+        module = importlib.import_module(f"heegnerlab.{info.name}")
+        tree = ast.parse(inspect.getsource(module))
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            calls += [(info.name, fn.name) for node in ast.walk(fn)
+                      if isinstance(node, ast.Call)
+                      and getattr(node.func, "attr",
+                                  getattr(node.func, "id", None)) == "polyroots"]
+    assert calls == [("lattice", "_agm_lattice")]
+
+
+class TestConjugate:
+    @pytest.mark.parametrize("E, shift", [(E37, 0), (E32, 0), (E49, 1)],
+                             ids=["37a", "32a", "49a"])
+    def test_shift(self, E, shift):
+        # c = round(2 Re(w2/w1)): rectangular lattices 0, 49a's rhombic 1
+        L = LATTICES[E]
+        assert L.conjugate(5, 7) == (5 + 7 * shift, -7)
+
+    @settings(max_examples=60, deadline=None)
+    @given(E=st.sampled_from([E37, E32, E49]), s=st.floats(-2, 2),
+           t=st.floats(-2, 2))
+    def test_is_complex_conjugation_on_the_torus(self, E, s, t):
+        L = LATTICES[E]
+        A, B = (int(c * 2**L.precision_bits) << 20 for c in (s, t))
+        with mp.workprec(PREC + 40):
+            zbar = mp.conj(L.point(A, B))
+        Ac, Bc = L.conjugate(A, B)
+        a, b = L.torus(zbar)
+        assert L.near(a - Ac, b - Bc)
+
+    @pytest.mark.parametrize("E", [E37, E49], ids=["37a", "49a"])
+    def test_fixed_points_are_the_real_components(self, E):
+        # z = s w1 + t w2 is real exactly for t = 0, and also t = 1/2 on a
+        # lattice with two real components (37a, disc > 0)
+        L = LATTICES[E]
+        K = L.torus_bits
+        for s in (0, 3, 11):
+            for t, real in ((0, True), (4, E is E37), (1, False), (3, False)):
+                A, B = s << (K - 4), t << (K - 3)
+                Ac, Bc = L.conjugate(A, B)
+                assert L.near(A - Ac, B - Bc) == real, (s, t)

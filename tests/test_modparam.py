@@ -18,6 +18,7 @@ from heegnerlab.modparam import (
     _RESIDUAL_CAP,
     RecognizedAlgebraic,
     _round_rational,
+    _screen,
     _terms_needed,
     eval_phi,
     orbit_points,
@@ -640,6 +641,146 @@ class TestRecognize:
             near_miss = (mp.ldexp(1, -26), y + mp.ldexp(1, -26))
         with pytest.raises(RecognitionFailed):
             recognize([near_miss], 10**6, E37, precision_bits=PREC)
+
+
+# The two readers that modparam._read replaced, verbatim: one loop over Q
+# and one over Q(sqrt(D)).
+def rational_reader_oracle(
+    points,
+    denominator_bound: int,
+    E: CurveModel,
+    precision_bits: int,
+) -> RecognizedAlgebraic:
+    """Exact rational point of E behind one numerical point, given as
+    [(x, y)].  The residual, the rounding error of Re x and Re y plus |Im
+    x| + |Im y|, must pass _screen, and the rounded point must satisfy the
+    curve equation exactly."""
+    if denominator_bound < 1:
+        raise ValueError("denominator_bound must be positive")
+    [(x, y)] = points
+    with mp.workprec(precision_bits + 20):
+        x, y = mp.mpc(x), mp.mpc(y)
+        rx, ex = _round_rational(x, denominator_bound)
+        ry, ey = _round_rational(y, denominator_bound)
+        residual = ex + ey + abs(mp.im(x)) + abs(mp.im(y))
+        _screen(residual, x, y)
+    if not E.on_curve(rx, ry):
+        raise RecognitionFailed("rounded point misses the curve equation")
+    return RecognizedAlgebraic(kind="rational", value=(rx, ry), residual=residual)
+
+
+def quadratic_reader_oracle(
+    point,
+    denominator_bound: int,
+    E: CurveModel,
+    D: int,
+    precision_bits: int,
+) -> RecognizedAlgebraic:
+    """Exact point of E over Q(sqrt(D)), D < 0, behind one numerical point
+    (x, y) in the embedding that sends sqrt(D) to its principal root.  Each
+    coordinate v is read as u + w sqrt(D) with u = Re v and w = Im v /
+    sqrt(|D|), and u, w are rounded to denominators up to
+    denominator_bound^2; a twist point (x in Q, y in sqrt(D) Q) is one
+    case.  _screen and the exact curve equation decide acceptance."""
+    if denominator_bound < 1:
+        raise ValueError("denominator_bound must be positive")
+    if D >= 0:
+        raise ValueError("D must be negative")
+    bound = denominator_bound * denominator_bound
+    with mp.workprec(precision_bits + 20):
+        x, y = (mp.mpc(v) for v in point)
+        root = mp.sqrt(-D)
+        exact, residual = [], mp.mpf(0)
+        for v in (x, y):
+            u, eu = _round_rational(v, bound)
+            w, ew = _round_rational(mp.im(v) / root, bound)
+            exact.append(QuadElt.make(u, w, D))
+            residual += eu + ew * root
+        _screen(residual, x, y)
+    if not E.on_curve(*exact):
+        raise RecognitionFailed("quadratic point misses the curve equation")
+    return RecognizedAlgebraic(kind="quadratic", value=tuple(exact),
+                               residual=residual)
+
+
+# The float reality rule that trace_point used before Lattice.conjugate,
+# verbatim from its body: both imaginary parts below a relative 2^-(prec//2).
+def float_reality_oracle(tr):
+    prec = tr.orbit.lattice.precision_bits
+    x, y = tr.xy
+    with mp.workprec(prec + 20):
+        tol = mp.mpf(2) ** (-(prec // 2))
+        real = (abs(mp.im(x)) < tol * (1 + abs(x))
+                and abs(mp.im(y)) < tol * (1 + abs(y)))
+    return real
+
+
+def _outcome(read, *args):
+    # (kind, value, residual) of a reading, or the type of its failure
+    try:
+        rec = read(*args)
+    except RecognitionFailed as exc:
+        return type(exc), None, None
+    return rec.kind, rec.value, rec.residual
+
+
+class TestOneReader:
+    # the README points (37a D = -7, 49a D = -19 and -31) and the sweeps of
+    # TestTwistClass, every trace read in both shapes by the one reader and
+    # by the old loops
+    @pytest.mark.parametrize("E, discs", [
+        (E37, [-7]), (E49, [-19, -31]),
+        (E49, first_admissible(49)), (E32_1, first_admissible(32)),
+    ], ids=["readme-37a", "readme-49a", "49a", "32a1"])
+    def test_matches_the_old_readers(self, E, discs):
+        for D in discs:
+            tr = trace_point(orbit_points(E, D, PREC))
+            if tr.is_identity:
+                continue
+            pairs = [
+                (_outcome(recognize, [tr.xy], 10**6, E, PREC),
+                 _outcome(rational_reader_oracle, [tr.xy], 10**6, E, PREC)),
+                (_outcome(recognize_quadratic, tr.xy, 10**6, E, D, PREC),
+                 _outcome(quadratic_reader_oracle, tr.xy, 10**6, E, D, PREC)),
+            ]
+            for (kind, value, res), (old_kind, old_value, old_res) in pairs:
+                assert (kind, value) == (old_kind, old_value), D
+                if res is not None:  # one rounding apart at most
+                    assert abs(res - old_res) <= mp.ldexp(old_res, -PREC)
+
+    def test_one_point_shape_is_named(self):
+        pair = (mp.mpf(0), mp.mpf(0))
+        with pytest.raises(ValueError, match=r"one point, given as \[\(x, y\)\]"):
+            recognize([pair, pair], 10, E37, precision_bits=PREC)
+
+
+def _admissible(N, limit):
+    return [D for D in range(-3, -limit, -1)
+            if D % 4 in (0, 1) and heegner_condition(D, N)]
+
+
+class TestRealityRule:
+    # is_real, now L.near on the trace and its Lattice.conjugate, against
+    # the float rule on every admissible D of 37a (|D| < 700), 49a (< 500)
+    # and the bundled 32a (< 400)
+    @pytest.mark.parametrize("prec", [53, 200, 500])
+    def test_matches_the_float_rule(self, prec):
+        real = 0
+        for E, limit in ((E37, 700), (E49, 500), (E32, 400)):
+            for D in _admissible(E.conductor, limit):
+                tr = trace_point(orbit_points(E, D, prec))
+                if not tr.is_identity:
+                    assert tr.is_real == float_reality_oracle(tr), (E.label, D)
+                    real += tr.is_real
+        assert real == 153
+
+    @pytest.mark.parametrize("t, real", [(0, True), (0.5, True),
+                                         (0.25, False), (0.375, False)])
+    def test_real_components_of_37a(self, t, real):
+        # 37a has two real components, t = 0 and t = 1/2: conj(z) = z mod L
+        tr = trace_point(_synthetic_orbit([(0.125, t / 2), (0.25, t / 2)]))
+        assert not tr.is_identity
+        assert tr.is_real == real == float_reality_oracle(tr)
 
 
 # traces over Q(sqrt(D)) among the first 25 admissible D that the two-pair
