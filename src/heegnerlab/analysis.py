@@ -200,9 +200,12 @@ def independence_report(
         found = relation_search(orbits, B)
         if found is not None:
             verdict = "relation_found_numerical"
-            if all(p is not None for p in exact):
+            # a point with coefficient 0 takes no part: it needs no exact point
+            points = [INFINITY if n == 0 else P
+                      for n, P in zip(found.coefficients, exact)]
+            if None not in points:
                 try:
-                    if verify_relation(exact, found, E):
+                    if verify_relation(points, found, E):
                         verdict = "relation_found_verified"
                 except FieldMismatch:
                     pass
@@ -253,7 +256,7 @@ def _field_entry(E, D, precision_bits, B):
         discriminant=D,
         admissible=True,
         class_number=h,
-        odd_part=arith.odd_part(h).odd_part,
+        odd_part=arith.odd_part(h),
         prime_to_bound_part=arith.prime_to_B_part(h, B),
         orbit_degrees=degs,
         recognition=recog,

@@ -8,16 +8,8 @@ no probabilistic primality or sub-exponential factoring.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import NoSquareRoot
-
-
-@dataclass(frozen=True)
-class OddPartDecomposition:
-    value: int
-    odd_part: int
-    two_exponent: int
 
 
 def kronecker(D: int, n: int) -> int:
@@ -68,13 +60,11 @@ def sqrt_mod_4N(D: int, N: int) -> int:
     raise NoSquareRoot(f"no b with b^2 = {D} mod {m}")
 
 
-def odd_part(n: int) -> OddPartDecomposition:
-    """Split n = odd * 2^k."""
+def odd_part(n: int) -> int:
+    """The odd m with n = m * 2^k."""
     if n < 1:
         raise ValueError("n must be positive")
-    m = prime_to_B_part(n, 2)
-    return OddPartDecomposition(value=n, odd_part=m,
-                                two_exponent=(n // m).bit_length() - 1)
+    return prime_to_B_part(n, 2)
 
 
 def prime_to_B_part(n: int, B: int) -> int:

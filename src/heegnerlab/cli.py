@@ -106,7 +106,7 @@ def cmd_ring_class(args):
         "discriminant": args.disc,
         "conductor": args.conductor,
         "ring_class_number": h,
-        "odd_part": arith.odd_part(h).odd_part,
+        "odd_part": arith.odd_part(h),
     }
     return payload, [f"h_{args.conductor}({args.disc}) = {h}"]
 
@@ -134,10 +134,9 @@ def cmd_heegner_list(args):
 
 def cmd_coeffs(args):
     E = _curve(args)
-    q = an_coeffs(E, args.terms)
-    payload = {"curve": E.label, "coefficients": list(q.coefficients)}
-    return payload, [
-        f"a_1..a_{args.terms}: {' '.join(str(c) for c in q.coefficients)}"]
+    a = an_coeffs(E, args.terms)
+    return ({"curve": E.label, "coefficients": list(a)},
+            [f"a_1..a_{args.terms}: {' '.join(map(str, a))}"])
 
 
 def cmd_point(args):
@@ -244,6 +243,32 @@ def cmd_independence(args):
     return payload, lines
 
 
+# every subcommand flag is required: flag -> (type, help)
+_FLAGS = {
+    "--curve": (None, None),
+    "--discs": (None, "comma-separated discriminants"),
+    **{flag: (int, None) for flag in ("--disc", "--conductor", "--level",
+                                      "--terms", "--mul", "--bound")},
+}
+
+# (name, handler, help, flags) of each subcommand, in help order
+_COMMANDS = (
+    ("classgroup", cmd_classgroup, "reduced forms and group structure",
+     ("--disc",)),
+    ("ring-class", cmd_ring_class, "class number of a non-maximal order",
+     ("--disc", "--conductor")),
+    ("heegner-list", cmd_heegner_list, "fiber representatives and tau values",
+     ("--disc", "--level")),
+    ("coeffs", cmd_coeffs, "q-expansion coefficients", ("--curve", "--terms")),
+    ("point", cmd_point, "orbit, trace, and recognition", ("--curve", "--disc")),
+    ("orbit-degree", cmd_orbit_degree, "distinct conjugates of n*P",
+     ("--curve", "--disc", "--mul")),
+    ("torsion", cmd_torsion, "rational torsion subgroup", ("--curve",)),
+    ("independence", cmd_independence, "full dependence-search report",
+     ("--curve", "--discs", "--bound")),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     # the global flags are accepted both before and after the subcommand;
     # SUPPRESS keeps an unsupplied post-subcommand flag from clobbering a
@@ -262,48 +287,12 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[common],
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("classgroup", parents=[common],
-                       help="reduced forms and group structure")
-    p.add_argument("--disc", type=int, required=True)
-    p.set_defaults(func=cmd_classgroup)
-
-    p = sub.add_parser("ring-class", parents=[common], help="class number of a non-maximal order")
-    p.add_argument("--disc", type=int, required=True)
-    p.add_argument("--conductor", type=int, required=True)
-    p.set_defaults(func=cmd_ring_class)
-
-    p = sub.add_parser("heegner-list", parents=[common], help="fiber representatives and tau values")
-    p.add_argument("--disc", type=int, required=True)
-    p.add_argument("--level", type=int, required=True)
-    p.set_defaults(func=cmd_heegner_list)
-
-    p = sub.add_parser("coeffs", parents=[common], help="q-expansion coefficients")
-    p.add_argument("--curve", required=True)
-    p.add_argument("--terms", type=int, required=True)
-    p.set_defaults(func=cmd_coeffs)
-
-    p = sub.add_parser("point", parents=[common], help="orbit, trace, and recognition")
-    p.add_argument("--curve", required=True)
-    p.add_argument("--disc", type=int, required=True)
-    p.set_defaults(func=cmd_point)
-
-    p = sub.add_parser("orbit-degree", parents=[common], help="distinct conjugates of n*P")
-    p.add_argument("--curve", required=True)
-    p.add_argument("--disc", type=int, required=True)
-    p.add_argument("--mul", type=int, required=True)
-    p.set_defaults(func=cmd_orbit_degree)
-
-    p = sub.add_parser("torsion", parents=[common], help="rational torsion subgroup")
-    p.add_argument("--curve", required=True)
-    p.set_defaults(func=cmd_torsion)
-
-    p = sub.add_parser("independence", parents=[common], help="full dependence-search report")
-    p.add_argument("--curve", required=True)
-    p.add_argument("--discs", required=True, help="comma-separated discriminants")
-    p.add_argument("--bound", type=int, required=True)
-    p.set_defaults(func=cmd_independence)
-
+    for name, func, text, flags in _COMMANDS:
+        p = sub.add_parser(name, parents=[common], help=text)
+        for flag in flags:
+            kind, flag_help = _FLAGS[flag]
+            p.add_argument(flag, type=kind, required=True, help=flag_help)
+        p.set_defaults(func=func)
     return parser
 
 

@@ -342,20 +342,12 @@ def ap(E: CurveModel, p: int) -> int:
     return a
 
 
-@dataclass(frozen=True)
-class QExpansion:
-    coefficients: tuple[int, ...]  # a_1 .. a_M
-
-    def a(self, n: int) -> int:
-        return self.coefficients[n - 1]
-
-
 _PREFIXES: dict[tuple, tuple[int, ...]] = {}  # (a-invariants, N) -> a_1..a_M
 _PREFIX_CURVES = 8
 
 
-def an_coeffs(E: CurveModel, M: int) -> QExpansion:
-    """Fourier coefficients a_1..a_M of the newform attached to E, from
+def an_coeffs(E: CurveModel, M: int) -> tuple[int, ...]:
+    """Fourier coefficients (a_1, ..., a_M) of the newform attached to E, from
     ap at primes and the Hecke recursion.  One growing prefix is
     kept per (a-invariants, conductor), for at most 8 curves with the
     oldest dropped; only the a_n beyond it are computed."""
@@ -367,7 +359,7 @@ def an_coeffs(E: CurveModel, M: int) -> QExpansion:
         del _PREFIXES[next(iter(_PREFIXES))]
     known = _PREFIXES[key] = known or (1,)
     if len(known) >= M:
-        return QExpansion(known[:M])
+        return known[:M]
     a = [0, *known] + [0] * (M - len(known))
     # smallest prime factor: the last, hence least, i <= sqrt(n) to write n
     spf = list(range(M + 1))
@@ -386,7 +378,7 @@ def an_coeffs(E: CurveModel, M: int) -> QExpansion:
         else:
             a[n] = a[p] * a[n // p]
     _PREFIXES[key] = known = tuple(a[1:])
-    return QExpansion(known)
+    return known
 
 
 # ---------------------------------------------------------------------------
@@ -396,10 +388,11 @@ def an_coeffs(E: CurveModel, M: int) -> QExpansion:
 def torsion_subgroup(E: CurveModel) -> tuple[tuple[CurvePoint, ...], tuple[int, ...]]:
     """Q-rational torsion points via Lutz-Nagell on the model
     Y^2 = X^3 - 27 c4 X - 54 c6 (X = 36x + 3b2, Y = 108(2y + a1x + a3)),
-    orders confirmed by iterated addition up to 12.
+    each order confirmed once, by iterated addition up to 12, and kept for
+    P and -P.
 
     Returns (points including infinity, group invariants as for
-    elementary divisors).
+    elementary divisors, read off those orders).
     """
     c4, c6 = E.c_invariants
     b2 = E.b_invariants[0]
@@ -411,7 +404,7 @@ def torsion_subgroup(E: CurveModel) -> tuple[tuple[CurvePoint, ...], tuple[int, 
     for p, e in fact.items():
         divs = [d * p**k for d in divs for k in range(e // 2 + 1)]
     candidates_Y.extend(sorted(set(divs)))
-    pts = {INFINITY}
+    orders = {INFINITY: 1}  # torsion point -> its order
     for Y in candidates_Y:
         for X in _integer_cubic_roots(A, B - Y * Y):
             x = Fraction(X - 3 * b2, 36)
@@ -419,14 +412,13 @@ def torsion_subgroup(E: CurveModel) -> tuple[tuple[CurvePoint, ...], tuple[int, 
             P = CurvePoint(x, y)
             if not E.on_curve(P.x, P.y):
                 continue
-            if _torsion_order(P, E) is not None:
-                pts.add(P)
-                pts.add(point_neg(P, E))
+            n = _torsion_order(P, E)
+            if n is not None:
+                orders[P] = orders[point_neg(P, E)] = n
     ordered = sorted(
-        pts, key=lambda P: (0,) if P.is_infinity else (1, P.x, P.y)
+        orders, key=lambda P: (0,) if P.is_infinity else (1, P.x, P.y)
     )
-    structure = _torsion_structure(ordered, E)
-    return tuple(ordered), structure
+    return tuple(ordered), _torsion_structure(orders.values())
 
 
 def _integer_cubic_roots(A: int, C: int) -> list[int]:
@@ -457,11 +449,11 @@ def _torsion_order(P: CurvePoint, E: CurveModel) -> int | None:
     return None
 
 
-def _torsion_structure(pts, E: CurveModel) -> tuple[int, ...]:
-    n = len(pts)
+def _torsion_structure(orders) -> tuple[int, ...]:
+    # invariants of the group whose elements have these orders
+    n = len(orders)
     if n == 1:
         return ()
-    orders = [1 if P.is_infinity else _torsion_order(P, E) for P in pts]
     mx = max(orders)
     if mx == n:
         return (n,)

@@ -41,12 +41,11 @@ class HeegnerPointRep:
 
 
 def heegner_condition(D: int, N: int) -> bool:
-    """gcd(D, N) = 1 and every prime dividing N splits in Q(sqrt(D))."""
+    """gcd(D, N) = 1 and every prime dividing N splits in Q(sqrt(D)): one
+    test, (D/p) = 1 for each prime p | N, as (D/p) = 0 when p | D."""
     qform.check_discriminant(D)
     if N < 1:
         raise ValueError("N must be positive")
-    if math.gcd(D, N) != 1:
-        return False
     return all(arith.kronecker(D, p) == 1 for p in arith.prime_divisors(N))
 
 

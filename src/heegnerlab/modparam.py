@@ -93,8 +93,7 @@ def eval_phi(E: CurveModel, taus, precision_bits: int
     g = (4 * M + 4).bit_length()
     K = precision_bits + 20 + g
     S = K + g
-    c = [0] + [(a << K) // n
-               for n, a in enumerate(an_coeffs(E, M).coefficients, 1)]
+    c = [0] + [(a << K) // n for n, a in enumerate(an_coeffs(E, M), 1)]
     values = []
     for tau, Mj in zip(taus, Ms):
         with mp.workprec(S + 10):
@@ -190,13 +189,13 @@ class RecognizedAlgebraic:
 _RESIDUAL_CAP = 2.0**-20
 
 
-def _screen(residual: mpf, x: mpc, y: mpc) -> None:
+def _screen(residual: mpf, x: mpc, y: mpc, p: int) -> None:
     """RecognitionFailed unless residual <= min(2^-20, 2^-(p//2) (1 + |x| +
-    |y|)^2), p = mp.prec = precision_bits + 20, at least 73 as periods
-    admits precision_bits >= 53: genuine algebraic inputs round to machine
+    |y|)^2), p = precision_bits + 20, at least 73 as periods admits
+    precision_bits >= 53: genuine algebraic inputs round to machine
     accuracy; a merely small residual (~bound^-2) signals a spurious
     continued-fraction hit."""
-    strict = mp.ldexp(1, -(mp.prec // 2)) * (1 + abs(x) + abs(y)) ** 2
+    strict = mp.ldexp(1, -(p // 2)) * (1 + abs(x) + abs(y)) ** 2
     if residual > min(_RESIDUAL_CAP, strict):
         raise RecognitionFailed(f"residual {mp.nstr(residual, 5)} too large")
 
@@ -209,16 +208,18 @@ def _round_rational(v, bound: int) -> tuple[Fraction, mpf]:
 
 def _read(point, denominator_bound: int, E: CurveModel, D: int | None,
           precision_bits: int) -> RecognizedAlgebraic:
-    """The one reader, at precision_bits + 20: each coordinate v is u + w
-    sqrt(D) in lattice.embed's principal-root embedding, u = Re v, w = Im v
-    / r, r = sqrt(|D|); u, and over Q(sqrt(D)) w, round to denominators up
-    to the bound, squared over Q(sqrt(D)) (over Q, D is None, r = 1, w = 0).
-    The residual e_u + r e_w over x and y is the L1 distance from the
-    embedded exact point; _screen and the exact curve equation decide."""
+    """The one reader: each coordinate v is u + w sqrt(D) in lattice.embed's
+    principal-root embedding, u = Re v, w = Im v / r, r = sqrt(|D|); u, and
+    over Q(sqrt(D)) w, round to denominators up to the bound, squared over
+    Q(sqrt(D)) (over Q, D is None, r = 1, w = 0).  The residual e_u + r e_w
+    over x and y is the L1 distance from the embedded exact point, summed
+    at precision_bits + 40 so that its printed digits are not rounding
+    noise of a residual near 2^-precision_bits; _screen, at p =
+    precision_bits + 20, and the exact curve equation decide."""
     if denominator_bound < 1:
         raise ValueError("denominator_bound must be positive")
     bound = denominator_bound if D is None else denominator_bound**2
-    with mp.workprec(precision_bits + 20):
+    with mp.workprec(precision_bits + 40):
         xy = [mp.mpc(v) for v in point]
         root = mp.mpf(1) if D is None else mp.sqrt(-D)
         exact, residual = [], mp.mpf(0)
@@ -228,7 +229,7 @@ def _read(point, denominator_bound: int, E: CurveModel, D: int | None,
             w, ew = (0, abs(t)) if D is None else _round_rational(t, bound)
             exact.append(u if D is None else QuadElt.make(u, w, D))
             residual += eu + ew * root
-        _screen(residual, *xy)
+        _screen(residual, *xy, precision_bits + 20)
     if not E.on_curve(*exact):
         raise RecognitionFailed(f"{'rounded' if D is None else 'quadratic'}"
                                 " point misses the curve equation")

@@ -342,6 +342,14 @@ class TestIndependenceReport:
             assert e.orbit_degrees[0] == 1
         assert "odd parts" in rep.hypothesis_note
 
+    def test_verified_on_the_points_it_uses(self):
+        # the D = -603 trace is unrecognized, but its coefficient is 0: the
+        # relation (0, 0) + (0, -1) = O is checked without it
+        rep = independence_report(E37, [-7, -11, -603], 3, PREC)
+        assert rep.entries[2].recognition.startswith("unrecognized")
+        assert rep.relation == Relation(coefficients=(1, 1, 0), torsion_slack=1)
+        assert rep.verdict == "relation_found_verified"
+
     def test_inadmissible_entry_is_recorded(self):
         rep = independence_report(E37, [-7, -20], 20, PREC)
         flagged = rep.entries[1]

@@ -73,16 +73,21 @@ class TestSqrtMod4N:
 
 class TestParts:
     def test_odd_part(self):
-        d = arith.odd_part(48)
-        assert (d.odd_part, d.two_exponent) == (3, 4)
-        assert arith.odd_part(1).odd_part == 1
-        assert arith.odd_part(7).odd_part == 7
+        m = arith.odd_part(48)
+        assert (m, 48 // m) == (3, 2**4)
+        assert arith.odd_part(1) == 1
+        assert arith.odd_part(7) == 7
 
     def test_odd_part_reconstructs(self):
         for n in range(1, 500):
-            d = arith.odd_part(n)
-            assert d.odd_part * 2**d.two_exponent == n
-            assert d.odd_part % 2 == 1
+            m = arith.odd_part(n)
+            assert n % m == 0 and (n // m) & (n // m - 1) == 0  # n = m 2^k
+            assert m % 2 == 1
+
+    @pytest.mark.parametrize("n", [0, -4])
+    def test_odd_part_of_a_non_positive_n(self, n):
+        with pytest.raises(ValueError, match="n must be positive"):
+            arith.odd_part(n)
 
     def test_prime_to_B_part(self):
         assert arith.prime_to_B_part(360, 6) == 5

@@ -297,6 +297,59 @@ class TestPlumbing:
         assert sympy == "False"
 
 
+_GLOBAL = {
+    "--json": (False, None, "JSON output"),
+    "--database": (False, None, "curve database path"),
+    "--prec": (False, "_precision", "working precision in bits (default 200)"),
+}
+# the interface as eight add_parser blocks declared it: subcommand -> (help,
+# {flag: (required, type name, help)}), flags in usage order
+INTERFACE = {
+    "classgroup": ("reduced forms and group structure", {
+        **_GLOBAL, "--disc": (True, "int", None)}),
+    "ring-class": ("class number of a non-maximal order", {
+        **_GLOBAL, "--disc": (True, "int", None),
+        "--conductor": (True, "int", None)}),
+    "heegner-list": ("fiber representatives and tau values", {
+        **_GLOBAL, "--disc": (True, "int", None),
+        "--level": (True, "int", None)}),
+    "coeffs": ("q-expansion coefficients", {
+        **_GLOBAL, "--curve": (True, None, None),
+        "--terms": (True, "int", None)}),
+    "point": ("orbit, trace, and recognition", {
+        **_GLOBAL, "--curve": (True, None, None),
+        "--disc": (True, "int", None)}),
+    "orbit-degree": ("distinct conjugates of n*P", {
+        **_GLOBAL, "--curve": (True, None, None),
+        "--disc": (True, "int", None), "--mul": (True, "int", None)}),
+    "torsion": ("rational torsion subgroup", {
+        **_GLOBAL, "--curve": (True, None, None)}),
+    "independence": ("full dependence-search report", {
+        **_GLOBAL, "--curve": (True, None, None),
+        "--discs": (True, None, "comma-separated discriminants"),
+        "--bound": (True, "int", None)}),
+}
+
+
+def test_parser_reproduces_the_interface():
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    helps = {c.dest: c.help for c in sub._choices_actions}
+    got = {}
+    for name, parser in sub.choices.items():
+        flags = {}
+        for a in parser._actions:
+            if isinstance(a, argparse._HelpAction):
+                continue
+            (flag,) = a.option_strings
+            flags[flag] = (a.required, getattr(a.type, "__name__", None), a.help)
+        got[name] = (helps[name], flags)
+    assert got == INTERFACE
+    assert list(got) == list(INTERFACE)
+    for name, (_, flags) in got.items():
+        assert list(flags) == list(INTERFACE[name][1]), name
+
+
 def readme_cli_lines():
     return [line.split()[1:] for line in README.read_text().splitlines()
             if line.startswith("heegnerlab ")]

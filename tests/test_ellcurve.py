@@ -392,7 +392,7 @@ def loop_an_coeffs_oracle(E, M):
 class TestCoefficients:
     @pytest.mark.parametrize("E", [E37, E32, E49], ids=["37a", "32a", "49a"])
     def test_matches_loop_oracle(self, E):
-        assert an_coeffs(E, 1500).coefficients == loop_an_coeffs_oracle(E, 1500)
+        assert an_coeffs(E, 1500) == loop_an_coeffs_oracle(E, 1500)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -409,28 +409,40 @@ class TestCoefficients:
             assert extended == an_coeffs(E, M)
 
     def test_37a_initial_segment(self):
-        q = an_coeffs(E37, 12)
-        assert q.coefficients == (1, -2, -3, 2, -2, 6, -1, 0, 6, 4, -5, -6)
+        assert an_coeffs(E37, 12) == (1, -2, -3, 2, -2, 6, -1, 0, 6, 4, -5, -6)
 
     def test_multiplicativity(self):
-        q = an_coeffs(E37, 2000)
+        a = (0, *an_coeffs(E37, 2000))  # a[n] = a_n
         for m in range(2, 45):
             for n in range(2, 45):
                 if math.gcd(m, n) == 1:
-                    assert q.a(m * n) == q.a(m) * q.a(n)
+                    assert a[m * n] == a[m] * a[n]
 
     def test_hecke_recursion_at_prime_powers(self):
-        q = an_coeffs(E37, 1000)
+        a = (0, *an_coeffs(E37, 1000))  # a[n] = a_n
         for p in (2, 3, 5, 7):
             for k in range(2, 6):
                 if p**k > 1000:
                     continue
-                assert q.a(p**k) == q.a(p) * q.a(p ** (k - 1)) - p * q.a(p ** (k - 2))
+                assert a[p**k] == a[p] * a[p ** (k - 1)] - p * a[p ** (k - 2)]
 
     def test_hasse_bound(self):
-        q = an_coeffs(E37, 500)
+        a = (0, *an_coeffs(E37, 500))  # a[n] = a_n
         for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 41, 43, 47):
-            assert abs(q.a(p)) <= 2 * math.isqrt(p) + 1
+            assert abs(a[p]) <= 2 * math.isqrt(p) + 1
+
+
+# (Cremona label, a-invariants, conductor, torsion structure): cyclic of
+# order 5..12 and Z/2 x Z/2m with m > 1
+TORSION_CURVES = [
+    ("11a1", (0, -1, 1, -10, -20), 11, (5,)),
+    ("14a1", (1, 0, 1, 4, -6), 14, (6,)),
+    ("26b1", (1, -1, 1, -3, 3), 26, (7,)),
+    ("15a4", (1, 1, 1, 35, -28), 15, (8,)),
+    ("90c3", (1, -1, 1, -122, 1721), 90, (12,)),
+    ("15a1", (1, 1, 1, -10, -10), 15, (2, 4)),
+    ("210e2", (1, 0, 0, -1070, 7812), 210, (2, 8)),
+]
 
 
 class TestTorsion:
@@ -457,6 +469,24 @@ class TestTorsion:
             if P.is_infinity:
                 continue
             assert point_mul(2, P, E32).is_infinity
+
+    @pytest.mark.parametrize("label, ainvs, N, structure", TORSION_CURVES,
+                             ids=[c[0] for c in TORSION_CURVES])
+    def test_cyclic_and_two_by_even_structures(self, label, ainvs, N,
+                                               structure):
+        E = CurveModel(*ainvs, N)
+        points, got = torsion_subgroup(E)
+        assert got == structure
+        assert len(points) == math.prod(structure)
+        # the exponent is the largest order, found by multiplying out
+        orders = [next(n for n in range(1, 13) if point_mul(n, P, E).is_infinity)
+                  for P in points]
+        assert max(orders) == structure[-1]
+        # independent oracle: the torsion injects into E(F_p) at good p > 2,
+        # and here the gcd of the point counts over 5..43 is its order
+        counts = [p + 1 - naive_ap(E, p) for p in range(5, 44)
+                  if all(p % d for d in range(2, p)) and E.discriminant % p]
+        assert math.gcd(*counts) == len(points)
 
     @pytest.mark.parametrize("k", [2, 30])
     def test_cube_twist_has_one_two_torsion_point(self, k):

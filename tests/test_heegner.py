@@ -1,7 +1,9 @@
+import math
+
 import pytest
 from mpmath import mp
 
-from heegnerlab import qform
+from heegnerlab import arith, qform
 from heegnerlab.heegner import heegner_condition, heegner_fiber, star_act
 
 
@@ -35,6 +37,18 @@ class TestCondition:
         assert not heegner_condition(-4, 32)  # gcd(D, N) > 1
         assert heegner_condition(-31, 49)
         assert not heegner_condition(-7, 49)  # 7 | gcd(D, N)
+
+    def test_split_test_also_refuses_common_primes(self):
+        # the condition as two tests, the gcd one included: (D/p) = 0 when
+        # p | D, so the split test alone gives the same answer
+        for N in range(1, 100):
+            primes = [p for p in range(2, N + 1)
+                      if N % p == 0 and all(p % d for d in range(2, p))]
+            for D in range(-3, -400, -1):
+                if D % 4 in (0, 1):
+                    want = math.gcd(D, N) == 1 and all(
+                        arith.kronecker(D, p) == 1 for p in primes)
+                    assert heegner_condition(D, N) == want, (D, N)
 
     def test_level_one_always_admissible(self):
         for D in range(-100, 0):

@@ -45,7 +45,7 @@ def direct_sum_oracle(E, tau, terms, workprec):
         q = mp.exp(2j * mp.pi * tau)
         coeffs = an_coeffs(E, terms)
         return mp.fsum(
-            (coeffs.a(n) * q**n / n for n in range(1, terms + 1)),
+            (coeffs[n - 1] * q**n / n for n in range(1, terms + 1)),
             absolute=False,
         )
 
@@ -60,7 +60,7 @@ def mpc_horner_oracle(tau, precision_bits, coeffs):
         # Horner in q: phi = q*(c_1 + q*(c_2 + ...)), c_n = a_n/n
         acc = mp.mpc(0)
         for n in range(M, 0, -1):
-            acc = acc * q + mp.mpf(coeffs.a(n)) / n
+            acc = acc * q + mp.mpf(coeffs[n - 1]) / n
         return acc * q, M
 
 
@@ -114,7 +114,7 @@ def far_sum_oracle(E, tau, precision_bits):
         assert 2 * abs_q ** (terms + 1) / (1 - abs_q) < mp.mpf(2) ** -(
             precision_bits + 40)
         acc, qn = mp.mpc(0), mp.mpc(1)
-        for n, a in enumerate(an_coeffs(E, terms).coefficients, 1):
+        for n, a in enumerate(an_coeffs(E, terms), 1):
             qn *= q
             acc += a * qn / n
         return acc, terms
@@ -128,8 +128,7 @@ def two_step_horner_oracle(E, taus, precision_bits):
     g = (4 * max(Ms) + 4).bit_length()
     K = precision_bits + 20 + g
     S = K + g
-    c = [(a << K) // n
-         for n, a in enumerate(an_coeffs(E, max(Ms)).coefficients, 1)]
+    c = [(a << K) // n for n, a in enumerate(an_coeffs(E, max(Ms)), 1)]
     values = []
     for tau, Mj in zip(taus, Ms):
         with mp.workprec(S + 10):
@@ -267,9 +266,8 @@ class TestCoefficientPrefix:
         for E, M, q in got:
             monkeypatch.setattr(ellcurve, "_PREFIXES", {})
             assert q == an_coeffs(E, M)  # a fresh build
-        assert got[1][2].coefficients == (1, 0, 0, 0, -2, 0, 0, 0, -3, 0, 0, 0)
-        assert got[2][2].coefficients == (1, -2, -3, 2, -2, 6, -1, 0, 6, 4,
-                                          -5, -6)
+        assert got[1][2] == (1, 0, 0, 0, -2, 0, 0, 0, -3, 0, 0, 0)
+        assert got[2][2] == (1, -2, -3, 2, -2, 6, -1, 0, 6, 4, -5, -6)
 
 
 def assert_gamma0_periods(E, prec=64):
@@ -643,8 +641,10 @@ class TestRecognize:
             recognize([near_miss], 10**6, E37, precision_bits=PREC)
 
 
-# The two readers that modparam._read replaced, verbatim: one loop over Q
-# and one over Q(sqrt(D)).
+# The two readers that modparam._read replaced, verbatim but for the
+# precision of the residual sum, which follows _read's (precision_bits + 40,
+# with the screen at precision_bits + 20): one loop over Q and one over
+# Q(sqrt(D)).
 def rational_reader_oracle(
     points,
     denominator_bound: int,
@@ -658,12 +658,12 @@ def rational_reader_oracle(
     if denominator_bound < 1:
         raise ValueError("denominator_bound must be positive")
     [(x, y)] = points
-    with mp.workprec(precision_bits + 20):
+    with mp.workprec(precision_bits + 40):
         x, y = mp.mpc(x), mp.mpc(y)
         rx, ex = _round_rational(x, denominator_bound)
         ry, ey = _round_rational(y, denominator_bound)
         residual = ex + ey + abs(mp.im(x)) + abs(mp.im(y))
-        _screen(residual, x, y)
+        _screen(residual, x, y, precision_bits + 20)
     if not E.on_curve(rx, ry):
         raise RecognitionFailed("rounded point misses the curve equation")
     return RecognizedAlgebraic(kind="rational", value=(rx, ry), residual=residual)
@@ -687,7 +687,7 @@ def quadratic_reader_oracle(
     if D >= 0:
         raise ValueError("D must be negative")
     bound = denominator_bound * denominator_bound
-    with mp.workprec(precision_bits + 20):
+    with mp.workprec(precision_bits + 40):
         x, y = (mp.mpc(v) for v in point)
         root = mp.sqrt(-D)
         exact, residual = [], mp.mpf(0)
@@ -696,7 +696,7 @@ def quadratic_reader_oracle(
             w, ew = _round_rational(mp.im(v) / root, bound)
             exact.append(QuadElt.make(u, w, D))
             residual += eu + ew * root
-        _screen(residual, x, y)
+        _screen(residual, x, y, precision_bits + 20)
     if not E.on_curve(*exact):
         raise RecognitionFailed("quadratic point misses the curve equation")
     return RecognizedAlgebraic(kind="quadratic", value=tuple(exact),
@@ -752,6 +752,29 @@ class TestOneReader:
         pair = (mp.mpf(0), mp.mpf(0))
         with pytest.raises(ValueError, match=r"one point, given as \[\(x, y\)\]"):
             recognize([pair, pair], 10, E37, precision_bits=PREC)
+
+
+def embedded_residual_oracle(xy, exact, precision_bits):
+    """The L1 distance sum |Re(v - e)| + |Im(v - e)| over the coordinates v
+    of a point and the embeddings e = lattice.embed of its exact reading,
+    at precision_bits: e_u + e_w sqrt(|D|), as Im e = w sqrt(|D|)."""
+    with mp.workprec(precision_bits):
+        diffs = [mp.mpc(v) - embed(c, precision_bits) for v, c in zip(xy, exact)]
+        return mp.fsum(abs(mp.re(d)) + abs(mp.im(d)) for d in diffs)
+
+
+class TestResidualDigits:
+    # the five digits point prints are those of the residual summed at
+    # precision_bits + 80, not rounding noise of a sum near 2^-precision_bits
+    @pytest.mark.parametrize("E, D, prec", [
+        (E49, -19, PREC), (E49, -31, PREC), (E49, -47, PREC), (E49, -59, PREC),
+        (E37, -7, PREC), (E37, -11, PREC), (E37, -47, PREC), (E37, -108, 300),
+    ], ids=lambda v: getattr(v, "label", str(v)))
+    def test_printed_residual_is_the_exact_one(self, E, D, prec):
+        tr = trace_point(orbit_points(E, D, prec))
+        rec = recognize_trace(tr)
+        want = embedded_residual_oracle(tr.xy, rec.value, prec + 80)
+        assert mp.nstr(rec.residual, 5) == mp.nstr(want, 5)
 
 
 def _admissible(N, limit):
