@@ -1,5 +1,6 @@
 """Exact integer utilities: Kronecker symbols, square roots mod 4N, odd parts,
-prime-to-B parts and trial-division factorization.
+prime-to-B parts, trial-division factorization, and the one double-and-add
+that raises forms, curve points and quadratic-field elements to powers.
 
 Everything here is deterministic and desk-scale (|D| <= 10^6, N <= 10^4);
 no probabilistic primality or sub-exponential factoring.
@@ -114,3 +115,15 @@ def is_fundamental_discriminant(D: int) -> bool:
         m = D // 4
         return m % 4 in (2, 3) and is_squarefree(m)
     return False
+
+
+def _multiple(n: int, P, add, zero, *law):
+    # n P, n >= 0, by double-and-add under add(P, Q, *law) with identity zero
+    result = zero
+    while n:
+        if n & 1:
+            result = add(result, P, *law)
+        n >>= 1
+        if n:  # no doubling above the top bit
+            P = add(P, P, *law)
+    return result

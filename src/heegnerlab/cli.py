@@ -20,7 +20,7 @@ from mpmath import mp
 from . import analysis, arith, db, modparam, qform
 from .ellcurve import CurvePoint, QuadElt, an_coeffs, torsion_subgroup
 from .errors import HeegnerlabError, RecognitionFailed
-from .heegner import heegner_fiber
+from .heegner import heegner_fiber, tau
 from .lattice import PRECISION_BITS, weierstrass_map
 
 
@@ -45,7 +45,8 @@ def _num(v, prec_bits: int) -> str:
 
 
 def jsonify(v, prec_bits: int):
-    """Map library values onto the documented JSON schema."""
+    """Map library values onto the documented JSON schema; a value of any
+    other type raises TypeError."""
     if v is None or isinstance(v, (bool, int, str)):
         return v
     if isinstance(v, Fraction):
@@ -67,7 +68,7 @@ def jsonify(v, prec_bits: int):
         return {k: jsonify(w, prec_bits) for k, w in v.items()}
     if isinstance(v, (list, tuple)):
         return [jsonify(w, prec_bits) for w in v]
-    return str(v)
+    raise TypeError(f"no JSON form for {type(v).__name__}")
 
 
 def _precision(text: str) -> int:
@@ -86,18 +87,18 @@ def _curve(args):
 
 
 def cmd_classgroup(args):
-    cg = qform.enumerate_reduced(args.disc)
-    structure = qform.group_structure(cg)
+    forms = qform.enumerate_reduced(args.disc)
+    structure = qform.group_structure(forms)
     payload = {
         "discriminant": args.disc,
-        "order": len(cg.forms),
+        "order": len(forms),
         "structure": list(structure),
-        "forms": [_form_dict(f) for f in cg.forms],
+        "forms": [_form_dict(f) for f in forms],
     }
     return payload, [
-        f"discriminant {args.disc}: h = {len(cg.forms)}, "
+        f"discriminant {args.disc}: h = {len(forms)}, "
         f"structure {' x '.join(f'Z/{d}' for d in structure) or 'trivial'}"
-    ] + [f"  ({f.a}, {f.b}, {f.c})" for f in cg.forms]
+    ] + [f"  ({f.a}, {f.b}, {f.c})" for f in forms]
 
 
 def cmd_ring_class(args):
@@ -115,18 +116,18 @@ def cmd_heegner_list(args):
     fiber = heegner_fiber(args.disc, args.level)
     reps = []
     lines = [f"{len(fiber)} fiber representative(s) at level {args.level}:"]
-    for rep in fiber:
-        tau = rep.tau(args.prec)
+    for f in fiber:
+        t = tau(f, args.prec)
         reps.append(
             {
-                "form": _form_dict(rep.form),
-                "class_form": _form_dict(rep.class_form),
-                "tau": tau,
+                "form": _form_dict(f),
+                "class_form": _form_dict(qform.reduce(f)),
+                "tau": t,
             }
         )
         lines.append(
-            f"  ({rep.form.a}, {rep.form.b}, {rep.form.c})"
-            f"  tau = {_num(tau, args.prec)}"
+            f"  ({f.a}, {f.b}, {f.c})"
+            f"  tau = {_num(t, args.prec)}"
         )
     return {"discriminant": args.disc, "level": args.level,
             "points": reps}, lines

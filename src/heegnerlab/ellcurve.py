@@ -17,15 +17,13 @@ from fractions import Fraction
 from . import arith
 from .errors import FieldMismatch
 
-Rat = Fraction
-
 
 @dataclass(frozen=True)
 class QuadElt:
     """Exact element x + y*sqrt(d) of a quadratic field, d squarefree != 0, 1."""
 
-    x: Rat
-    y: Rat
+    x: Fraction
+    y: Fraction
     d: int
 
     @staticmethod
@@ -96,11 +94,8 @@ class QuadElt:
         return self.inverse() * other
 
     def __pow__(self, n: int):
-        base = self if n >= 0 else self.inverse()
-        result: QuadElt | Fraction = Fraction(1)
-        for _ in range(abs(n)):
-            result = base * result
-        return result
+        return arith._multiple(abs(n), self if n >= 0 else self.inverse(),
+                               lambda u, v: u * v, Fraction(1))
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -214,21 +209,9 @@ def point_add(P: CurvePoint, Q: CurvePoint, E: CurveModel) -> CurvePoint:
     return CurvePoint(x3, y3)
 
 
-def _multiple(n: int, P, add, zero, *law):
-    # n P, n >= 0, by double-and-add under add(P, Q, *law) with identity zero
-    result = zero
-    while n:
-        if n & 1:
-            result = add(result, P, *law)
-        n >>= 1
-        if n:  # no doubling above the top bit
-            P = add(P, P, *law)
-    return result
-
-
 def point_mul(n: int, P: CurvePoint, E: CurveModel) -> CurvePoint:
-    return _multiple(abs(n), point_neg(P, E) if n < 0 else P, point_add,
-                     INFINITY, E)
+    return arith._multiple(abs(n), point_neg(P, E) if n < 0 else P, point_add,
+                           INFINITY, E)
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +271,7 @@ def _hasse_candidates(P, a: int, p: int, H: int) -> set[int]:
         baby.setdefault(R, []).append(j)
         R = _add_mod(R, P, a, p)
     step = R if R is None else (R[0], -R[1] % p)  # -m P
-    R = _multiple(p + 1 + H, P, _add_mod, None, a, p)
+    R = arith._multiple(p + 1 + H, P, _add_mod, None, a, p)
     found = set()
     for k in range(m):
         for j in baby.get(R, ()):

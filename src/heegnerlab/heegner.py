@@ -1,17 +1,16 @@
 """Heegner condition, level-N Heegner fibers and the class-group star action.
 
-A fiber element is a form (a, b, c) of discriminant D with N | a and
-b = beta (mod 2N), where beta is the fixed square root of D mod 4N.  Its
-upper-half-plane point is tau = (-b + sqrt(D)) / (2a).  One representative
-per ideal class, normalized to minimal a (then least b >= 0), which keeps
-Im(tau) as large as the normalization allows.
+A fiber element is a bare form (a, b, c) of discriminant D with N | a and
+b = beta (mod 2N), beta the fixed square root of D mod 4N; qform.reduce
+names its class.  Its upper-half-plane point is tau(form) = (-b + sqrt(D))
+/ (2a).  One representative per class, normalized to minimal a (then least
+b >= 0), which keeps Im(tau) as large as the normalization allows.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 from mpmath import mp, mpc
 
@@ -19,25 +18,10 @@ from . import arith, qform
 from .errors import DiscriminantMismatch, HeegnerConditionFailed
 
 
-@dataclass(frozen=True)
-class HeegnerPointRep:
-    level: int
-    form: qform.BinaryQuadraticForm
-
-    @property
-    def discriminant(self) -> int:
-        return self.form.discriminant
-
-    @property
-    def class_form(self) -> qform.BinaryQuadraticForm:
-        """Reduced form naming the ideal class of this fiber element."""
-        return qform.reduce(self.form)
-
-    def tau(self, precision_bits: int) -> mpc:
-        with mp.workprec(precision_bits):
-            return (
-                -self.form.b + mp.sqrt(mpc(self.discriminant))
-            ) / (2 * self.form.a)
+def tau(form: qform.BinaryQuadraticForm, precision_bits: int) -> mpc:
+    """(-b + sqrt(D)) / (2a), the root of form in the upper half plane."""
+    with mp.workprec(precision_bits):
+        return (-form.b + mp.sqrt(mpc(form.discriminant))) / (2 * form.a)
 
 
 def heegner_condition(D: int, N: int) -> bool:
@@ -50,9 +34,9 @@ def heegner_condition(D: int, N: int) -> bool:
 
 
 @functools.lru_cache(maxsize=None)
-def heegner_fiber(D: int, N: int) -> tuple[HeegnerPointRep, ...]:
-    """One fiber element per ideal class of the order of discriminant D,
-    all sharing the fixed square root beta of D mod 4N.
+def heegner_fiber(D: int, N: int) -> tuple[qform.BinaryQuadraticForm, ...]:
+    """One fiber form per ideal class of the order of discriminant D, in
+    enumerate_reduced(D) order, all sharing the fixed root beta of D mod 4N.
 
     Scans a = N, 2N, ... and b = beta (mod 2N) with 0 < b <= 2a; the first
     hit per class is the minimal-a, least-b representative.
@@ -61,8 +45,8 @@ def heegner_fiber(D: int, N: int) -> tuple[HeegnerPointRep, ...]:
         raise HeegnerConditionFailed(f"(D={D}, N={N}) fails the Heegner condition")
     beta = arith.sqrt_mod_4N(D, N)
     classes = qform.enumerate_reduced(D)
-    h = classes.order
-    found: dict[qform.BinaryQuadraticForm, HeegnerPointRep] = {}
+    h = len(classes)
+    found: dict[qform.BinaryQuadraticForm, qform.BinaryQuadraticForm] = {}
     t = 0
     while len(found) < h:
         t += 1
@@ -76,22 +60,20 @@ def heegner_fiber(D: int, N: int) -> tuple[HeegnerPointRep, ...]:
             form = qform.BinaryQuadraticForm(a, b, c)
             if math.gcd(math.gcd(a, b), c) != 1:
                 continue
-            key = qform.reduce(form)
-            if key not in found:
-                found[key] = HeegnerPointRep(level=N, form=form)
-    return tuple(found[f] for f in classes.forms)
+            found.setdefault(qform.reduce(form), form)
+    return tuple(found[f] for f in classes)
 
 
-def star_act(b_class: qform.BinaryQuadraticForm, y: HeegnerPointRep) -> HeegnerPointRep:
-    """Class-group action on the fiber: acts on the class component by
-    composition and re-normalizes to the fiber representative."""
-    if b_class.discriminant != y.discriminant:
+def star_act(b_class: qform.BinaryQuadraticForm, form: qform.BinaryQuadraticForm,
+             N: int) -> qform.BinaryQuadraticForm:
+    """Class-group action on the level-N fiber: acts on the class of form
+    by composition and re-normalizes to the fiber representative."""
+    if b_class.discriminant != form.discriminant:
         raise DiscriminantMismatch(
-            f"{b_class} does not act on discriminant {y.discriminant}"
+            f"{b_class} does not act on discriminant {form.discriminant}"
         )
-    target = qform.compose(y.class_form, b_class)
-    fiber = heegner_fiber(y.discriminant, y.level)
-    for rep in fiber:
-        if rep.class_form == target:
+    target = qform.compose(qform.reduce(form), b_class)
+    for rep in heegner_fiber(form.discriminant, N):
+        if qform.reduce(rep) == target:
             return rep
     raise RuntimeError("fiber element missing for class " + str(target))

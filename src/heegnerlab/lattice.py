@@ -37,8 +37,9 @@ class Lattice:
     @cached_property
     def reduced_basis(self) -> tuple[mpc, mpc]:
         """Gauss-reduced basis (w1, w2) with Im(w2/w1) > 0 and |w2/w1|
-        in the usual fundamental domain; used for series evaluation.  It
-        keeps the 40 guard bits that periods computes."""
+        in the usual fundamental domain: theta_constants and the
+        theta-quotient p of weierstrass_p work on it.  It keeps the 40
+        guard bits that periods computes."""
         with mp.workprec(self.precision_bits + 40):
             w1, w2 = self.omega1, self.omega2
             if abs(w2) < abs(w1):

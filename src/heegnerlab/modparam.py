@@ -28,7 +28,7 @@ from mpmath.libmp import to_rational
 
 from .ellcurve import CurveModel, QuadElt, an_coeffs
 from .errors import ConvergenceTooSlow, RecognitionFailed
-from .heegner import heegner_fiber
+from .heegner import heegner_fiber, tau
 from .lattice import Lattice, periods, weierstrass_map
 
 _M_CAP = 10**6
@@ -138,7 +138,7 @@ def orbit_points(E: CurveModel, D: int, precision_bits: int) -> OrbitEvaluation:
     2^-(prec+21): each value errs below 2^-(prec+3), Lattice.near's eta."""
     fiber = heegner_fiber(D, E.conductor)
     L = periods(E, precision_bits)
-    taus = [rep.tau(precision_bits + 40) for rep in fiber]
+    taus = [tau(f, precision_bits + 40) for f in fiber]
     values, Ms = eval_phi(E, taus, precision_bits)
     return OrbitEvaluation(curve=E, discriminant=D,
                            torus_coordinates=tuple(map(L.torus, values)),

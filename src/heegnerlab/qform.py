@@ -5,7 +5,8 @@ Alg. 5.4.7, class group structure from the p-ranks of the element orders,
 and ring class numbers of non-maximal orders.  Forms (a, b, c) are
 primitive and positive definite; the reduced representative
 (|b| <= a <= c, b >= 0 on ties) is the canonical name of an ideal class of
-the order of discriminant b^2 - 4ac.
+the order of discriminant b^2 - 4ac, and the class group is the sorted
+tuple of reduced forms, principal form first.  Integers and Fractions only.
 """
 
 from __future__ import annotations
@@ -53,20 +54,6 @@ class BinaryQuadraticForm:
         return f"({self.a},{self.b},{self.c})"
 
 
-@dataclass(frozen=True)
-class ClassGroup:
-    discriminant: int
-    forms: tuple[BinaryQuadraticForm, ...]
-
-    @property
-    def order(self) -> int:
-        return len(self.forms)
-
-    @property
-    def principal(self) -> BinaryQuadraticForm:
-        return principal_form(self.discriminant)
-
-
 def check_discriminant(D: int) -> None:
     """Raise InvalidDiscriminant unless D < 0 and D = 0 or 1 mod 4."""
     if D >= 0 or D % 4 not in (0, 1):
@@ -100,8 +87,8 @@ def reduce(f: BinaryQuadraticForm) -> BinaryQuadraticForm:
     return BinaryQuadraticForm(a, b, c)
 
 
-def enumerate_reduced(D: int) -> ClassGroup:
-    """All primitive reduced forms of discriminant D; order = h(D).
+def enumerate_reduced(D: int) -> tuple[BinaryQuadraticForm, ...]:
+    """All primitive reduced forms of discriminant D, sorted; h(D) of them.
 
     Iterates over b of the right parity with 3b^2 <= |D| and splits
     (b^2 - D)/4 into divisor pairs a*c.
@@ -121,8 +108,7 @@ def enumerate_reduced(D: int) -> ClassGroup:
                         forms.append(BinaryQuadraticForm(a, -b, c))
             a += 1
         b += 2
-    forms.sort()
-    return ClassGroup(D, tuple(forms))
+    return tuple(sorted(forms))
 
 
 def _gcdext(a: int, b: int) -> tuple[int, int, int]:
@@ -166,16 +152,8 @@ def compose(f: BinaryQuadraticForm, g: BinaryQuadraticForm) -> BinaryQuadraticFo
 def form_pow(f: BinaryQuadraticForm, n: int) -> BinaryQuadraticForm:
     """n-th composition power of the class of f (n may be negative)."""
     D = f.validate().discriminant
-    if n < 0:
-        return form_pow(f.inverse(), -n)
-    result = principal_form(D)
-    base = reduce(f)
-    while n:
-        if n & 1:
-            result = compose(result, base)
-        base = compose(base, base)
-        n >>= 1
-    return result
+    return arith._multiple(abs(n), reduce(f) if n >= 0 else f.inverse(),
+                           compose, principal_form(D))
 
 
 def _class_order(f: BinaryQuadraticForm, h: int) -> int:
@@ -188,14 +166,15 @@ def _class_order(f: BinaryQuadraticForm, h: int) -> int:
     return o
 
 
-def group_structure(G: ClassGroup) -> tuple[int, ...]:
-    """Invariant factors d_1 | d_2 | ... (product = h) of the class group,
-    read off its p-ranks.  With h = p^e m, p not dividing m, the classes
-    whose order divides p^k m number m |G_p[p^k]| = m p^(s_k); then
-    r_k = s_k - s_(k-1) cyclic p-factors have order >= p^k, and the i-th
-    largest invariant factor is prod_p p^#{k : r_k > i}."""
-    h = G.order
-    orders = [_class_order(f, h) for f in G.forms]
+def group_structure(forms: tuple[BinaryQuadraticForm, ...]) -> tuple[int, ...]:
+    """Invariant factors d_1 | d_2 | ... (product = h) of the class group
+    forms = enumerate_reduced(D), read off its p-ranks.  With h = p^e m,
+    p not dividing m, the classes whose order divides p^k m number
+    m |G_p[p^k]| = m p^(s_k); then r_k = s_k - s_(k-1) cyclic p-factors
+    have order >= p^k, and the i-th largest invariant factor is
+    prod_p p^#{k : r_k > i}."""
+    h = len(forms)
+    orders = [_class_order(f, h) for f in forms]
     largest: list[int] = []
     for p, e in arith.factorize(h).items():
         m = h // p**e
@@ -221,7 +200,7 @@ def ring_class_number(D: int, c: int) -> int:
         raise NonFundamentalDiscriminant(f"{D} is not fundamental")
     if c < 1:
         raise ValueError("conductor must be positive")
-    h = enumerate_reduced(D).order
+    h = len(enumerate_reduced(D))
     if c == 1:
         return h
     unit_index = {-3: 3, -4: 2}.get(D, 1)

@@ -138,9 +138,9 @@ def test_criterion_01_class_numbers(capfd):
         for D in range(-3, -10**4, -1):
             if not arith.is_fundamental_discriminant(D):
                 continue
-            assert len(qform.enumerate_reduced(D).forms) == brute_class_number(D)
+            assert len(qform.enumerate_reduced(D)) == brute_class_number(D)
         for D, h in ((-23, 3), (-47, 5), (-71, 7)):
-            assert len(qform.enumerate_reduced(D).forms) == h
+            assert len(qform.enumerate_reduced(D)) == h
 
 
 def test_criterion_02_group_axioms(capfd):
@@ -148,10 +148,9 @@ def test_criterion_02_group_axioms(capfd):
         for D in range(-3, -501, -1):
             if D % 4 not in (0, 1):
                 continue
-            cg = qform.enumerate_reduced(D)
-            forms = cg.forms
+            forms = qform.enumerate_reduced(D)
             fset = set(forms)
-            e = cg.principal
+            e = qform.principal_form(D)
             assert e in fset
             for f in forms:
                 assert qform.compose(e, f) == f
@@ -179,28 +178,28 @@ def test_criterion_03_ring_class_numbers(capfd):
                 continue
             for c in range(1, 13):
                 assert qform.ring_class_number(D, c) == len(
-                    qform.enumerate_reduced(c * c * D).forms
+                    qform.enumerate_reduced(c * c * D)
                 )
 
 
 def test_criterion_04_heegner_fibers(capfd):
     with _Budget(capfd, 4, 60):
         fiber = heegner_fiber(-7, 37)
-        assert (37, 17, 2) in {(r.form.a, r.form.b, r.form.c) for r in fiber}
+        assert (37, 17, 2) in {(f.a, f.b, f.c) for f in fiber}
         for N in (1, 37):
             for D in range(-3, -201, -1):
                 if D % 4 not in (0, 1) or not heegner_condition(D, N):
                     continue
-                cg = qform.enumerate_reduced(D)
+                forms = qform.enumerate_reduced(D)
                 fiber = heegner_fiber(D, N)
-                assert len(fiber) == len(cg.forms)
-                keys = {(r.form.a, r.form.b, r.form.c) for r in fiber}
+                assert len(fiber) == len(forms)
+                keys = {(f.a, f.b, f.c) for f in fiber}
                 assert len(keys) == len(fiber)
                 for rep in fiber:
                     # the class-group action is free and transitive
                     images = {
-                        (s.form.a, s.form.b, s.form.c)
-                        for s in (star_act(b, rep) for b in cg.forms)
+                        (s.a, s.b, s.c)
+                        for s in (star_act(b, rep, N) for b in forms)
                     }
                     assert images == keys
 

@@ -163,6 +163,14 @@ class TestNoiseDigits:
             assert jsonify(mp.ldexp(1, -199), 200)["re"] != "0.0"
 
 
+def test_jsonify_refuses_a_value_without_a_json_form():
+    # a value outside the schema raises instead of turning into its str
+    for v, name in (({1, 2}, "set"), (object(), "object"),
+                    ({"k": [frozenset()]}, "frozenset")):
+        with pytest.raises(TypeError, match=f"^no JSON form for {name}$"):
+            jsonify(v, 200)
+
+
 class TestOrbitDegreeAndTorsion:
     def test_orbit_degree(self, capsys):
         code, doc = run_json(

@@ -83,13 +83,19 @@ class TestQuadElt:
         assert a + a.conjugate() == 1
         assert a * a.conjugate() == F(1, 4) - 9 * (-7)
 
-    @pytest.mark.parametrize("n", [-3, -2, -1, 0, 1, 2, 3])
+    @pytest.mark.parametrize("n", [-13, -3, -2, -1, 0, 1, 2, 3, 8, 13])
     def test_integer_powers(self, n):
         # a negative exponent inverts: 1 + sqrt(-7) has norm 8
         a = QuadElt.make(1, 1, -7)
         assert a**n * a**-n == 1
         if n == -1:
             assert a**n == QuadElt.make(F(1, 8), F(-1, 8), -7)
+        # against an n-fold product; sqrt(-7)^2 = -7 leaves the field type
+        for b in (a, QuadElt.make(0, 1, -7), QuadElt.make(F(2, 3), -5, 10)):
+            base, oracle = b if n >= 0 else b.inverse(), F(1)
+            for _ in range(abs(n)):
+                oracle = oracle * base
+            assert b**n == oracle
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 300), st.integers(-10**5, 10**5).filter(bool),
@@ -535,12 +541,13 @@ def test_integer_cubic_roots_of_split_cubics(r):
         assert polyroots_integer_cubic_roots(A, C) == sorted(r)
 
 
-def test_ellcurve_imports_only_exact_modules():
-    # ellcurve and the package modules it imports stay pure-integer: no
-    # mpmath, no float module, and from math only the integer functions
+def exact_imports(root):
+    """(modules reached, offending imports) from root through the package
+    modules it imports: no mpmath, no float module, and from math only
+    the integer functions."""
     exact = {"__future__", "dataclasses", "fractions", "math"}
     integer_math = {"comb", "gcd", "isqrt", "lcm", "prod"}
-    seen, todo, offenders = set(), ["heegnerlab.ellcurve"], []
+    seen, todo, offenders = set(), [root], []
     while todo:
         name = todo.pop()
         if name in seen:
@@ -557,5 +564,19 @@ def test_ellcurve_imports_only_exact_modules():
             elif (isinstance(node, ast.Attribute) and node.attr not in integer_math
                   and isinstance(node.value, ast.Name) and node.value.id == "math"):
                 offenders.append(f"math.{node.attr}")
+    return seen, offenders
+
+
+def test_ellcurve_imports_only_exact_modules():
+    # ellcurve and the package modules it imports stay pure-integer
+    seen, offenders = exact_imports("heegnerlab.ellcurve")
     assert seen == {"heegnerlab.ellcurve", "heegnerlab.arith", "heegnerlab.errors"}
+    assert offenders == []
+
+
+def test_qform_imports_only_exact_modules():
+    # qform shares arith's double-and-add with ellcurve and is held to the
+    # same pure-integer imports
+    seen, offenders = exact_imports("heegnerlab.qform")
+    assert seen == {"heegnerlab.qform", "heegnerlab.arith", "heegnerlab.errors"}
     assert offenders == []

@@ -5,6 +5,7 @@ from mpmath import mp
 
 from heegnerlab import arith, qform
 from heegnerlab.heegner import heegner_condition, heegner_fiber, star_act
+from heegnerlab.heegner import tau as heegner_tau
 
 
 def brute_fiber_forms(D, N, bound=500):
@@ -60,26 +61,25 @@ class TestFiber:
     def test_known_form(self):
         fiber = heegner_fiber(-7, 37)
         assert len(fiber) == 1
-        assert (fiber[0].form.a, fiber[0].form.b, fiber[0].form.c) == (37, 17, 2)
+        assert (fiber[0].a, fiber[0].b, fiber[0].c) == (37, 17, 2)
 
     def test_fiber_size_is_class_number(self):
         for D in (-7, -11, -47, -83, -95):
             if not heegner_condition(D, 37):
                 continue
             assert len(heegner_fiber(D, 37)) == len(
-                qform.enumerate_reduced(D).forms
+                qform.enumerate_reduced(D)
             )
 
     def test_one_representative_per_class(self):
         fiber = heegner_fiber(-83, 37)
-        classes = {rep.class_form for rep in fiber}
+        classes = {qform.reduce(f) for f in fiber}
         assert len(classes) == len(fiber)
-        assert classes == set(qform.enumerate_reduced(-83).forms)
+        assert classes == set(qform.enumerate_reduced(-83))
 
     def test_forms_land_in_fiber(self):
         for D, N in [(-7, 37), (-83, 37), (-15, 32), (-31, 49)]:
-            for rep in heegner_fiber(D, N):
-                f = rep.form
+            for f in heegner_fiber(D, N):
                 assert f.a % N == 0
                 assert f.b * f.b - 4 * f.a * f.c == D
 
@@ -87,15 +87,14 @@ class TestFiber:
         for D, N in [(-7, 37), (-83, 37), (-15, 32)]:
             brute = brute_fiber_forms(D, N)
             fiber = heegner_fiber(D, N)
-            assert {rep.class_form for rep in fiber} == set(brute)
+            assert {qform.reduce(f) for f in fiber} == set(brute)
 
     def test_tau_upper_half_plane(self):
         with mp.workprec(110):
-            for rep in heegner_fiber(-83, 37):
-                tau = rep.tau(100)
+            for f in heegner_fiber(-83, 37):
+                tau = heegner_tau(f, 100)
                 assert mp.im(tau) > 0
                 # tau is a root of a tau^2 + b tau + c
-                f = rep.form
                 val = f.a * tau**2 + f.b * tau + f.c
                 assert abs(val) < mp.mpf(2) ** -80
 
@@ -105,23 +104,23 @@ class TestStarAction:
         for D, N in [(-83, 37), (-95, 37), (-23, 1)]:
             if not heegner_condition(D, N):
                 continue
-            cg = qform.enumerate_reduced(D)
+            forms = qform.enumerate_reduced(D)
             fiber = heegner_fiber(D, N)
             base = fiber[0]
-            images = {star_act(b, base).class_form for b in cg.forms}
-            assert len(images) == len(cg.forms)  # free
-            assert images == {rep.class_form for rep in fiber}  # transitive
+            images = {qform.reduce(star_act(b, base, N)) for b in forms}
+            assert len(images) == len(forms)  # free
+            assert images == {qform.reduce(f) for f in fiber}  # transitive
 
     def test_identity_acts_trivially(self):
         base = heegner_fiber(-83, 37)[0]
         e = qform.principal_form(-83)
-        assert star_act(e, base).class_form == base.class_form
+        assert qform.reduce(star_act(e, base, 37)) == qform.reduce(base)
 
     def test_action_is_compatible_with_composition(self):
-        cg = qform.enumerate_reduced(-83)
+        forms = qform.enumerate_reduced(-83)
         base = heegner_fiber(-83, 37)[0]
-        for b1 in cg.forms:
-            for b2 in cg.forms:
-                lhs = star_act(b1, star_act(b2, base)).class_form
-                rhs = star_act(qform.compose(b1, b2), base).class_form
+        for b1 in forms:
+            for b2 in forms:
+                lhs = qform.reduce(star_act(b1, star_act(b2, base, 37), 37))
+                rhs = qform.reduce(star_act(qform.compose(b1, b2), base, 37))
                 assert lhs == rhs

@@ -13,6 +13,7 @@ from heegnerlab.ellcurve import CurveModel, QuadElt, an_coeffs, ap
 from heegnerlab.errors import (ConvergenceTooSlow, HeegnerConditionFailed,
                               RecognitionFailed)
 from heegnerlab.heegner import heegner_condition, heegner_fiber
+from heegnerlab.heegner import tau as heegner_tau
 from heegnerlab.lattice import _agm_lattice, embed, periods, weierstrass_map
 from heegnerlab.modparam import (
     _RESIDUAL_CAP,
@@ -86,7 +87,7 @@ class TestFixedPointHorner:
         assert len(fiber) == len(terms)
         coeffs = an_coeffs(E, max(terms))
         with mp.workprec(prec + 20):
-            taus = [rep.tau(prec + 20) for rep in fiber]
+            taus = [heegner_tau(f, prec + 20) for f in fiber]
             values, Ms = eval_phi(E, taus, prec)
         assert list(Ms) == terms
         for tau, v, M in zip(taus, values, Ms):
@@ -150,7 +151,7 @@ class TestHornerStep:
     @pytest.mark.parametrize("prec", [53, 200, 1000])
     @pytest.mark.parametrize("E, D", [(E37, -71), (E49, -31)], ids=["37a", "49a"])
     def test_same_bits_as_the_trailing_multiply(self, E, D, prec):
-        taus = [rep.tau(prec + 40) for rep in heegner_fiber(D, E.conductor)]
+        taus = [heegner_tau(f, prec + 40) for f in heegner_fiber(D, E.conductor)]
         values, _ = eval_phi(E, taus, prec)
         assert values == two_step_horner_oracle(E, taus, prec)
 
@@ -196,7 +197,7 @@ class TestTailBound:
     @pytest.mark.parametrize("E, D", [(E37, -71), (E49, -31)], ids=["37a", "49a"])
     def test_total_error_against_a_far_sum(self, E, D, prec):
         with mp.workprec(prec + 20):
-            taus = [rep.tau(prec + 20) for rep in heegner_fiber(D, E.conductor)]
+            taus = [heegner_tau(f, prec + 20) for f in heegner_fiber(D, E.conductor)]
             values, Ms = eval_phi(E, taus, prec)
         for tau, v, M in zip(taus, values, Ms):
             far, terms = far_sum_oracle(E, tau, prec)
@@ -238,14 +239,14 @@ class TestCoefficientPrefix:
         # one point at a time, term counts 400, 804, 199, 602, 804, 400, 602:
         # one build to 400, one extension to 804, so every prime up to 804
         # is counted once
-        for rep in heegner_fiber(-71, 37):
-            eval_phi(E37, [rep.tau(PREC + 20)], PREC)
+        for f in heegner_fiber(-71, 37):
+            eval_phi(E37, [heegner_tau(f, PREC + 20)], PREC)
         up_to_804 = [p for p in range(2, 805)
                      if all(p % d for d in range(2, math.isqrt(p) + 1))]
         assert primes == up_to_804
         # keyed on the a-invariants and the level, not on the label
-        eval_phi(dataclasses.replace(E37, label="x"), [rep.tau(PREC + 20)],
-                 PREC)
+        eval_phi(dataclasses.replace(E37, label="x"),
+                 [heegner_tau(f, PREC + 20)], PREC)
         assert primes == up_to_804
         assert list(ellcurve._PREFIXES) == [((0, 0, 1, -1, 0), 37)]
         assert len(ellcurve._PREFIXES[(0, 0, 1, -1, 0), 37]) == 804
@@ -293,13 +294,13 @@ def assert_gamma0_periods(E, prec=64):
 
 class TestEvalPhi:
     def test_q_invariance(self):
-        tau = heegner_fiber(-7, 37)[0].tau(PREC + 20)
+        tau = heegner_tau(heegner_fiber(-7, 37)[0], PREC + 20)
         with mp.workprec(PREC + 20):
             (v1, v2), _ = eval_phi(E37, [tau, tau + 1], PREC)
             assert abs(v1 - v2) < mp.mpf(2) ** -(PREC - 5)
 
     def test_truncation_contract(self):
-        tau = heegner_fiber(-83, 37)[0].tau(PREC + 60)
+        tau = heegner_tau(heegner_fiber(-83, 37)[0], PREC + 60)
         with mp.workprec(PREC + 60):
             (v1,), _ = eval_phi(E37, [tau], PREC)
             (v2,), _ = eval_phi(E37, [tau], PREC + 40)
@@ -371,7 +372,7 @@ class TestOrbits:
         # 32a D = -3999, the class with a = 5344: Im tau = 0.0059, where
         # |dphi/dtau| is about 2^13; tau formed at prec + 20 bits moved phi
         # by 2^-218.9, above the 2^-220 that orbit_points allows for it
-        rep = next(r for r in heegner_fiber(-3999, 32) if r.form.a == 5344)
+        rep = next(f for f in heegner_fiber(-3999, 32) if f.a == 5344)
         seen = []
 
         def recording_eval_phi(E, taus, prec):
@@ -382,7 +383,7 @@ class TestOrbits:
         monkeypatch.setattr(modparam, "eval_phi", recording_eval_phi)
         orbit = orbit_points(E32, -3999, PREC)
         [((value,), (M,))] = seen
-        exact, (M_exact,) = eval_phi(E32, [rep.tau(PREC + 200)], PREC)
+        exact, (M_exact,) = eval_phi(E32, [heegner_tau(rep, PREC + 200)], PREC)
         assert orbit.terms_used == M == M_exact == 3911
         assert abs(value - exact[0]) < mp.ldexp(1, -(PREC + 20))
 

@@ -108,15 +108,15 @@ def _exact_log(n: int, p: int) -> int:
     return v
 
 
-def partition_group_structure_oracle(G: qform.ClassGroup) -> tuple[int, ...]:
-    """Invariant factors d_1 | d_2 | ... (product = h) of the class group,
-    computed from element orders as group_structure did before it read
-    them off the p-ranks (without its cache on the ClassGroup)."""
-    h = G.order
+def partition_group_structure_oracle(forms) -> tuple[int, ...]:
+    """Invariant factors d_1 | d_2 | ... (product = h) of the class group
+    forms, computed from element orders as group_structure did before it
+    read them off the p-ranks."""
+    h = len(forms)
     if h == 1:
         divisors: tuple[int, ...] = ()
     else:
-        orders = [qform._class_order(f, h) for f in G.forms]
+        orders = [qform._class_order(f, h) for f in forms]
         partitions: dict[int, list[int]] = {}
         for p, e in arith.factorize(h).items():
             cofactor = h // p**e
@@ -183,19 +183,19 @@ class TestEnumeration:
                 (-23, 3), (-47, 5), (-71, 7), (-83, 3), (-84, 4)]
     )
     def test_class_numbers(self, D, h):
-        assert len(qform.enumerate_reduced(D).forms) == h
+        assert len(qform.enumerate_reduced(D)) == h
 
     def test_matches_brute_force_scan(self):
         for D in range(-400, 0):
             if D % 4 not in (0, 1):
                 continue
-            got = {(f.a, f.b, f.c) for f in qform.enumerate_reduced(D).forms}
+            got = {(f.a, f.b, f.c) for f in qform.enumerate_reduced(D)}
             assert got == brute_reduced_forms(D), D
 
     def test_principal_form_first(self):
         for D in (-23, -84, -163):
-            cg = qform.enumerate_reduced(D)
-            assert cg.forms[0] == qform.principal_form(D)
+            forms = qform.enumerate_reduced(D)
+            assert forms[0] == qform.principal_form(D)
 
 
 class TestComposition:
@@ -209,8 +209,7 @@ class TestComposition:
 
     def test_group_axioms_sample(self):
         for D in (-23, -47, -84, -71, -120):
-            cg = qform.enumerate_reduced(D)
-            forms = cg.forms
+            forms = qform.enumerate_reduced(D)
             e = qform.principal_form(D)
             table = {}
             for f, g in itertools.product(forms, forms):
@@ -228,7 +227,7 @@ class TestComposition:
     def test_matches_dirichlet_oracle(self):
         # every pair of reduced forms for -1000 < D < 0
         for D in discriminants(-1000):
-            forms = qform.enumerate_reduced(D).forms
+            forms = qform.enumerate_reduced(D)
             for f, g in itertools.product(forms, forms):
                 assert qform.compose(f, g) == dirichlet_compose_oracle(f, g), (f, g)
 
@@ -240,7 +239,7 @@ class TestComposition:
     @given(D=st.integers(3, 10**5).map(lambda n: -n).filter(lambda D: D % 4 in (0, 1)),
            data=st.data())
     def test_group_laws(self, D, data):
-        forms = qform.enumerate_reduced(D).forms
+        forms = qform.enumerate_reduced(D)
         f, g, k = (data.draw(st.sampled_from(forms)) for _ in range(3))
         e = qform.principal_form(D)
         fg = qform.compose(f, g)
@@ -256,6 +255,20 @@ class TestComposition:
         assert qform.form_pow(f, 1) == f
         assert qform.form_pow(f, 0) == qform.principal_form(-23)
 
+    @pytest.mark.parametrize("D", [-23, -420, -3299])
+    def test_power_matches_repeated_composition(self, D):
+        # n in -2h..2h, on each class and on a non-reduced form of it
+        forms = qform.enumerate_reduced(D)
+        h, e = len(forms), qform.principal_form(D)
+        for f in forms:
+            g = BinaryQuadraticForm(f.a, f.b + 2 * f.a, f.a + f.b + f.c)
+            assert qform.form_pow(f, 0) == qform.form_pow(g, 0) == e
+            up = down = e
+            for n in range(1, 2 * h + 1):
+                up, down = qform.compose(up, f), qform.compose(down, f.inverse())
+                assert qform.form_pow(f, n) == qform.form_pow(g, n) == up, (f, n)
+                assert qform.form_pow(f, -n) == qform.form_pow(g, -n) == down, (f, -n)
+
 
 class TestGroupStructure:
     @pytest.mark.parametrize(
@@ -264,22 +277,22 @@ class TestGroupStructure:
          (-3, ()), (-120, (2, 2)), (-231, (2, 6)), (-255, (2, 6))],
     )
     def test_invariant_factors(self, D, divs):
-        cg = qform.enumerate_reduced(D)
-        got = qform.group_structure(cg)
+        got = qform.group_structure(qform.enumerate_reduced(D))
         assert tuple(got) == divs
 
     def test_matches_partition_oracle(self):
         for D in discriminants(-2000):
-            cg = qform.enumerate_reduced(D)
-            assert qform.group_structure(cg) == partition_group_structure_oracle(cg), D
+            forms = qform.enumerate_reduced(D)
+            assert (qform.group_structure(forms)
+                    == partition_group_structure_oracle(forms)), D
 
     def test_product_is_class_number(self):
         for D in range(-300, 0):
             if D % 4 not in (0, 1):
                 continue
-            cg = qform.enumerate_reduced(D)
-            divs = qform.group_structure(cg)
-            assert math.prod(divs) == len(cg.forms)
+            forms = qform.enumerate_reduced(D)
+            divs = qform.group_structure(forms)
+            assert math.prod(divs) == len(forms)
             for i in range(len(divs) - 1):
                 assert divs[i + 1] % divs[i] == 0
 
@@ -296,7 +309,7 @@ class TestRingClassNumber:
         for D in (-3, -4, -7, -8, -11, -15, -20, -23):
             for c in range(1, 13):
                 assert qform.ring_class_number(D, c) == len(
-                    qform.enumerate_reduced(c * c * D).forms
+                    qform.enumerate_reduced(c * c * D)
                 ), (D, c)
 
     def test_rejects_non_fundamental(self):
