@@ -75,27 +75,23 @@ class Relation:
             raise ValueError("torsion_slack must be in 1..12")
 
 
-def _coefficient_vectors(r: int, B: int):
-    # lexicographic: n_1 ascending from 0, later entries -B..B ascending
-    first = range(0, B + 1)
-    rest = [range(-B, B + 1)] * (r - 1)
-    for vec in itertools.product(first, *rest):
-        if any(vec):
-            yield vec
-
-
 def relation_search(orbits, B: int) -> Relation | None:
     """Exhaustive box search for integer dependence among points, one per
     orbit, whose conjugate embeddings z_i^(sigma) are the orbit's
     torus_coordinates (A_i, B_i); the orbits share one lattice L.  A
-    candidate (n_1..n_r, t), 0 <= n_1 <= B, |n_i| <= B, 1 <= t <= 12, is
-    accepted only if Lattice.near holds for the exact sum t sum n_i (A_i,
-    B_i) at every combination of embeddings: z = t sum n_i z_i^(sigma) is
-    within 2^-(prec/2) max|w_i| of L, prec = L.precision_bits, and the
+    candidate (n_1..n_r, t), 0 <= n_1 <= B, |n_i| <= B, not all 0, 1 <= t <=
+    12, is accepted only if Lattice.near holds for the exact sum t sum n_i
+    (A_i, B_i) at every combination of embeddings: z = t sum n_i z_i^(sigma)
+    is within 2^-(prec/2) max|w_i| of L, prec = L.precision_bits, and the
     next-nearest lattice point is 2^10 times farther.  The first accepted
-    candidate in lexicographic order (vector, then t) wins.  Only the t
-    that L.torsion_candidates returns for the sum at the first embeddings,
-    a necessary condition of near there, have their combinations built.
+    candidate in lexicographic order (vector, then t) wins.  The scan
+    takes the prefixes (n_1..n_(r-1)) in lexicographic order; the sums of
+    a prefix at the first embeddings form a line, (a + k A_r, b + k B_r),
+    k = n_r + B = 0..2B, and L.torsion_on_line returns its points with the
+    t at which t times the sum passes near's bail-out bound sigma, a
+    necessary condition of near there, after one screen that drops none:
+    such a sum's first coordinate x has |t x - j 2^K| <= sigma, j in 0..t,
+    so x lies within sigma + 1 of the key floor(j 2^K / t).
     """
     r = len(orbits)
     if not 2 <= r <= _MAX_POINTS:
@@ -105,14 +101,20 @@ def relation_search(orbits, B: int) -> Relation | None:
     if any(o.lattice != L for o in orbits):
         raise ValueError("the orbits must share one lattice")
     fixed = [o.torus_coordinates for o in orbits]
-    for vec in _coefficient_vectors(r, B):
-        a = sum(n * c[0][0] for n, c in zip(vec, fixed))
-        b = sum(n * c[0][1] for n, c in zip(vec, fixed))
-        for t in L.torsion_candidates(a, b, _TORSION_CAP):
-            if all(L.near(t * sum(n * x for n, (x, _) in zip(vec, pts)),
-                          t * sum(n * y for n, (_, y) in zip(vec, pts)))
-                   for pts in itertools.product(*fixed)):
-                return Relation(coefficients=vec, torsion_slack=t)
+    *head, (Ar, Br) = (c[0] for c in fixed)
+    for prefix in itertools.product(range(B + 1),
+                                    *[range(-B, B + 1)] * (r - 2)):
+        a = sum(n * x for n, (x, _) in zip(prefix, head)) - B * Ar
+        b = sum(n * y for n, (_, y) in zip(prefix, head)) - B * Br
+        for k, ts in L.torsion_on_line(a, b, Ar, Br, 2 * B + 1, _TORSION_CAP):
+            vec = (*prefix, k - B)
+            if not any(vec):
+                continue
+            for t in ts:
+                if all(L.near(t * sum(n * x for n, (x, _) in zip(vec, pts)),
+                              t * sum(n * y for n, (_, y) in zip(vec, pts)))
+                       for pts in itertools.product(*fixed)):
+                    return Relation(coefficients=vec, torsion_slack=t)
     return None
 
 

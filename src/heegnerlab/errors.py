@@ -29,6 +29,10 @@ class HeegnerConditionFailed(HeegnerlabError):
     pass
 
 
+class FiberIncomplete(HeegnerlabError):
+    pass
+
+
 class FieldMismatch(HeegnerlabError):
     pass
 

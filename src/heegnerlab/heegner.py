@@ -15,7 +15,8 @@ import math
 from mpmath import mp, mpc
 
 from . import arith, qform
-from .errors import DiscriminantMismatch, HeegnerConditionFailed
+from .errors import (DiscriminantMismatch, FiberIncomplete,
+                     HeegnerConditionFailed)
 
 
 def tau(form: qform.BinaryQuadraticForm, precision_bits: int) -> mpc:
@@ -39,7 +40,8 @@ def heegner_fiber(D: int, N: int) -> tuple[qform.BinaryQuadraticForm, ...]:
     enumerate_reduced(D) order, all sharing the fixed root beta of D mod 4N.
 
     Scans a = N, 2N, ... and b = beta (mod 2N) with 0 < b <= 2a; the first
-    hit per class is the minimal-a, least-b representative.
+    hit per class is the minimal-a, least-b representative.  A scan past a
+    = 10000 h N raises FiberIncomplete.
     """
     if not heegner_condition(D, N):
         raise HeegnerConditionFailed(f"(D={D}, N={N}) fails the Heegner condition")
@@ -51,7 +53,8 @@ def heegner_fiber(D: int, N: int) -> tuple[qform.BinaryQuadraticForm, ...]:
     while len(found) < h:
         t += 1
         if t > 10000 * h:
-            raise RuntimeError(f"fiber search for (D={D}, N={N}) did not complete")
+            raise FiberIncomplete(
+                f"fiber search for (D={D}, N={N}) did not complete")
         a = N * t
         for b in range(beta, 2 * a + 1, 2 * N):
             if (b * b - D) % (4 * a):
@@ -67,7 +70,8 @@ def heegner_fiber(D: int, N: int) -> tuple[qform.BinaryQuadraticForm, ...]:
 def star_act(b_class: qform.BinaryQuadraticForm, form: qform.BinaryQuadraticForm,
              N: int) -> qform.BinaryQuadraticForm:
     """Class-group action on the level-N fiber: acts on the class of form
-    by composition and re-normalizes to the fiber representative."""
+    by composition and re-normalizes to the fiber representative; a class
+    the fiber lacks raises FiberIncomplete."""
     if b_class.discriminant != form.discriminant:
         raise DiscriminantMismatch(
             f"{b_class} does not act on discriminant {form.discriminant}"
@@ -76,4 +80,4 @@ def star_act(b_class: qform.BinaryQuadraticForm, form: qform.BinaryQuadraticForm
     for rep in heegner_fiber(form.discriminant, N):
         if qform.reduce(rep) == target:
             return rep
-    raise RuntimeError("fiber element missing for class " + str(target))
+    raise FiberIncomplete(f"fiber element missing for class {target}")

@@ -2,24 +2,29 @@
 
 Periods of every curve come from the real AGM, for either sign of the
 discriminant.  p and p' are Jacobi theta quotients (DLMF 23.6) on a
-Gauss-reduced basis; the q-series they replaced is the test oracle in
+Gauss-reduced basis, the four thetas summed in one integer pass (_thetas);
+the q-series they replaced and mpmath's jtheta are test oracles in
 tests/test_lattice.py.  The elliptic logarithm is Carlson's closed form
 z = R_F(x - e1, x - e2, x - e3), with the e_i that periods solved once for
 the lattice, certified against p and p' at working precision; it raises
 rather than return an uncertified value.  Precision is chosen once, at
 periods: p, the Weierstrass map, the elliptic logarithm and every Lattice
 method work at precision_bits + 20 or more, whatever the ambient mp.prec.
-The lattice owns the integer torus (torus, point, near) and complex
-conjugation on it (conjugate).
+The lattice owns the integer torus (torus, point, near, the relation
+search's line screen torsion_on_line) and conjugation on it (conjugate).
 """
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
 from mpmath import mp, mpc, mpf
+from mpmath.libmp import from_man_exp
 
 from .ellcurve import CurveModel, CurvePoint, QuadElt
 from .errors import IdentityPoint, PrecisionUnachievable
@@ -58,13 +63,13 @@ class Lattice:
     @cached_property
     def theta_constants(self) -> tuple[mpc, mpc, mpc, mpc, mpc, mpc]:
         """(tau, q, pi/w1, (th2^4 + 2 th4^4)/3, th3 th4, (th2 th3 th4)^2):
-        the z-independent part of weierstrass_p, with reduced_basis's
-        guard bits."""
+        the z-independent part of weierstrass_p, thj = thj(0, q) by _thetas,
+        with reduced_basis's guard bits."""
         w1, w2 = self.reduced_basis
         with mp.workprec(self.precision_bits + 40):
             tau = w2 / w1
             q = mp.expjpi(tau)
-            th2, th3, th4 = (mp.jtheta(n, 0, q) for n in (2, 3, 4))
+            _, th2, th3, th4 = _thetas(mpc(0), q, self.precision_bits + 50)
             return (tau, q, mp.pi / w1, (th2**4 + 2 * th4**4) / 3,
                     th3 * th4, (th2 * th3 * th4) ** 2)
 
@@ -95,6 +100,14 @@ class Lattice:
             return (mp.ldexp((A + d) % (1 << K) - d, -K) * self.omega1
                     + mp.ldexp((B + d) % (1 << K) - d, -K) * self.omega2)
 
+    def orbit_torus(self, values) -> tuple[tuple[int, int], ...]:
+        """torus(z) of each orbit value z; PrecisionUnachievable unless each
+        raw coordinate is below 2, near's premise for orbit_degree."""
+        coords = tuple(map(self.torus, values))
+        if max(map(abs, sum(coords, ()))) >> (self.torus_bits + 1):
+            raise PrecisionUnachievable("an orbit value lies two periods out")
+        return coords
+
     def reduce(self, z: mpc) -> mpc:
         """Representative of z mod Lambda: point(*torus(z))."""
         return self.point(*self.torus(z))
@@ -108,7 +121,7 @@ class Lattice:
 
     @cached_property
     def _metric(self) -> tuple[int, int, int, int]:
-        # near's G_ij and slack-0 bail-out bound, once the precondition holds
+        # near's G_ij and slack-0 bail-out bound, once both premises hold
         K, h = self.torus_bits, self.precision_bits // 2
         with mp.workprec(K + 20):
             w1, w2 = mpc(self.omega1), mpc(self.omega2)
@@ -117,6 +130,9 @@ class Lattice:
             if det < scale2 / 256:
                 raise PrecisionUnachievable(
                     "det / scale^2 below 2^-8: no integer lattice test")
+            if scale2 <= mp.ldexp(1, 2 * (12 + h - self.precision_bits)):
+                raise PrecisionUnachievable(
+                    "scale below 2^(12 + h - prec): no margin for near")
             return (*(int(mp.nint(mp.ldexp(mp.re(mp.conj(u) * v) / scale2, K)))
                       for u, v in ((w1, w1), (w1, w2), (w2, w2))),
                     int(mp.ceil(mp.ldexp(scale2 / det, K - h))) + 1)
@@ -126,14 +142,28 @@ class Lattice:
         units: ceil(2^(K - h) scale^2 / det) + 1, times 2^slack."""
         return self._metric[3] << slack
 
-    def torsion_candidates(self, a: int, b: int, limit: int) -> list[int]:
-        """The t in 1..limit, ascending, with both centred coordinates of t
-        (a, b) mod 2^K at most sigma = near_bound(): near(t a, t b) bails
-        out unless both are below sigma, so it holds for no other t."""
-        sigma, mask = self.near_bound(), (1 << self.torus_bits) - 1
-        return [t for t in range(1, limit + 1)
-                if ((t * a + sigma) & mask) <= 2 * sigma
-                and ((t * b + sigma) & mask) <= 2 * sigma]
+    def torsion_on_line(self, a: int, b: int, da: int, db: int, count: int,
+                        limit: int) -> Iterator[tuple[int, list[int]]]:
+        """Yields (k, ts), k ascending, for the points (a', b') = (a + k da,
+        b + k db), 0 <= k < count, whose ts is not empty: the t <= limit with
+        both centred coordinates of t (a', b') mod 2^K at most sigma =
+        near_bound(), outside which near(t a', t b') bails out.  A bisect
+        screens x = a' & mask first: x must lie within sigma + 1 of a key
+        floor(j 2^K / t), t <= limit, 0 <= j <= t.  This drops no point with
+        a t: |t x - j 2^K| <= sigma for the j in 0..t nearest t x / 2^K, so
+        |x - j 2^K / t| <= sigma / t."""
+        K = self.torus_bits
+        sigma, mask = self.near_bound(), (1 << K) - 1
+        keys, x = _farey_keys(K, limit), a & mask
+        for k in range(count):
+            i = bisect_right(keys, x)  # keys[0] = 0 <= x < keys[-1] = 2^K
+            if min(keys[i] - x, x - keys[i - 1]) <= sigma + 1:
+                ts = [t for t in range(1, limit + 1)
+                      if ((t * x + sigma) & mask) <= 2 * sigma
+                      and ((t * (b + k * db) + sigma) & mask) <= 2 * sigma]
+                if ts:
+                    yield k, ts
+            x = (x + da) & mask
 
     def near(self, a: int, b: int, slack: int = 0) -> bool:
         """Whether z = (a w1 + b w2) 2^-K, K = torus_bits, lies within R =
@@ -154,12 +184,13 @@ class Lattice:
         / scale >= 2^-8 scale and, at slack 0, the next-nearest lattice
         point is at least 2^-8 scale - R >= 2^10 R away.
 
-        Margin for orbit_degree, on the unchecked premise scale > 2^(12 + h -
-        prec) (about 3 on the bundled curves): eval_phi errs below eta =
+        Margin for orbit_degree, given scale > 2^(12 + h - prec) (about 3 on
+        the bundled curves; else raises as well): eval_phi errs below eta =
         2^-(prec+3), and torus adds under 2^(5-K) scale for coordinates below
-        2 (below 0.8 for every |D| < 400 on the bundled curves).  So n (A, B)
-        of two points of one class, n <= 12, differ or sum within 24 (eta +
-        2^(5-K) scale) < 2^(2-prec) + 2^-(prec+10) scale of L, below 2^-9 R.
+        2 (orbit_torus checks this; below 0.8 for every |D| < 400 on the
+        bundled curves).  So n (A, B) of two points of one class, n <= 12,
+        differ or sum within 24 (eta + 2^(5-K) scale) < 2^(2-prec) +
+        2^-(prec+10) scale of L, below 2^-9 R.
         """
         K, h = self.torus_bits, self.precision_bits // 2
         g11, g12, g22, _ = self._metric
@@ -193,6 +224,13 @@ def _coordinates(z: mpc, w1: mpc, w2: mpc) -> tuple[mpf, mpf]:
     det = x1 * y2 - x2 * y1
     return ((mp.re(z) * y2 - mp.im(z) * x2) / det,
             (x1 * mp.im(z) - y1 * mp.re(z)) / det)
+
+
+@lru_cache(maxsize=8)
+def _farey_keys(K: int, limit: int) -> list[int]:
+    # floor(j 2^K / t), 1 <= t <= limit, 0 <= j <= t, sorted and distinct
+    return sorted({(j << K) // t for t in range(1, limit + 1)
+                   for j in range(t + 1)})
 
 
 def periods(E: CurveModel, precision_bits: int) -> Lattice:
@@ -238,6 +276,49 @@ def _agm_lattice(c4: int, c6: int, precision_bits: int) -> Lattice:
         return Lattice(+w1, +w2, precision_bits, tuple(roots))
 
 
+def _thetas(v: mpc, q: mpc, p: int) -> tuple[mpc, mpc, mpc, mpc]:
+    """(th1, th2, th3, th4)(v, q) within 2^-p, th1 within 2^-p |th1| if |v|
+    <= 1/2, unrounded; q = e^(i pi tau), tau reduced, v = pi (s + t tau),
+    |s|, |t| <= 1/2.  c_m = q^(m^2/4) e^(imv) sums to th3, th4 over even m
+    and to th2, -i th1 over odd m (DLMF 20.2; th4 and th1 take sign - at m =
+    2, 3 mod 4).  On W-bit integers c_(m+1) = c_m r_m, r_(m+1) = r_m q^(1/2),
+    from c_0 = 1 and r_0 = q^(1/4) e^(iv), or e^(-iv) for m < 0.  With x =
+    pi Im tau / 4 >= 0.68, |Im v| <= 2x and e^x <= 2^G: |c_m|, |r_0| <= 2^G,
+    |r_m| < 0.51 for m != 0, |q^(1/2)| < 0.26.  Then W = P + 2G + 6 +
+    bitlen(N), P = p + Z, from three terms:
+    - th1 near 0: |th1(v)| >= e^-x |v| for |v| <= 1/2 (DLMF 20.5.1), so Z =
+      G + max(0, 2 - mag(v)) (jtheta adds 2 |mag(v)|); weierstrass_p raises
+      IdentityPoint below |v| = 2^-(prec/2);
+    - truncation at |m| <= N, the least N >= 2 with x (N+1)^2 - (N+1) |Im v|
+      >= (P + 3) ln 2: terms fall by 1/25 beyond, the tails below 2^-(P+1);
+    - rounding: r_0, q^(1/2) err below 2 units, each floored product below
+      sqrt(2), so r_m below 2^(G+2), c_m below 2^(2G+4) by induction, and the
+      2N terms below 2^(W-P-1)."""
+    x, y = -float(mp.log(abs(q))) / 4, abs(float(mp.im(v)))
+    G = math.ceil(x / math.log(2))
+    P = p + (G + max(0, 2 - mp.mag(v)) if v else 0)
+    N = max(2, math.ceil((y + math.sqrt(y * y + 4 * x * (P + 3) * math.log(2)))
+                         / (2 * x)) - 1)
+    W = P + 2 * G + 6 + N.bit_length()
+    with mp.workprec(W + 10):
+        a, e = mp.root(q, 4), mp.expj(v)
+        (hr, hi), *ratios = [(int(mp.ldexp(mp.re(u), W)),
+                              int(mp.ldexp(mp.im(u), W)))
+                             for u in (a * a, a * e, a / e)]
+    sr, si = [1 << W, 0, 0, 0], [0] * 4  # sums by m mod 4, c_0 = 1
+    for step, (rr, ri) in zip((1, -1), ratios):
+        cr, ci = 1 << W, 0
+        for m in range(step, step * (N + 1), step):
+            cr, ci = (cr * rr - ci * ri) >> W, (cr * ri + ci * rr) >> W
+            rr, ri = (rr * hr - ri * hi) >> W, (rr * hi + ri * hr) >> W
+            sr[m % 4] += cr
+            si[m % 4] += ci
+    (r0, r1, r2, r3), (i0, i1, i2, i3) = sr, si
+    return tuple(mp.make_mpc((from_man_exp(re, -W), from_man_exp(im, -W)))
+                 for re, im in ((i1 - i3, r3 - r1), (r1 + r3, i1 + i3),
+                                (r0 + r2, i0 + i2), (r0 - r2, i0 - i2)))
+
+
 def weierstrass_p(z: mpc, L: Lattice) -> tuple[mpc, mpc]:
     """(p(z), p'(z)) at working precision prec = L.precision_bits + 20
     (DLMF 23.6.2, 23.6.5): on the reduced basis (w1, w2), tau = w2/w1,
@@ -247,8 +328,8 @@ def weierstrass_p(z: mpc, L: Lattice) -> tuple[mpc, mpc]:
       p(z)  = (pi/w1)^2 [(th2^4 + 2 th4^4)/3 + (th3 th4 th2(v) / th1(v))^2]
       p'(z) = -2 (pi/w1)^3 (th2 th3 th4)^2 th2(v) th3(v) th4(v) / th1(v)^3.
 
-    mpmath's jtheta sums the thj(v) in fixed point, in q^(n^2) with
-    |q| <= e^(-pi sqrt(3)/2), and adds the bits th1(v) loses near v = 0.
+    _thetas sums the four thj(v) in one integer pass to 2^-(prec+10), th1
+    to that relative error as well: the bits it loses near v = 0 are added.
     """
     prec = L.precision_bits + 20
     with mp.workprec(prec):
@@ -258,7 +339,7 @@ def weierstrass_p(z: mpc, L: Lattice) -> tuple[mpc, mpc]:
         # |e^(2iv) - 1| = 2|v| to first order
         if 2 * abs(v) < mp.mpf(2) ** (-prec // 2):
             raise IdentityPoint("z is a lattice point to working precision")
-        th1, th2, th3, th4 = (mp.jtheta(n, v, q) for n in (1, 2, 3, 4))
+        th1, th2, th3, th4 = _thetas(v, q, prec + 10)
         p = c**2 * (p0 + (t34 * th2 / th1) ** 2)
         dp = -2 * c**3 * t234 * th2 * th3 * th4 / th1**3
         return (p, dp)

@@ -135,13 +135,14 @@ def orbit_points(E: CurveModel, D: int, precision_bits: int) -> OrbitEvaluation:
     [-1, 0], errs by at most 2^-(prec+40) and Im tau = y by 2^-(prec+39) y;
     for y >= 10^-3 (eval_phi's floor), |dphi/dtau| <= 4 pi |q| / (1 -
     |q|)^2 < 2^18.3 and y |dphi/dtau| < 2^8.4.  So phi moves by under
-    2^-(prec+21): each value errs below 2^-(prec+3), Lattice.near's eta."""
+    2^-(prec+21): each value errs below 2^-(prec+3), Lattice.near's eta;
+    Lattice.orbit_torus checks near's other premise on the values."""
     fiber = heegner_fiber(D, E.conductor)
     L = periods(E, precision_bits)
     taus = [tau(f, precision_bits + 40) for f in fiber]
     values, Ms = eval_phi(E, taus, precision_bits)
     return OrbitEvaluation(curve=E, discriminant=D,
-                           torus_coordinates=tuple(map(L.torus, values)),
+                           torus_coordinates=L.orbit_torus(values),
                            terms_used=max(Ms), lattice=L)
 
 

@@ -17,7 +17,6 @@ import heegnerlab
 from heegnerlab import analysis, lattice, modparam, qform
 from heegnerlab.analysis import (
     Relation,
-    _coefficient_vectors,
     independence_report,
     orbit_degree,
     relation_search,
@@ -28,6 +27,7 @@ from heegnerlab.ellcurve import QuadElt, point, point_mul, point_neg
 from heegnerlab.errors import (
     ClusterAmbiguous,
     ConvergenceTooSlow,
+    FiberIncomplete,
     FieldMismatch,
     HeegnerConditionFailed,
 )
@@ -54,6 +54,15 @@ ORACLE_FIBERS = {
     "49a": (-19, -20, -31, -55, -87, -111, -143),
     "32a": (-7, -15, -39, -71, -95, -119),
 }
+
+
+def _coefficient_vectors(r: int, B: int):
+    # lexicographic: n_1 ascending from 0, later entries -B..B ascending
+    first = range(0, B + 1)
+    rest = [range(-B, B + 1)] * (r - 1)
+    for vec in itertools.product(first, *rest):
+        if any(vec):
+            yield vec
 
 
 def box_search_oracle(embeddings, L, B, precision_bits):
@@ -413,6 +422,9 @@ class TestIndependenceReport:
 
 # (r, B) boxes that the oracle scans in well under a second
 BOXES = [(2, 1), (2, 2), (2, 4), (3, 1), (3, 2), (4, 1)]
+# boxes whose lines of 2B + 1 points run long or wrap mod 2^K many times;
+# the oracle takes 1-4 s on one, so they get a short test of their own
+LARGE_BOXES = [(4, 2), (2, 25)]
 EXTRA_EMBEDDINGS = ["none", "shift", "half", "generic", "negated"]
 
 
@@ -436,7 +448,7 @@ def _extra_embedding(kind, z, L, rng):
 
 
 @st.composite
-def planted_sets(draw):
+def planted_sets(draw, boxes=BOXES):
     """Points with slack * sum n_i z_i within near * tol * scale of L for a
     drawn (n, slack) in the box, each point with an optional second
     embedding.  near < 1 is inside the acceptance radius, near = 1.75
@@ -450,7 +462,7 @@ def planted_sets(draw):
     error."""
     label = draw(st.sampled_from(sorted(CURVES)))
     prec = draw(st.sampled_from([53, 100, 200]))
-    r, B = draw(st.sampled_from(BOXES))
+    r, B = draw(st.sampled_from(boxes))
     slack = draw(st.integers(1, 4))
     vec = draw(st.lists(st.integers(-B, B), min_size=r, max_size=r))
     j = draw(st.integers(0, r - 1))
@@ -480,11 +492,11 @@ def planted_sets(draw):
 
 
 @st.composite
-def generic_sets(draw):
+def generic_sets(draw, boxes=BOXES):
     """Points with transcendental coordinates, one or two embeddings each."""
     label = draw(st.sampled_from(sorted(CURVES)))
     prec = draw(st.sampled_from([53, 100, 200]))
-    r, B = draw(st.sampled_from(BOXES))
+    r, B = draw(st.sampled_from(boxes))
     sizes = draw(st.lists(st.integers(1, 2), min_size=r, max_size=r))
     rng = draw(st.randoms(use_true_random=False))
     L = _lattice(label, prec)
@@ -509,6 +521,16 @@ class TestSieveMatchesOracle:
         sets, L, B, prec = case
         assert (relation_search(_orbits(sets, L), B)
                 == box_search_oracle(sets, L, B, prec))
+
+    @settings(max_examples=5, deadline=None)
+    @given(case=st.one_of(planted_sets(LARGE_BOXES),
+                          generic_sets(LARGE_BOXES).map(lambda c: (*c, False))))
+    def test_large_boxes(self, case):
+        sets, L, B, prec, planted_holds = case
+        expected = box_search_oracle(sets, L, B, prec)
+        if planted_holds:
+            assert expected is not None
+        assert relation_search(_orbits(sets, L), B) == expected
 
     def test_known_relations_unchanged(self):
         orb = orbit_points(E37, -7, PREC)
@@ -570,6 +592,19 @@ class TestFieldFailures:
         rep = independence_report(E37, [-7, -11], 2, PREC)
         assert rep.entries[0].error is None
         assert rep.entries[1].error == "recognize: ConvergenceTooSlow: forced"
+
+    def test_incomplete_fiber_records_the_orbit_stage(self, monkeypatch):
+        real = modparam.heegner_fiber
+
+        def incomplete(D, N):
+            if D == -11:
+                raise FiberIncomplete("forced")
+            return real(D, N)
+
+        monkeypatch.setattr(modparam, "heegner_fiber", incomplete)
+        rep = independence_report(E37, [-7, -11], 2, PREC)
+        assert rep.entries[1].error == "orbit: FiberIncomplete: forced"
+        assert rep.relation is None
 
     def test_non_domain_error_propagates(self, monkeypatch):
         self._fail_for(monkeypatch, "trace_point", TypeError("bug"))
@@ -645,6 +680,20 @@ def test_no_assert_in_the_package():
         for node in ast.walk(ast.parse(inspect.getsource(module))):
             if isinstance(node, ast.Assert):
                 offenders.append(f"{module.__name__}:{node.lineno}")
+    assert offenders == []
+
+
+def test_no_runtime_error_in_the_package():
+    # a failure the package foresees is a typed HeegnerlabError, which a
+    # report records with its stage and the CLI turns into exit code 1
+    offenders = []
+    for info in pkgutil.iter_modules(heegnerlab.__path__):
+        module = importlib.import_module(f"heegnerlab.{info.name}")
+        for node in ast.walk(ast.parse(inspect.getsource(module))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name) and exc.id == "RuntimeError":
+                    offenders.append(f"{module.__name__}:{node.lineno}")
     assert offenders == []
 
 

@@ -12,7 +12,7 @@ from mpmath import mp
 
 from heegnerlab import modparam
 from heegnerlab.cli import build_parser, jsonify, run_command
-from heegnerlab.errors import PrecisionUnachievable
+from heegnerlab.errors import FiberIncomplete, PrecisionUnachievable
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 # the text each README example printed before every subcommand returned its
@@ -134,6 +134,16 @@ class TestPoint:
         assert run_command(["point", "--curve", "37a", "--disc", "-7"]) == 1
         captured = capsys.readouterr()
         assert captured.out == "" and "no certificate" in captured.err
+
+
+    def test_incomplete_fiber_exits_1(self, capsys, monkeypatch):
+        def incomplete(D, N):
+            raise FiberIncomplete("forced")
+
+        monkeypatch.setattr(modparam, "heegner_fiber", incomplete)
+        assert run_command(["point", "--curve", "37a", "--disc", "-7"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "forced" in captured.err
 
 
 class TestNoiseDigits:

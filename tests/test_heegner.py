@@ -3,7 +3,8 @@ import math
 import pytest
 from mpmath import mp
 
-from heegnerlab import arith, qform
+from heegnerlab import arith, heegner, qform
+from heegnerlab.errors import FiberIncomplete
 from heegnerlab.heegner import heegner_condition, heegner_fiber, star_act
 from heegnerlab.heegner import tau as heegner_tau
 
@@ -124,3 +125,15 @@ class TestStarAction:
                 lhs = qform.reduce(star_act(b1, star_act(b2, base, 37), 37))
                 rhs = qform.reduce(star_act(qform.compose(b1, b2), base, 37))
                 assert lhs == rhs
+
+    def test_missing_class_raises_a_typed_error(self, monkeypatch):
+        # a fiber that lacks the target class is a domain error, which a
+        # report records and the CLI turns into exit code 1
+        fiber = heegner_fiber(-83, 37)
+        monkeypatch.setattr(heegner, "heegner_fiber",
+                            lambda D, N: fiber[:1])
+        b = next(f for f in qform.enumerate_reduced(-83)
+                 if qform.compose(qform.reduce(fiber[0]), f)
+                 != qform.reduce(fiber[0]))
+        with pytest.raises(FiberIncomplete, match="fiber element missing"):
+            star_act(b, fiber[0], 37)

@@ -16,6 +16,7 @@ from heegnerlab.ellcurve import (CurveModel, CurvePoint, point, point_add,
 from heegnerlab.errors import IdentityPoint, PrecisionUnachievable
 from heegnerlab.lattice import (
     Lattice,
+    _thetas,
     elliptic_log,
     periods,
     weierstrass_map,
@@ -401,6 +402,18 @@ class TestNearAgainstDistanceOracle:
         assert expected == (r < 2**slack)
         assert L.near(a, b, slack) == expected
 
+    @pytest.mark.parametrize("exponent, raises", [(-87, False), (-88, True)])
+    def test_tiny_lattice_raises(self, exponent, raises):
+        # the margin for orbit_degree needs scale > 2^(12 + h - prec),
+        # 2^-88 at 200 bits; the bundled lattices have scale about 3
+        w = mp.ldexp(1, exponent)
+        L = Lattice(mp.mpc(w), mp.mpc(0, w), 200)
+        if raises:
+            with pytest.raises(PrecisionUnachievable, match="scale"):
+                L.near(0, 0)
+        else:
+            assert L.near(0, 0)
+
     def test_skewed_lattice_raises(self):
         # det / scale^2 = 10^-3 < 2^-8: no answer rather than a wrong one
         L = Lattice(1, 1000j, 200)
@@ -416,6 +429,22 @@ def _centred(x, K):
     return x - (1 << K) if x >= 1 << (K - 1) else x
 
 
+def _screened_pair(draw, L):
+    # a pair that some t0 <= 12 sends to within an offset e of a lattice
+    # point, e drawn inside, on and just outside the screen's bound sigma
+    # and near zero, or a pair of arbitrary integers
+    K, sigma = L.torus_bits, L.near_bound()
+    if draw(st.booleans()):
+        wide = st.integers(-(2 ** (K + 3)), 2 ** (K + 3))
+        return draw(wide), draw(wide)
+    t0 = draw(st.integers(1, 12))
+    edge = st.sampled_from([s * (sigma + e) for s in (1, -1) for e in (-1, 0, 1)])
+    offset = st.one_of(st.integers(-3, 3), st.integers(-2 * sigma, 2 * sigma),
+                       edge)
+    return tuple((draw(st.integers(-(2 ** K), 2 ** K)) * 2**K + draw(offset))
+                 // t0 for _ in range(2))
+
+
 @st.composite
 def screened_pairs(draw):
     """(L, a, b): a pair that some t0 <= 12 sends to within an offset e of
@@ -423,17 +452,33 @@ def screened_pairs(draw):
     sigma and near zero, or a pair of arbitrary integers."""
     L = periods(draw(st.sampled_from([E37, E32, E49])),
                 draw(st.sampled_from([53, 100, 200])))
-    K, sigma = L.torus_bits, L.near_bound()
+    return (L, *_screened_pair(draw, L))
+
+
+@st.composite
+def screened_lines(draw):
+    """(L, a, b, da, db, count): a line of count points whose k0-th point is
+    a screened pair, with a step that wraps mod 2^K (arbitrary integers),
+    stays within a few units, or is itself a screened pair, so that many
+    points of the line lie near j 2^K / t."""
+    L, a0, b0 = draw(screened_pairs())
+    count = draw(st.integers(1, 51))
+    k0 = draw(st.integers(0, count - 1))
     if draw(st.booleans()):
-        wide = st.integers(-(2 ** (K + 3)), 2 ** (K + 3))
-        return L, draw(wide), draw(wide)
-    t0 = draw(st.integers(1, 12))
-    edge = st.sampled_from([s * (sigma + e) for s in (1, -1) for e in (-1, 0, 1)])
-    offset = st.one_of(st.integers(-3, 3), st.integers(-2 * sigma, 2 * sigma),
-                       edge)
-    a, b = ((draw(st.integers(-(2 ** K), 2 ** K)) * 2**K + draw(offset)) // t0
-            for _ in range(2))
-    return L, a, b
+        da, db = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+    else:
+        da, db = _screened_pair(draw, L)
+    return L, a0 - k0 * da, b0 - k0 * db, da, db, count
+
+
+def closed_form_torsion(L, a, b, limit):
+    """The t in 1..limit with both centred coordinates of t (a, b) mod 2^K
+    at most near_bound(): the per-point test that torsion_on_line's screen
+    must not change."""
+    K, sigma = L.torus_bits, L.near_bound()
+    return [t for t in range(1, limit + 1)
+            if abs(_centred(t * a, K)) <= sigma
+            and abs(_centred(t * b, K)) <= sigma]
 
 
 K200 = PREC + 20
@@ -447,15 +492,39 @@ class TestTorsionCandidates:
     @example(case=(periods(E37, PREC), (5 * 2**K200 + 1) // 3,
                    -(2**K200 + 2) // 3))
     def test_screen_is_centred_bound_and_keeps_near(self, case):
+        # a line of one point: its t are the closed form, which keeps near
         L, a, b = case
-        K, sigma = L.torus_bits, L.near_bound()
-        ts = L.torsion_candidates(a, b, 12)
-        assert ts == [t for t in range(1, 13)
-                      if abs(_centred(t * a, K)) <= sigma
-                      and abs(_centred(t * b, K)) <= sigma]
+        hits = list(L.torsion_on_line(a, b, 0, 0, 1, 12))
+        ts = hits[0][1] if hits else []
+        assert hits == ([(0, ts)] if ts else [])
+        assert ts == closed_form_torsion(L, a, b, 12)
         for t in range(1, 13):
             if L.near(t * a, t * b):
                 assert t in ts
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=screened_lines(), limit=st.integers(1, 12))
+    def test_line_matches_the_closed_form(self, case, limit):
+        # exactly the k whose closed-form list is not empty, with that list
+        L, a, b, da, db, count = case
+        expected = [(k, ts) for k in range(count)
+                    if (ts := closed_form_torsion(L, a + k * da, b + k * db,
+                                                  limit))]
+        assert list(L.torsion_on_line(a, b, da, db, count, limit)) == expected
+
+    def test_screen_tolerance_edges(self):
+        # t x at most sigma, or sigma + 1, from j 2^K (x = (j 2^K + e) / t
+        # rounded towards j 2^K / t): the screen keeps every point with a t
+        L = periods(E37, PREC)
+        K, sigma = L.torus_bits, L.near_bound()
+        for t in range(1, 13):
+            for j in range(t + 1):
+                for e in (-sigma - 1, -sigma, sigma, sigma + 1):
+                    x = (j * 2**K + e) // t if e > 0 else -((-j * 2**K - e) // t)
+                    ts = closed_form_torsion(L, x, 0, 12)
+                    assert t in ts or abs(e) > sigma
+                    assert (list(L.torsion_on_line(x, 0, 0, 0, 1, 12))
+                            == ([(0, ts)] if ts else []))
 
 
 LATTICES = {E: periods(E, PREC) for E in (E37, E32, E49)}
@@ -509,6 +578,61 @@ class TestThetaAgainstSeriesOracle:
             tol = mp.mpf(2) ** -(prec - 10)
             assert abs(p - po) < tol * abs(po)
             assert abs(dp - dpo) < tol * abs(dpo)
+
+
+class TestThetaKernel:
+    # _thetas against mpmath's jtheta, which it replaced, on v over the
+    # reduced parallelogram: |Im v| at its maximum pi Im tau / 2 (t = +-1/2)
+    # and |v| down to 2^-(prec/2) + 1, the least that weierstrass_p admits
+    @settings(max_examples=60, deadline=None)
+    @given(
+        E=st.sampled_from([E37, E32, E49]),
+        prec=st.sampled_from([53, 200, 500, 1000]),
+        s=st.floats(-0.5, 0.5),
+        t=st.one_of(st.floats(-0.5, 0.5), st.sampled_from([0.5, -0.5])),
+        tiny=st.one_of(st.none(), st.tuples(st.floats(0, 1), st.floats(0, 7))),
+    )
+    def test_matches_jtheta(self, E, prec, s, t, tiny):
+        L = periods(E, prec)
+        p = prec + 30  # what weierstrass_p asks for
+        with mp.workprec(p + 60):
+            w1, w2 = L.reduced_basis
+            tau = w2 / w1
+            if tiny is None:
+                v = mp.pi * (s + t * tau)
+            else:  # 2^-(prec/2) + 1 <= |v| <= 2^-4
+                depth, angle = tiny
+                v = mp.expj(angle) * mp.ldexp(1, -(4 + int(depth * (prec // 2 - 5))))
+            q = mp.expjpi(tau)
+            expected = [mp.jtheta(n, v, q) for n in (1, 2, 3, 4)]
+            got = _thetas(v, q, p)
+            for g, e in zip(got, expected):
+                assert abs(g - e) < mp.ldexp(1, -p)
+            if 0 < abs(v) <= 0.5:  # th1(0) = 0, which jtheta misses
+                assert abs(got[0] - expected[0]) < mp.ldexp(abs(expected[0]), -p)
+
+    def test_theta_constants_match_jtheta(self):
+        for E in (E37, E32, E49):
+            L = periods(E, PREC)
+            tau, q, c, p0, t34, t234 = L.theta_constants
+            with mp.workprec(PREC + 40):
+                th2, th3, th4 = (mp.jtheta(n, 0, q) for n in (2, 3, 4))
+                assert abs(t34 - th3 * th4) < mp.ldexp(1, -(PREC + 35))
+                assert abs(t234 - (th2 * th3 * th4) ** 2) < mp.ldexp(1, -(PREC + 35))
+
+
+def test_no_jtheta_in_the_package():
+    # _thetas sums every theta the package needs; mpmath's jtheta stays only
+    # as its oracle here
+    offenders = []
+    for info in pkgutil.iter_modules(heegnerlab.__path__):
+        module = importlib.import_module(f"heegnerlab.{info.name}")
+        for node in ast.walk(ast.parse(inspect.getsource(module))):
+            if (isinstance(node, ast.Call)
+                    and getattr(node.func, "attr",
+                                getattr(node.func, "id", None)) == "jtheta"):
+                offenders.append(f"{module.__name__}:{node.lineno}")
+    assert offenders == []
 
 
 class TestLogProperties:

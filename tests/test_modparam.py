@@ -11,7 +11,7 @@ from mpmath import mp
 from heegnerlab import ellcurve, modparam
 from heegnerlab.ellcurve import CurveModel, QuadElt, an_coeffs, ap
 from heegnerlab.errors import (ConvergenceTooSlow, HeegnerConditionFailed,
-                              RecognitionFailed)
+                              PrecisionUnachievable, RecognitionFailed)
 from heegnerlab.heegner import heegner_condition, heegner_fiber
 from heegnerlab.heegner import tau as heegner_tau
 from heegnerlab.lattice import _agm_lattice, embed, periods, weierstrass_map
@@ -386,6 +386,30 @@ class TestOrbits:
         exact, (M_exact,) = eval_phi(E32, [heegner_tau(rep, PREC + 200)], PREC)
         assert orbit.terms_used == M == M_exact == 3911
         assert abs(value - exact[0]) < mp.ldexp(1, -(PREC + 20))
+
+    @pytest.mark.parametrize("periods_out, raises", [(1, False), (3, True)])
+    def test_values_two_periods_out_raise(self, monkeypatch, periods_out,
+                                          raises):
+        # Lattice.near's margin for orbit_degree assumes raw coordinates
+        # below 2; the bundled orbits stay below 0.8, so move them
+        L = periods(E37, PREC)
+
+        def shifted_eval_phi(E, taus, prec):
+            values, Ms = eval_phi(E, taus, prec)
+            with mp.workprec(prec + 20):
+                return tuple(v + periods_out * L.omega1 for v in values), Ms
+
+        monkeypatch.setattr(modparam, "eval_phi", shifted_eval_phi)
+        if raises:
+            with pytest.raises(PrecisionUnachievable, match="two periods"):
+                orbit_points(E37, -83, PREC)
+        else:
+            shifted = orbit_points(E37, -83, PREC).torus_coordinates
+            monkeypatch.undo()
+            K = L.torus_bits
+            for (A1, B1), (A, B) in zip(
+                    shifted, orbit_points(E37, -83, PREC).torus_coordinates):
+                assert abs(A1 - A - (1 << K)) < 4 and abs(B1 - B) < 4
 
     def test_edge_point_reduces_near_zero(self):
         # z_1 of 37a D = -108 is real; at 300 bits rounding noise puts its
