@@ -129,6 +129,13 @@ def _validate(entry: CurveDatabaseEntry, where: str) -> None:
         if c4 % p**4 == 0 and c6 % p**6 == 0 and _kraus(c4 // p**4,
                                                          c6 // p**6):
             raise ValidationError(f"{where}: the model is not minimal at {p}")
+    # the CM order is read off j(E), so a stored one must agree with it
+    d = E.cm_order_discriminant
+    if entry.cm_discriminant not in (None, d):
+        raise ValidationError(
+            f"{where}: cm_discriminant {entry.cm_discriminant} disagrees with"
+            f" j = {Fraction(c4**3, E.discriminant)}, whose CM order has"
+            f" discriminant {d}")
     for j, (x, y) in enumerate(entry.known_generators):
         if not E.on_curve(x, y):
             raise ValidationError(

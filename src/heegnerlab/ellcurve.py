@@ -1,8 +1,9 @@
 """Exact elliptic curve core: Weierstrass models, group law over Q and over
-quadratic fields, a_p by baby-step giant-step mod p (by point counting where
-that cannot decide), Hecke coefficient recursion over one stored, growing
-prefix per curve, and the Lutz-Nagell torsion enumeration.  Integers and
-Fractions only: no mpmath, no floats.
+quadratic fields, a_p from points mod p (by point counting where they cannot
+decide), on a CM curve from Deuring's a_p = 0 at inert p and the norm
+equation at split p first, Hecke coefficient recursion over one stored,
+growing prefix per curve, and the Lutz-Nagell torsion enumeration.
+Integers and Fractions only: no mpmath, no floats.
 
 Analytic pieces (period lattices, Weierstrass map, elliptic logarithm) live
 in the lattice module.
@@ -149,11 +150,29 @@ class CurveModel:
         b2, b4, b6, b8 = self.b_invariants
         return -b2 * b2 * b8 - 8 * b4**3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
 
+    @property
+    def cm_order_discriminant(self) -> int | None:
+        """Discriminant d of End(E) over Qbar if E has CM, else None: E has
+        CM exactly when j = c4^3/Delta is one of the 13 rational CM
+        j-invariants (Silverman, Advanced Topics, A 3)."""
+        return _cm_discriminant(self.c_invariants[0], self.discriminant)
+
     def rhs(self, x):
         return x * x * x + self.a2 * x * x + self.a4 * x + self.a6
 
     def on_curve(self, x, y) -> bool:
         return y * y + self.a1 * x * y + self.a3 * y == self.rhs(x)
+
+
+# the 13 rational CM j-invariants and the discriminants of their orders
+_CM_J = {0: -3, 1728: -4, -3375: -7, 8000: -8, -32768: -11, 54000: -12,
+         287496: -16, -884736: -19, -12288000: -27, 16581375: -28,
+         -884736000: -43, -147197952000: -67, -262537412640768000: -163}
+
+
+def _cm_discriminant(c4: int, disc: int) -> int | None:
+    j, r = divmod(c4**3, disc) if disc else (None, 1)  # no j if singular
+    return None if r else _CM_J.get(j)
 
 
 @dataclass(frozen=True)
@@ -263,15 +282,17 @@ def _add_mod(P, Q, a: int, p: int):
 def _hasse_candidates(P, a: int, p: int, H: int) -> set[int]:
     """Every u with |u| <= H and (p + 1 - u) P = O, by baby-step giant-step:
     u = k m + j - H with j P = (p + 1 + H) P - k (m P), 0 <= j, k < m.  A
-    point of small order takes several baby-step indices, all kept."""
+    point of small order takes several baby-step indices, all kept.  The
+    first giant step is q (m P) + r P, q m + r = p + 1 + H."""
     m = math.isqrt(2 * H) + 1  # m^2 > 2H covers u + H in 0..2H
     baby: dict = {}
-    R = None
+    jP = [None]  # j P, j = 0..m
     for j in range(m):
-        baby.setdefault(R, []).append(j)
-        R = _add_mod(R, P, a, p)
-    step = R if R is None else (R[0], -R[1] % p)  # -m P
-    R = arith._multiple(p + 1 + H, P, _add_mod, None, a, p)
+        baby.setdefault(jP[j], []).append(j)
+        jP.append(_add_mod(jP[j], P, a, p))
+    step = jP[m] and (jP[m][0], -jP[m][1] % p)  # -m P
+    q, r = divmod(p + 1 + H, m)
+    R = _add_mod(arith._multiple(q, jP[m], _add_mod, None, a, p), jP[r], a, p)
     found = set()
     for k in range(m):
         for j in baby.get(R, ()):
@@ -282,42 +303,78 @@ def _hasse_candidates(P, a: int, p: int, H: int) -> set[int]:
     return found
 
 
-def _ap_bsgs(E: CurveModel, p: int) -> int | None:
-    """a_p at a prime p not dividing 6 Delta by Shanks-Mestre baby-step
-    giant-step (Cohen, GTM 138, 7.4), or None if every x0 leaves more than
-    one candidate.  The short model Y^2 = f(X) = X^3 + A X + B, A = -27 c4,
-    B = -54 c6, is E over F_p.  Each x0 with c = f(x0) != 0 gives the point
-    (c x0, c^2) of y^2 = x^3 + c^2 A x + c^3 B, with no square root: that
-    curve is E when c is a square mod p, else its quadratic twist, whose
-    order is p + 1 + a_p.  By Lagrange a_p is in every candidate set, and
-    by Hasse it lies in [-H, H], H = floor(2 sqrt p); one survivor is a_p.
-    Mestre's theorem leaves none ambiguous after every x0 for p > 457."""
-    c4, c6 = E.c_invariants
+def _cm_traces(d: int, p: int) -> set[int]:
+    """The values a_p can take at a prime p not dividing 6 d Delta when E
+    has CM by the order of discriminant d.  Inert p: the reduction is
+    supersingular (Deuring), so p | a_p, and a_p = 0 by Hasse as p >= 5.
+    Split p: Frobenius has norm p and lies in End of the reduction, which
+    contains End(E) with index a power of p (Deuring), so equals it as p
+    does not divide d: Frobenius is (t + v sqrt d)/2, t^2 + |d| v^2 = 4p."""
+    if pow(d, (p - 1) // 2, p) != 1:
+        return {0}
+    traces = set()
+    for v in range(1, math.isqrt(4 * p // -d) + 1):
+        t = math.isqrt(4 * p + d * v * v)
+        if t * t == 4 * p + d * v * v:
+            traces |= {t, -t}
+    return traces
+
+
+def _ap_by_points(c4: int, c6: int, d: int | None, p: int) -> int | None:
+    """a_p at a prime p not dividing 6 Delta from points (Cohen, GTM 138,
+    7.4), or None if every x0 leaves more than one candidate.  These start
+    as _cm_traces if E has CM by the order of discriminant d and p does not
+    divide d, else as [-H, H], H = floor(2 sqrt p) (Hasse).  The short model
+    Y^2 = f(X) = X^3 + A X + B, A = -27 c4, B = -54 c6, is E over F_p.  Each
+    x0 with c = f(x0) != 0 gives the point P = (c x0, c^2) of y^2 = x^3 +
+    c^2 A x + c^3 B, with no square root: that curve is E when c is a square
+    mod p, else its quadratic twist, of order p + 1 + a_p.  By Lagrange a_p
+    is among the u that P allows, (p + 1 -+ u) P = O: those in [-H, H] by
+    baby-step giant-step while the candidates are more than six, else those
+    with (p + 1) P = +-|u| P.  Mestre's theorem leaves none ambiguous after
+    every x0 for p > 457."""
+    candidates = _cm_traces(d, p) if d and d % p else None
     A, B = -27 * c4 % p, -54 * c6 % p
     H = math.isqrt(4 * p)
-    candidates = None
     for x0 in range(p):
+        if candidates is not None and len(candidates) == 1:
+            return candidates.pop()
         c = (x0 * x0 * x0 + A * x0 + B) % p
         if c == 0:
             continue
-        found = _hasse_candidates((c * x0 % p, c * c % p), c * c * A % p, p, H)
-        if pow(c, (p - 1) // 2, p) != 1:  # a point of the twist
-            found = {-u for u in found}
-        candidates = found if candidates is None else candidates & found
-        if len(candidates) == 1:
-            return candidates.pop()
-    return None
+        P, a = (c * x0 % p, c * c % p), c * c * A % p
+        sign = 1 if pow(c, (p - 1) // 2, p) == 1 else -1  # -1: a twist point
+        if candidates is None or len(candidates) > 6:
+            found = {sign * u for u in _hasse_candidates(P, a, p, H)}
+            candidates = found if candidates is None else candidates & found
+            continue
+        Q = arith._multiple(p + 1, P, _add_mod, None, a, p)
+        allowed = set()
+        for m in {abs(u) for u in candidates}:
+            U = arith._multiple(m, P, _add_mod, None, a, p)
+            if Q == U:
+                allowed.add(sign * m)
+            if Q == (U and (U[0], -U[1] % p)):  # -U, None for O
+                allowed.add(-sign * m)
+        candidates &= allowed
+    return candidates.pop() if len(candidates) == 1 else None
 
 
 def ap(E: CurveModel, p: int) -> int:
     """a_p = p + 1 - #E(F_p) at every prime p of the minimal model E.  At a
-    prime p not dividing 6 Delta it comes from baby-step giant-step on the
-    short model (_ap_bsgs), certified as the one value in the Hasse interval
-    that every point tried allows.  At p | 6 Delta, and at the few small p
-    that stay ambiguous, points are counted: at a bad prime the count
-    includes the singular point, so a_p is p minus the nonsingular points,
-    1 split multiplicative, -1 non-split, 0 additive."""
-    a = None if 6 * E.discriminant % p == 0 else _ap_bsgs(E, p)
+    prime p not dividing 6 Delta it is the one candidate that every point
+    tried allows (_ap_by_points).  On a CM curve, d read off j, the
+    candidates at p not dividing d are {0} at an inert p, which needs no
+    point (Deuring), and the +-t with t^2 + |d| v^2 = 4p at a split p, as
+    Frobenius lies in the CM order (_cm_traces); else the Hasse interval.
+    At p | 6 Delta, and at the few small p that stay ambiguous, points are
+    counted: at a bad prime the count includes the singular point, so a_p
+    is p minus the nonsingular points, 1 split multiplicative, -1 non-split,
+    0 additive."""
+    disc, a = E.discriminant, None
+    if 6 * disc % p:
+        c4, c6 = E.c_invariants
+        a = _ap_by_points(c4, c6, _cm_discriminant(c4, disc), p)
     if a is None:
         a = p + 1 - _count_points(E, p)
     if a * a > 4 * p:

@@ -5,13 +5,15 @@ discriminant.  p and p' are Jacobi theta quotients (DLMF 23.6) on a
 Gauss-reduced basis, the four thetas summed in one integer pass (_thetas);
 the q-series they replaced and mpmath's jtheta are test oracles in
 tests/test_lattice.py.  The elliptic logarithm is Carlson's closed form
-z = R_F(x - e1, x - e2, x - e3), with the e_i that periods solved once for
-the lattice, certified against p and p' at working precision; it raises
-rather than return an uncertified value.  Precision is chosen once, at
-periods: p, the Weierstrass map, the elliptic logarithm and every Lattice
-method work at precision_bits + 20 or more, whatever the ambient mp.prec.
-The lattice owns the integer torus (torus, point, near, the relation
-search's line screen torsion_on_line) and conjugation on it (conjugate).
+z = R_F(x - e1, x - e2, x - e3), with the e_i that periods found once for
+the lattice by certified Newton steps (_two_division; mpmath's polyroots
+is their test oracle), itself certified against p and p' at working
+precision; it raises rather than return an uncertified value.  Precision
+is chosen once, at periods: p, the Weierstrass map, the elliptic logarithm
+and every Lattice method work at precision_bits + 20 or more, whatever the
+ambient mp.prec.  The lattice owns the integer torus (torus, point, near,
+the relation search's line screen torsion_on_line) and conjugation on it
+(conjugate).
 """
 
 from __future__ import annotations
@@ -243,7 +245,10 @@ def periods(E: CurveModel, precision_bits: int) -> Lattice:
     w1 = 2 pi / AGM(2 sqrt(beta), sqrt(2 beta + 3 e1)) and
     w2 = w1/2 + i pi / AGM(2 sqrt(beta), sqrt(2 beta - 3 e1)).
     Either way Im(w2/w1) > 0, and the Lattice keeps e1, e2, e3, the roots
-    of 4t^3 - c4/12 t - c6/216, for elliptic_log.  Calls on one (c4, c6) and
+    of 4t^3 - c4/12 t - c6/216, for elliptic_log.  _two_division finds them
+    at precision_bits + 40 by Newton's method on integers from low-precision
+    seeds, each certified within 3 |f/f'| of a root, the three discs
+    disjoint, else PrecisionUnachievable.  Calls on one (c4, c6) and
     precision share one Lattice, and with it its reduced basis and theta
     constants.
     """
@@ -258,8 +263,7 @@ def _agm_lattice(c4: int, c6: int, precision_bits: int) -> Lattice:
     work = precision_bits + 40
     with mp.workprec(work):
         g2 = mpf(c4) / 12
-        roots = mp.polyroots([4, 0, -g2, -mpf(c6) / 216],
-                             extraprec=work // 2 + 40)
+        roots = _two_division(c4, c6, work)
         if c4**3 > c6**2:  # 1728 disc = c4^3 - c6^2
             roots = e1, e2, e3 = sorted(map(mp.re, roots), reverse=True)
             w1 = mp.pi / mp.agm(mp.sqrt(e1 - e3), mp.sqrt(e1 - e2))
@@ -274,6 +278,81 @@ def _agm_lattice(c4: int, c6: int, precision_bits: int) -> Lattice:
                 2 * mp.sqrt(beta), mp.sqrt(2 * beta - 3 * e1)
             )
         return Lattice(+w1, +w2, precision_bits, tuple(roots))
+
+
+def _cubic_seeds(c4: int, c6: int) -> tuple[int, list]:
+    """(s, seeds) at s = 64 + L bits, L the bits that cancel in 1728 Delta =
+    c4^3 - c6^2, for the roots of t^3 + p t + q = f(t)/4, p = -c4/48, q =
+    -c6/864: the L bits keep about 64 bits of the distance of two close
+    roots.  If 1728 Delta > 0, e1 > e2 > e3 by Viete's cosines m cos(a - 2
+    pi k/3), cos 3a = 3q/(pm), m = 2 sqrt(-p/3), the angle a float (mpmath's
+    acos costs a millisecond on its first call) unless L > 20, where a float
+    would keep fewer than 33 of those bits.  Else e1 = C - p/(3C), C^3 =
+    -q/2 -+ sqrt(q^2/4 + p^3/27) of the larger modulus, and e2 = -e1/2 - i
+    sqrt(3 e1^2/4 + p), as the roots sum to 0."""
+    disc = c4**3 - c6 * c6
+    s = 64 + max(0, max(abs(c4**3), c6 * c6).bit_length()
+                 - abs(disc).bit_length())
+    with mp.workprec(s):
+        p, q = mpf(-c4) / 48, mpf(-c6) / 864
+        if disc > 0:
+            trig, m = math if s <= 84 else mp, 2 * mp.sqrt(-p / 3)
+            a = trig.acos(min(1, max(-1, 3 * q / (p * m)))) / 3
+            return s, [m * trig.cos(a - 2 * trig.pi * k / 3) for k in range(3)]
+        u = abs(q) / 2 + mp.sqrt(q * q / 4 + p**3 / 27)
+        C = mp.cbrt(u) if q < 0 else -mp.cbrt(u)
+        e1 = C - p / (3 * C)
+        return s, [e1, mpc(-e1 / 2, -mp.sqrt(max(0, 3 * e1 * e1 / 4 + p)))]
+
+
+def _two_division(c4: int, c6: int, work: int) -> tuple:
+    """The roots of f(t) = 4t^3 - g2 t - g3, g2 = c4/12, g3 = c6/216, at work
+    bits: e1 > e2 > e3 if 1728 Delta > 0, else the real e1, e2 with Im e2 <
+    0, and conj(e2).  Newton's method takes each seed of _cubic_seeds to W
+    = work + 24 bits by one step at each of ..., W/4 + 8, W/2 + 8 not below
+    s, so that each step's precision keeps pace with the correct bits it
+    doubles, then by steps at W.  It runs on Gaussian integers a + ib = x
+    2^m at n bits, m = n - E, 2^E >= max(sqrt|c4|, cbrt|c6|): the largest
+    root lies in [2^(E-5), 2^E], as the roots have sum of squares g2/2 and
+    product g3/4.  Certificate, exact at W bits: a polynomial of degree n
+    has a root within n |f(x)/f'(x)| of any x, since f'/f = sum 1/(x -
+    e_i).  Each radius 3 |f/f'|(x_i), at most isqrt(floor(9 |F|^2/|F'|^2))
+    + 1 units of 2^-m, must be below 2^(E - work - 8) and the three discs
+    pairwise disjoint, so that each holds one root.  It is checked before
+    each step at W, at most six times, else PrecisionUnachievable.
+    Rounding to work bits moves a root by at most 2^-work |e_i| more."""
+    s, seeds = _cubic_seeds(c4, c6)
+    E = max((c4.bit_length() + 1) // 2, (c6.bit_length() + 2) // 3)
+    levels, W = [work + 24], work + 24
+    while levels[-1] // 2 + 8 >= s:
+        levels.append(levels[-1] // 2 + 8)
+    m = levels[-1] - E
+    with mp.workprec(s):
+        zs = [(int(mp.ldexp(mp.re(x), m)), int(mp.ldexp(mp.im(x), m)))
+              for x in seeds]
+    for n in levels[:0:-1] + [W] * 6:
+        zs, m = [(a << n - E - m, b << n - E - m) for a, b in zs], n - E
+        roots, S = zs + [(a, -b) for a, b in zs if b], 1 << 2 * m
+        # F = 216 f = 864 t^3 - 18 c4 t - c6 at t = (a + ib) 2^-m: Re and Im
+        # of F(t) 2^(3m) and F'(t) 2^(2m), whose quotient is F/F' in 2^-m
+        F = [(864 * (a**3 - 3 * a * b * b) - 18 * c4 * a * S - (c6 << 3 * m),
+              864 * (3 * a * a * b - b**3) - 18 * c4 * b * S,
+              2592 * (a * a - b * b) - 18 * c4 * S, 5184 * a * b)
+             for a, b in roots]
+        N = [p * p + q * q for _, _, p, q in F]
+        if n == W and all(N):
+            r = [math.isqrt(9 * (u * u + v * v) // k) + 1
+                 for (u, v, _, _), k in zip(F, N)]
+            if max(r) < 1 << W - work - 8 and all(
+                    (roots[i][0] - roots[j][0]) ** 2
+                    + (roots[i][1] - roots[j][1]) ** 2 > (r[i] + r[j]) ** 2
+                    for i, j in ((0, 1), (0, 2), (1, 2))):
+                with mp.workprec(work):
+                    return tuple(mpc(mpf((a, -m)), mpf((b, -m))) if b
+                                 else mpf((a, -m)) for a, b in roots)
+        zs = [(a - (u * p + v * q) // (k or 1), b - (v * p - u * q) // (k or 1))
+              for (a, b), (u, v, p, q), k in zip(zs, F, N)]  # F' = 0: stays
+    raise PrecisionUnachievable("Newton's method left a root uncertified")
 
 
 def _thetas(v: mpc, q: mpc, p: int) -> tuple[mpc, mpc, mpc, mpc]:

@@ -7,7 +7,8 @@ integer coordinates on the torus C/L (Lattice.torus), and sums them to
 trace points; only a trace is mapped to curve coordinates, and its flags
 (identity, half-lattice, real) are Lattice.near on its torus sum.
 Precision is chosen at orbit_points and eval_phi; an orbit and its trace
-read it from their lattice.
+read it from their lattice.  orbit_points keeps its last 32 orbits by (E, D,
+precision_bits), so each field's orbit is evaluated once per process.
 Recognition has one entry point per input shape, both one reader (_read):
 recognize for one point over Q, recognize_quadratic for one point over
 Q(sqrt(D)) in its fixed embedding (twist points with x in Q included).
@@ -21,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from mpmath import mp, mpc, mpf
 from mpmath.libmp import to_rational
@@ -126,6 +127,7 @@ class OrbitEvaluation:
         return tuple(self.lattice.point(*c) for c in self.torus_coordinates)
 
 
+@lru_cache(maxsize=32)
 def orbit_points(E: CurveModel, D: int, precision_bits: int) -> OrbitEvaluation:
     """Evaluate phi at every fiber representative over level E.conductor and
     discriminant D, in one eval_phi pass, and store each value's torus
@@ -136,7 +138,10 @@ def orbit_points(E: CurveModel, D: int, precision_bits: int) -> OrbitEvaluation:
     for y >= 10^-3 (eval_phi's floor), |dphi/dtau| <= 4 pi |q| / (1 -
     |q|)^2 < 2^18.3 and y |dphi/dtau| < 2^8.4.  So phi moves by under
     2^-(prec+21): each value errs below 2^-(prec+3), Lattice.near's eta;
-    Lattice.orbit_torus checks near's other premise on the values."""
+    Lattice.orbit_torus checks near's other premise on the values.  The
+    last 32 orbits are kept by (E, D, precision_bits), so reports that
+    share a field evaluate its orbit once; a call that raises keeps
+    nothing."""
     fiber = heegner_fiber(D, E.conductor)
     L = periods(E, precision_bits)
     taus = [tau(f, precision_bits + 40) for f in fiber]

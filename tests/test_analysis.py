@@ -623,6 +623,24 @@ class TestFieldFailures:
         independence_report(E37, [-7, -11, -47], 2, PREC)
         assert seen == [-7, -11, -47]
 
+    def test_reports_sharing_a_field_evaluate_its_orbit_once(self,
+                                                             monkeypatch):
+        # orbit_points keeps each (E, D, precision) orbit: the second report
+        # reads D = -47 from the first, as the benchmark's reports do
+        real = modparam.eval_phi
+        sizes = []
+
+        def counting(E, taus, precision_bits):
+            sizes.append(len(taus))
+            return real(E, taus, precision_bits)
+
+        monkeypatch.setattr(modparam, "eval_phi", counting)
+        first = independence_report(E37, [-7, -47], 2, PREC)
+        second = independence_report(E37, [-47, -71], 2, PREC)
+        assert sizes == [1, 5, 7]  # h(-7), h(-47), h(-71): one call each
+        assert first.entries[1] == second.entries[0]
+        assert orbit_points(E37, -47, PREC) is orbit_points(E37, -47, PREC)
+
     def test_class_number_counted_once_per_field(self, monkeypatch):
         # the fiber holds one point per class: h is read from the orbit
         real = qform.enumerate_reduced

@@ -104,6 +104,23 @@ class TestParsing:
 
 
 class TestValidation:
+    @pytest.mark.parametrize("entry, d", [
+        (dict(GOOD, cm_discriminant=-3), None),  # 37a has no CM
+        ({"label": "32a", "a_invariants": [0, 0, 0, -1, 0], "conductor": 32,
+          "cm_discriminant": -16}, -4),  # j = 1728: CM by Z[i]
+    ], ids=["37a", "32a"])
+    def test_cm_discriminant_must_match_j(self, tmp_path, entry, d):
+        with pytest.raises(ValidationError,
+                           match=f"disagrees with j = .*discriminant {d}$"):
+            load_database(write_db(tmp_path, [entry]))
+
+    def test_cm_discriminant_may_be_left_out(self, tmp_path):
+        entry = {"label": "49a", "a_invariants": [1, -1, 0, -2, -1],
+                 "conductor": 49}
+        [e] = load_database(write_db(tmp_path, [entry]))
+        assert e.cm_discriminant is None
+        assert e.curve().cm_order_discriminant == -7
+
     def test_singular_model_rejected(self, tmp_path):
         bad = dict(GOOD, a_invariants=[0, 0, 0, 0, 0], known_generators=[])
         with pytest.raises(ValidationError, match="singular"):

@@ -285,9 +285,71 @@ BAD_REDUCTION_CURVES = {
     "37a": E37,
     "43a1": CurveModel(0, 1, 1, 0, 0, 43),
     "49a": E49,
+    "64a1": CurveModel(0, 0, 0, -4, 0, 64),
+    "121b1": CurveModel(0, -1, 1, -7, 10, 121),
+    # CM by orders of conductor 2 and 3
+    "27a4": CurveModel(0, 0, 1, -30, 63, 27),
+    "32a3": CurveModel(0, 0, 0, -11, -14, 32),
+    "36a2": CurveModel(0, 0, 0, -15, 22, 36),
+    "49a2": CurveModel(1, -1, 0, -37, -78, 49),
     "389a1": CurveModel(0, 1, 1, -2, 0, 389),
     "5077a1": CurveModel(0, 0, 1, -7, 6, 5077),
 }
+
+
+# the CM models among them and the discriminant of each one's CM order:
+# the maximal orders of Q(sqrt -1), Q(sqrt -3), Q(sqrt -7), Q(sqrt -11),
+# and the orders of conductor 2 or 3 in the first three
+CM_DISCRIMINANTS = {"32a": -4, "32a1": -4, "49a": -7, "27a1": -3,
+                    "36a1": -3, "64a1": -4, "121b1": -11, "27a4": -27,
+                    "32a3": -16, "36a2": -12, "49a2": -28}
+
+
+class TestCMTraces:
+    @pytest.mark.parametrize("label", BAD_REDUCTION_CURVES)
+    def test_cm_order_is_read_off_j(self, label):
+        E = BAD_REDUCTION_CURVES[label]
+        assert E.cm_order_discriminant == CM_DISCRIMINANTS.get(label)
+
+    @pytest.mark.parametrize("d, p, traces", [
+        (-4, 29, {-10, -4, 4, 10}),  # 29 = 5^2 + 2^2, two ways to write 4p
+        (-3, 7, {-5, -4, -1, 1, 4, 5}),  # six units
+        (-7, 11, {-4, 4}), (-27, 31, {-4, 4}),  # 124 = 4^2 + 27 * 2^2
+        (-4, 31, {0}), (-7, 5, {0}), (-27, 5, {0}),  # inert
+    ])
+    def test_norm_equation(self, d, p, traces):
+        assert ellcurve._cm_traces(d, p) == traces
+
+    @pytest.mark.parametrize("label", CM_DISCRIMINANTS)
+    def test_inert_primes_do_no_point_arithmetic(self, label, monkeypatch):
+        # Deuring: a_p = 0 at p inert in the CM field, read off at once
+        E, d = BAD_REDUCTION_CURVES[label], CM_DISCRIMINANTS[label]
+        calls = []
+        monkeypatch.setattr(ellcurve, "_add_mod",
+                            lambda *args: calls.append(args))
+        inert = [p for p in PRIMES_BELOW_3000[:100]
+                 if 6 * d * E.discriminant % p
+                 and pow(d, (p - 1) // 2, p) == p - 1]
+        assert len(inert) > 40
+        assert [ap(E, p) for p in inert] == [0] * len(inert)
+        assert calls == []
+
+    @pytest.mark.parametrize("E, p, bsgs", [
+        (E37, 1009, True), (E37, 29, True),  # no CM: the Hasse interval
+        (E49, 1009, False), (E32, 1013, False),  # split: the norm equation
+    ])
+    def test_baby_step_giant_step_only_without_cm(self, E, p, bsgs,
+                                                  monkeypatch):
+        calls = []
+        real = ellcurve._hasse_candidates
+
+        def spy(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(ellcurve, "_hasse_candidates", spy)
+        assert ap(E, p) == p + 1 - ellcurve_count_points(E, p)
+        assert bool(calls) == bsgs
 
 
 class TestPointCounting:
@@ -341,8 +403,8 @@ class TestPointCounting:
         assert ap(E, p) == naive_ap(E, p)
         assert calls == ([p] if counted else [])
 
-    @pytest.mark.parametrize("label", ["37a", "32a", "32a1", "49a", "389a1",
-                                       "5077a1"])
+    @pytest.mark.parametrize("label", ["37a", "389a1", "5077a1",
+                                       *CM_DISCRIMINANTS])
     def test_ap_equals_the_count_at_good_primes_below_3000(self, label):
         E = BAD_REDUCTION_CURVES[label]
         for p in PRIMES_BELOW_3000:

@@ -6,7 +6,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
@@ -14,9 +14,11 @@ import heegnerlab
 from heegnerlab.ellcurve import (CurveModel, CurvePoint, point, point_add,
                                  point_mul)
 from heegnerlab.errors import IdentityPoint, PrecisionUnachievable
+from heegnerlab import lattice
 from heegnerlab.lattice import (
     Lattice,
     _thetas,
+    _two_division,
     elliptic_log,
     periods,
     weierstrass_map,
@@ -725,21 +727,72 @@ class TestTwoDivisionValues:
             elliptic_log(point(F(0), F(0)), E37, bare)
 
 
-def test_polyroots_only_in_the_agm():
-    # one cubic solve per lattice: the only polyroots call in the package
-    # is the one inside _agm_lattice
-    calls = []
+def _ordered_as_the_agm_reads_them(roots, positive):
+    # Delta > 0: three real values, descending; Delta < 0: the real value,
+    # then the complex pair, negative imaginary part first
+    if positive:
+        return (all(isinstance(r, mpf) for r in roots)
+                and roots[0] > roots[1] > roots[2])
+    e1, e2, e3 = roots
+    return (isinstance(e1, mpf) and e3.imag > 0 and e3.real == e2.real
+            and e3.imag + e2.imag == 0)
+
+
+class TestNewtonTwoDivision:
+    # _two_division's Newton roots against the polyroots oracle at twice
+    # the working bits (it loses accuracy on close roots), to within
+    # 2^-(prec + 30) of the largest root, on random nonsingular (c4, c6)
+    @settings(max_examples=60, deadline=None)
+    @given(c4=st.integers(-10**6, 10**6), c6=st.integers(-10**9, 10**9),
+           prec=st.integers(53, 1000))
+    @example(c4=48, c6=-216, prec=200)  # 37a, Delta > 0
+    @example(c4=105, c6=1323, prec=1000)  # 49a, Delta < 0
+    @example(c4=48, c6=0, prec=53)  # 32a, a root at 0
+    @example(c4=-192, c6=0, prec=500)  # 32a1, a purely imaginary pair
+    @example(c4=0, c6=-864, prec=200)  # 36a1, j = 0
+    @example(c4=10**6, c6=10**9 - 1, prec=300)  # 29 bits cancel in Delta
+    def test_match_the_oracle(self, c4, c6, prec):
+        assume(c4**3 != c6**2)
+        work = prec + 40
+        roots = _two_division(c4, c6, work)
+        assert _ordered_as_the_agm_reads_them(roots, c4**3 > c6**2)
+        oracle, _, _ = two_division_values_oracle(c4, c6, 2 * work)
+        with mp.workprec(work):
+            tol = mp.ldexp(max(map(abs, oracle)), -(prec + 30))
+            for e, o in zip(_sorted_roots(roots), _sorted_roots(oracle)):
+                assert abs(e - o) <= tol
+
+    @pytest.mark.parametrize("E, prec", [
+        (CurveModel(0, 0, 1, -7, 6, 5077), 321),  # Delta > 0
+        (CurveModel(0, -1, 1, -10, -20, 11), 123),  # Delta < 0
+    ], ids=["5077a", "11a1"])
+    @pytest.mark.parametrize("seeds", ["coincident", "far"])
+    def test_bad_seeds_raise(self, monkeypatch, E, prec, seeds):
+        # coincident seeds converge to one root, so the discs overlap; a
+        # seed 2^40 out is still far off after the Newton steps allowed
+        real = lattice._cubic_seeds
+
+        def bad(c4, c6):
+            s, xs = real(c4, c6)
+            x = xs[0] if seeds == "coincident" else mpf(2) ** 40
+            return s, (x,) * len(xs)
+
+        monkeypatch.setattr(lattice, "_cubic_seeds", bad)
+        with pytest.raises(PrecisionUnachievable, match="uncertified"):
+            periods(E, prec)  # a key no other test builds: not cached
+
+
+def test_no_polyroots_in_the_package():
+    # the cubic is solved by _two_division's Newton; mpmath's polyroots is
+    # only a test oracle, and no module of the package names it
+    names = []
     for info in pkgutil.iter_modules(heegnerlab.__path__):
         module = importlib.import_module(f"heegnerlab.{info.name}")
         tree = ast.parse(inspect.getsource(module))
-        for fn in ast.walk(tree):
-            if not isinstance(fn, ast.FunctionDef):
-                continue
-            calls += [(info.name, fn.name) for node in ast.walk(fn)
-                      if isinstance(node, ast.Call)
-                      and getattr(node.func, "attr",
-                                  getattr(node.func, "id", None)) == "polyroots"]
-    assert calls == [("lattice", "_agm_lattice")]
+        names += [info.name for node in ast.walk(tree)
+                  if getattr(node, "attr", getattr(node, "id", None))
+                  == "polyroots"]
+    assert names == []
 
 
 class TestConjugate:

@@ -406,6 +406,7 @@ class TestOrbits:
         else:
             shifted = orbit_points(E37, -83, PREC).torus_coordinates
             monkeypatch.undo()
+            orbit_points.cache_clear()  # it keeps the shifted orbit
             K = L.torus_bits
             for (A1, B1), (A, B) in zip(
                     shifted, orbit_points(E37, -83, PREC).torus_coordinates):
