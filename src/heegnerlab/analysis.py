@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import lru_cache
 
 from . import arith
 from .ellcurve import CurveModel, CurvePoint, INFINITY, point_add, point_mul
@@ -190,12 +191,20 @@ def independence_report(
             entries.append(FieldEntry(discriminant=D, admissible=False,
                                       error="HeegnerConditionFailed"))
             continue
-        entry, orbit, exact_pt = _field_entry(E, D, precision_bits, B)
+        try:
+            orbit = orbit_points(E, D, precision_bits)
+        except HeegnerlabError as exc:
+            error = f"orbit: {type(exc).__name__}: {exc}"
+            entries.append(FieldEntry(D, admissible=True, error=error))
+            continue
+        entry, exact_pt = _orbit_entry(orbit)
+        if entry.error is None:  # the one fact that depends on B
+            entry = replace(entry, prime_to_bound_part=arith.prime_to_B_part(
+                entry.class_number, B))
         entries.append(entry)
-        if orbit is not None:
-            orbits.append(orbit)
-            exact.append(exact_pt)
-            joined.append(i)
+        orbits.append(orbit)  # it joins the search even if a stage failed
+        exact.append(exact_pt)
+        joined.append(i)
     relation = None
     verdict = "no_relation_up_to_bound"
     if len(orbits) >= 2:
@@ -233,16 +242,14 @@ def independence_report(
     )
 
 
-def _field_entry(E, D, precision_bits, B):
-    """(entry, orbit, exact trace point) for one admissible field.  An orbit
-    that was evaluated joins the relation search even if a later stage
-    fails; the exact point is then None."""
-    stage = "orbit"
-    orbit = None
+@lru_cache(maxsize=32)
+def _orbit_entry(orbit):
+    """(entry but its B-part, exact trace point or None) of an orbit, kept
+    for the last 32 orbits: a field two reports share is traced once."""
+    h = len(orbit.torus_coordinates)  # one fiber point per ideal class
+    D, E = orbit.discriminant, orbit.curve
+    stage = "degree"
     try:
-        orbit = orbit_points(E, D, precision_bits)
-        h = len(orbit.torus_coordinates)  # one fiber point per ideal class
-        stage = "degree"
         degs = tuple(orbit_degree(orbit, n) for n in (1, 2, 3))
         stage = "trace"
         tr = trace_point(orbit)
@@ -250,7 +257,7 @@ def _field_entry(E, D, precision_bits, B):
         recog, exact_pt = _recognize_trace(tr)
     except HeegnerlabError as exc:
         error = f"{stage}: {type(exc).__name__}: {exc}"
-        return FieldEntry(discriminant=D, admissible=True, error=error), orbit, None
+        return FieldEntry(discriminant=D, admissible=True, error=error), None
     div_ok = None
     if E.modular_degree is not None:
         div_ok = (degs[0] * math.factorial(E.modular_degree)) % h == 0
@@ -259,13 +266,12 @@ def _field_entry(E, D, precision_bits, B):
         admissible=True,
         class_number=h,
         odd_part=arith.odd_part(h),
-        prime_to_bound_part=arith.prime_to_B_part(h, B),
         orbit_degrees=degs,
         recognition=recog,
         trace_is_identity=tr.is_identity,
         divisibility_ok=div_ok,
     )
-    return entry, orbit, exact_pt
+    return entry, exact_pt
 
 
 def _recognize_trace(tr):

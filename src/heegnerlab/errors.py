@@ -49,6 +49,10 @@ class ConvergenceTooSlow(HeegnerlabError):
     pass
 
 
+class InvolutionUnresolved(HeegnerlabError):
+    pass
+
+
 class RecognitionFailed(HeegnerlabError):
     pass
 

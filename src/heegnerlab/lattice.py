@@ -114,12 +114,17 @@ class Lattice:
         """Representative of z mod Lambda: point(*torus(z))."""
         return self.point(*self.torus(z))
 
-    def conjugate(self, A: int, B: int) -> tuple[int, int]:
-        """Torus coordinates (A + c B, -B) of conj(z), z at (A, B): periods
-        gives w1 real and conj(w2) = c w1 - w2, c = round(2 Re(w2/w1))."""
-        with mp.workprec(self.torus_bits):
+    def conjugate(self, A: int, B: int, eps: int = 1,
+                  shift: tuple = (0, 0)) -> tuple[int, int]:
+        """Torus coordinates eps (A + c B, -B) + round(shift 2^K) of eps
+        conj(z) + w, z at (A, B), w at the exact lattice coordinates shift:
+        periods gives w1 real and conj(w2) = c w1 - w2, c = round(2
+        Re(w2/w1)).  Exact but for half a unit per coordinate of shift."""
+        K = self.torus_bits
+        with mp.workprec(K):
             c = int(mp.nint(2 * mp.re(self.omega2 / self.omega1)))
-        return A + c * B, -B
+        return tuple(eps * u + round(x * (1 << K))
+                     for u, x in zip((A + c * B, -B), shift))
 
     @cached_property
     def _metric(self) -> tuple[int, int, int, int]:

@@ -8,7 +8,9 @@ trace points; only a trace is mapped to curve coordinates, and its flags
 (identity, half-lattice, real) are Lattice.near on its torus sum.
 Precision is chosen at orbit_points and eval_phi; an orbit and its trace
 read it from their lattice.  orbit_points keeps its last 32 orbits by (E, D,
-precision_bits), so each field's orbit is evaluated once per process.
+precision_bits), so each field's orbit is evaluated once per process, and
+of the classes [A], [A]^-1 [n] that w_N conj exchanges evaluates one: the
+other is eps conj(z) + c on the torus (_involution finds eps and c).
 Recognition has one entry point per input shape, both one reader (_read):
 recognize for one point over Q, recognize_quadratic for one point over
 Q(sqrt(D)) in its fixed embedding (twist points with x in Q included).
@@ -19,6 +21,8 @@ from the trace's orbit.
 
 from __future__ import annotations
 
+import cmath
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -27,8 +31,10 @@ from functools import cached_property, lru_cache
 from mpmath import mp, mpc, mpf
 from mpmath.libmp import to_rational
 
+from . import qform
 from .ellcurve import CurveModel, QuadElt, an_coeffs
-from .errors import ConvergenceTooSlow, RecognitionFailed
+from .errors import (ConvergenceTooSlow, InvolutionUnresolved,
+                     RecognitionFailed)
 from .heegner import heegner_fiber, tau
 from .lattice import Lattice, periods, weierstrass_map
 
@@ -40,20 +46,22 @@ def _terms_needed(im_tau: mpf, precision_bits: int) -> int:
     |q| = exp(-2 pi Im tau): a bound on the tail sum_{n>M} |a_n q^n / n|,
     as |a_n| <= d(n) sqrt(n) <= 2n.  In logarithms the condition reads
     M + 1 > x = ((precision_bits + 5) log 2 - log(1 - |q|)) / (2 pi Im tau),
-    so M = floor(x); floats give x to far better than 10^-6, and M starts
-    just below it.  The bound in mpf decides from there: one evaluation
-    unless x lies within 10^-6 of an integer.  Im tau below 10^-3, or more
-    than 10^6 terms, raises ConvergenceTooSlow."""
+    so M = floor(x), as floats give x to far better than 10^-6; within
+    10^-6 of an integer the bound in mpf decides, from just below x.  Im
+    tau below 10^-3, or more than 10^6 terms, raises ConvergenceTooSlow."""
     if im_tau < 1e-3:
         raise ConvergenceTooSlow("Im(tau) below 10^-3")
     t = 2 * math.pi * float(im_tau)
     x = ((precision_bits + 5) * math.log(2) - math.log(-math.expm1(-t))) / t
     M = max(1, math.floor(x - 1e-6))
-    with mp.workprec(64):
-        t = 2 * mp.pi * im_tau
-        target = mp.ldexp(-mp.expm1(-t), -(precision_bits + 5))
-        while M <= _M_CAP and mp.exp(-t * (M + 1)) >= target:
-            M += 1
+    if abs(x - round(x)) > 1e-6:
+        M = max(1, math.floor(x))
+    else:
+        with mp.workprec(64):
+            t = 2 * mp.pi * im_tau
+            target = mp.ldexp(-mp.expm1(-t), -(precision_bits + 5))
+            while M <= _M_CAP and mp.exp(-t * (M + 1)) >= target:
+                M += 1
     if M > _M_CAP:
         raise ConvergenceTooSlow(
             "more than 10^6 q-series terms required; Im(tau) too small"
@@ -127,12 +135,107 @@ class OrbitEvaluation:
         return tuple(self.lattice.point(*c) for c in self.torus_coordinates)
 
 
+def _horner53(coeffs, x: complex) -> complex:  # sum coeffs[k] x^k, floats
+    acc = 0j
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+@lru_cache(maxsize=16)
+def _involution(E: CurveModel, L: Lattice
+                ) -> tuple[int, tuple[Fraction, Fraction]] | None:
+    """(eps, c): phi(w_N tau) = eps phi(tau) + c, N = E.conductor, with c's
+    coordinates on E's lattice L in (1/m)Z^2, m <= 12 least; None (no
+    pairing) if floats cannot decide or a Gamma0(N) probe finds a period
+    of phi off L (the bundled 32a: (+-1/2, 1/2)).  In floats:
+    - probe: for the first eight d >= 2 prime to N, a = 1/d mod N, gamma =
+      [[a, b], [N, d]] takes (-d + i)/N to (a + i)/N; phi((x + i)/N) = sum_k
+      S_k zeta^(kx), zeta = e^(2 pi i/N), S_k = sum_(n = k mod N) a_n r^n/n,
+      r = e^(-2 pi/N);
+    - w_N fixes tau_0 = i/sqrt N and takes tau_1 = e^(i pi/3)/sqrt N to
+      -conj tau_1, so c = (1 - eps) phi(tau_0) and conj phi(tau_1) - eps
+      phi(tau_1) - c is in L for exactly one eps, and c in (1/m)L (Mazur),
+      else InvolutionUnresolved.
+    Error: M = _terms_needed(1/N, 36) leaves tails below 2^-40 (Im tau >=
+    1/N); |a_n/n| <= 2 bounds partial sums by A = 2/(1 - r), a float step
+    errs below 2^-51 A, and q's or zeta^x's rounding, relative 2^-50,
+    moves a sum under 2^-50 A^2.  So a value errs below e = 2^-40 + 2^-50
+    A (A + M + N), a coordinate (linear: s(v) = s(1) Re v + s(i) Im v)
+    below e gain, gain = max(|s(1)| + |s(i)|, |t(1)| + |t(i)|), and one
+    tested against Z (four values, times m) below delta = 48 e gain, which
+    must be below 2^-21, half the 2^-20 tolerance (2^-32 on 49a)."""
+    N = E.conductor
+    (s1, t1), (si, ti) = ([float(x) for x in L.coordinates(mpc(u))]
+                          for u in (1, 1j))
+    M, r = _terms_needed(1 / N, 36), math.exp(-2 * math.pi / N)
+    A, gain = 2 / (1 - r), max(abs(s1) + abs(si), abs(t1) + abs(ti))
+    if 48 * (2**-40 + 2**-50 * A * (A + M + N)) * gain >= 2**-21:
+        return None
+    cs, S = [0.0], [0.0] * N
+    for n, a in enumerate(an_coeffs(E, M), 1):
+        cs.append(a / n)
+        S[n % N] += cs[n] * r**n
+
+    def coordinates(v: complex, m: int = 1) -> tuple[float, float]:
+        return m * (s1 * v.real + si * v.imag), m * (t1 * v.real + ti * v.imag)
+
+    def in_lattice(v: complex, m: int = 1) -> bool:
+        return all(abs(s - round(s)) < 2**-20 for s in coordinates(v, m))
+
+    def row(x: int) -> complex:  # phi((x + i)/N)
+        return _horner53(S, cmath.exp(2j * math.pi * (x % N) / N))
+
+    ds = itertools.islice((d for d in itertools.count(2)
+                           if math.gcd(d, N) == 1), 8)
+    if not all(in_lattice(row(pow(d, -1, N)) - row(-d)) for d in ds):
+        return None
+    p1, p0 = (_horner53(cs[:_terms_needed(t.imag, 36) + 1],
+                        cmath.exp(2j * math.pi * t))
+              for t in (cmath.exp(1j * math.pi / 3) / math.sqrt(N),
+                        1j / math.sqrt(N)))
+    signs = [e for e in (1, -1)
+             if in_lattice(p1.conjugate() - e * p1 - (1 - e) * p0)]
+    if len(signs) != 1:
+        raise InvolutionUnresolved(f"w_N fits {len(signs)} signs, not 1")
+    c = (1 - signs[0]) * p0
+    m = next((m for m in range(1, 13) if in_lattice(c, m)), 0)
+    if not m:
+        raise InvolutionUnresolved("phi(0) is not torsion of order <= 12")
+    return signs[0], tuple(Fraction(round(s), m) for s in coordinates(c, m))
+
+
+def _partners(fiber, N: int) -> list[int]:
+    # the class index of (N c, b, a/N) for each fiber form (a, b, c)
+    if len(fiber) == 1:
+        return [0]
+    index = {qform.reduce(f): i for i, f in enumerate(fiber)}
+    form = qform.BinaryQuadraticForm
+    return [index[qform.reduce(form(N * f.c, f.b, f.a // N))] for f in fiber]
+
+
 @lru_cache(maxsize=32)
 def orbit_points(E: CurveModel, D: int, precision_bits: int) -> OrbitEvaluation:
-    """Evaluate phi at every fiber representative over level E.conductor and
-    discriminant D, in one eval_phi pass, and store each value's torus
-    coordinates on the period lattice.  terms_used is the largest term
-    count of the orbit.  An inadmissible D raises HeegnerConditionFailed.
+    """Evaluate phi at fiber representatives over level N = E.conductor and
+    discriminant D, in one eval_phi pass, and store each class's torus
+    coordinates (A, B) on the period lattice L = periods(E, precision_bits).
+    An inadmissible D raises HeegnerConditionFailed.
+
+    Pairing (Gross, Heegner points on X0(N), 1984, 5): w_N(-conj tau) =
+    -2a / (N (b + sqrt D)), tau the root of the fiber form (a, b, c), is the
+    root of the fiber form (Nc, b, a/N), of class [A]^-1 [n], n = (N, beta,
+    .) (_partners; an involution).  The a_n are real and f|w_N = eps f, so
+    phi(w_N(-conj tau)) = eps conj phi(tau) + c; Gamma0(N)-equivalent
+    forms differ by periods of phi, which direct evaluation, too, takes to
+    lie in L, and which _involution's probe samples.  Of two classes so
+    paired only the one of smaller a (larger Im tau; the first on a tie)
+    is evaluated, every class if h = 1 or _involution refuses; the other
+    gets L.conjugate(A, B, eps, c), in integers, not reduced (every reader
+    works mod 2^K).  That is exact but for half a unit of 2^-K per
+    coordinate of c, so it errs by its source's error plus under 2^-K
+    scale, inside Lattice.near's margin.  terms_used is the largest term
+    count of the evaluated classes.
+
     Each tau is formed at prec + 40 bits, prec = precision_bits: Re tau, in
     [-1, 0], errs by at most 2^-(prec+40) and Im tau = y by 2^-(prec+39) y;
     for y >= 10^-3 (eval_phi's floor), |dphi/dtau| <= 4 pi |q| / (1 -
@@ -142,13 +245,19 @@ def orbit_points(E: CurveModel, D: int, precision_bits: int) -> OrbitEvaluation:
     last 32 orbits are kept by (E, D, precision_bits), so reports that
     share a field evaluate its orbit once; a call that raises keeps
     nothing."""
-    fiber = heegner_fiber(D, E.conductor)
+    N = E.conductor
+    fiber = heegner_fiber(D, N)
     L = periods(E, precision_bits)
-    taus = [tau(f, precision_bits + 40) for f in fiber]
+    partner = _partners(fiber, N)
+    pairing = partner != list(range(len(fiber))) and _involution(E, L)
+    evaluated = [i for i, j in enumerate(partner)
+                 if not pairing or (fiber[i].a, i) <= (fiber[j].a, j)]
+    taus = [tau(fiber[i], precision_bits + 40) for i in evaluated]
     values, Ms = eval_phi(E, taus, precision_bits)
-    return OrbitEvaluation(curve=E, discriminant=D,
-                           torus_coordinates=L.orbit_torus(values),
-                           terms_used=max(Ms), lattice=L)
+    coords = dict(zip(evaluated, L.orbit_torus(values)))
+    return OrbitEvaluation(curve=E, discriminant=D, torus_coordinates=tuple(
+        coords[i] if i in coords else L.conjugate(*coords[j], *pairing)
+        for i, j in enumerate(partner)), terms_used=max(Ms), lattice=L)
 
 
 @dataclass(frozen=True)

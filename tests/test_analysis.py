@@ -6,6 +6,7 @@ import importlib
 import inspect
 import itertools
 import pkgutil
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -637,9 +638,36 @@ class TestFieldFailures:
         monkeypatch.setattr(modparam, "eval_phi", counting)
         first = independence_report(E37, [-7, -47], 2, PREC)
         second = independence_report(E37, [-47, -71], 2, PREC)
-        assert sizes == [1, 5, 7]  # h(-7), h(-47), h(-71): one call each
+        # one call each for h(-7), h(-47), h(-71) = 1, 5, 7: a class whose
+        # partner under w_N and complex conjugation is evaluated is derived
+        assert sizes == [1, 3, 4]
         assert first.entries[1] == second.entries[0]
         assert orbit_points(E37, -47, PREC) is orbit_points(E37, -47, PREC)
+
+    def test_reports_sharing_a_field_trace_it_once(self, monkeypatch):
+        # the orbit's degrees, trace and recognition are kept with it, so
+        # the second report neither traces nor recognizes D = -47 again
+        seen = {"orbit_degree": [], "trace_point": [], "_recognize_trace": []}
+
+        def counting(name, real):
+            def wrapper(x, *args):
+                orbit = x.orbit if name == "_recognize_trace" else x
+                seen[name].append(orbit.discriminant)
+                return real(x, *args)
+            return wrapper
+
+        for name in seen:
+            monkeypatch.setattr(analysis, name,
+                                counting(name, getattr(analysis, name)))
+        first = independence_report(E37, [-7, -47], 3, PREC)
+        second = independence_report(E37, [-47, -71], 10, PREC)
+        assert seen["trace_point"] == [-7, -47, -71]
+        assert seen["_recognize_trace"] == [-7, -47, -71]
+        assert seen["orbit_degree"] == [-7] * 3 + [-47] * 3 + [-71] * 3
+        # the part of h prime to the bound is the one fact the report adds
+        assert first.entries[1].prime_to_bound_part == 5
+        assert first.entries[1] == replace(second.entries[0],
+                                           prime_to_bound_part=5)
 
     def test_class_number_counted_once_per_field(self, monkeypatch):
         # the fiber holds one point per class: h is read from the orbit

@@ -8,11 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
-from heegnerlab import ellcurve, modparam
+from heegnerlab import ellcurve, modparam, qform
 from heegnerlab.ellcurve import CurveModel, QuadElt, an_coeffs, ap
 from heegnerlab.errors import (ConvergenceTooSlow, HeegnerConditionFailed,
-                              PrecisionUnachievable, RecognitionFailed)
-from heegnerlab.heegner import heegner_condition, heegner_fiber
+                              InvolutionUnresolved, PrecisionUnachievable,
+                              RecognitionFailed)
+from heegnerlab.heegner import heegner_condition, heegner_fiber, star_act
 from heegnerlab.heegner import tau as heegner_tau
 from heegnerlab.lattice import _agm_lattice, embed, periods, weierstrass_map
 from heegnerlab.modparam import (
@@ -191,6 +192,13 @@ class TestRoundRational:
             assert err == abs(v - mp.mpf(want.numerator) / want.denominator)
 
 
+def bound_met(im_tau, M, prec):
+    # 2 |q|^(M+1) / (1 - |q|) < 2^-(prec+4), in mpf
+    with mp.workprec(256):
+        abs_q = mp.exp(-2 * mp.pi * mp.mpf(im_tau))
+        return 2 * abs_q ** (M + 1) / (1 - abs_q) < mp.mpf(2) ** -(prec + 4)
+
+
 class TestTailBound:
     # the oracles above stop at eval_phi's own M and never see the tail
     @pytest.mark.parametrize("prec", [200, 500, 1000])
@@ -208,15 +216,35 @@ class TestTailBound:
     @settings(max_examples=200, deadline=None)
     @given(im_tau=st.floats(1e-3, 3), prec=st.integers(16, 2000))
     def test_least_count_meeting_the_bound(self, im_tau, prec):
-        def bound_met(M):  # 2 |q|^(M+1) / (1 - |q|) < 2^-(prec+4), in mpf
-            with mp.workprec(256):
-                abs_q = mp.exp(-2 * mp.pi * mp.mpf(im_tau))
-                return (2 * abs_q ** (M + 1) / (1 - abs_q)
-                        < mp.mpf(2) ** -(prec + 4))
-
         M = _terms_needed(mp.mpf(im_tau), prec)
-        assert bound_met(M)
-        assert M == 1 or not bound_met(M - 1)
+        assert bound_met(im_tau, M, prec)
+        assert M == 1 or not bound_met(im_tau, M - 1, prec)
+
+    @pytest.mark.parametrize("prec", [53, 200, 1000])
+    @pytest.mark.parametrize("E", [E37, E49], ids=["37a", "49a"])
+    def test_float_count_is_the_mpf_count(self, E, prec):
+        # floor(x) in floats, for the tau of every admissible |D| < 500,
+        # is the least count meeting the bound in mpf
+        for D in _admissible(E.conductor, 500):
+            for f in heegner_fiber(D, E.conductor):
+                im = mp.im(heegner_tau(f, prec + 40))
+                M = _terms_needed(im, prec)
+                assert bound_met(im, M, prec)
+                assert M == 1 or not bound_met(im, M - 1, prec)
+
+    @pytest.mark.parametrize("offset", [-5e-8, -1e-12, 1e-12, 5e-8])
+    @pytest.mark.parametrize("k, prec", [(40, 53), (300, 200), (2500, 1000)])
+    def test_counts_near_an_integer(self, k, prec, offset):
+        # Im tau with x = k + offset, x = ((prec + 5) log 2 - log(1 - |q|))
+        # / (2 pi Im tau): within 10^-6 of an integer the mpf bound decides
+        lo, hi = mp.mpf("1e-3"), mp.mpf(3)
+        with mp.workprec(200):
+            for _ in range(200):  # x falls as Im tau grows: bisect
+                im = (lo + hi) / 2
+                t = 2 * mp.pi * im
+                x = ((prec + 5) * mp.log(2) - mp.log(-mp.expm1(-t))) / t
+                lo, hi = (im, hi) if x > k + offset else (lo, im)
+        assert _terms_needed(im, prec) == (k if offset > 0 else k - 1)
 
     def test_too_slow_convergence_raises(self):
         for im_tau, prec in ((mp.mpf("9.99e-4"), 200), (mp.mpf(0), 16),
@@ -891,3 +919,120 @@ class TestTwistClass:
         tr = trace_point(orbit_points(E49, -31, PREC))
         with pytest.raises(ValueError):
             recognize_quadratic(tr.xy, 10**6, E49, 5, precision_bits=PREC)
+
+
+def direct_torus_oracle(E, D, prec):
+    """Torus coordinates of every fiber tau evaluated directly, one eval_phi
+    pass over the whole fiber: orbit_points before pairing."""
+    fiber = heegner_fiber(D, E.conductor)
+    values, _ = eval_phi(E, [heegner_tau(f, prec + 40) for f in fiber], prec)
+    return periods(E, prec).orbit_torus(values)
+
+
+def _torsion_order(c):
+    return math.lcm(*(x.denominator for x in c))
+
+
+class TestPairing:
+    # a class whose partner [A]^-1 [n] under w_N and complex conjugation is
+    # evaluated gets eps conj(z) + c; the full orbit stays the oracle
+    @pytest.mark.parametrize("E, limit, prec", [
+        (E37, 150, 200), (E49, 150, 200), (E32_1, 150, 200),
+        (E37, 100, 500), (E49, 100, 500), (E32_1, 100, 500)],
+        ids=["37a-200", "49a-200", "32a1-200", "37a-500", "49a-500",
+             "32a1-500"])
+    def test_paired_orbits_are_near_the_direct_ones(self, E, limit, prec):
+        L, derived = periods(E, prec), 0
+        for D in _admissible(E.conductor, limit):
+            pairs = zip(orbit_points(E, D, prec).torus_coordinates,
+                        direct_torus_oracle(E, D, prec))
+            for (A, B), (a, b) in pairs:
+                assert L.near(A - a, B - b), D
+                derived += (A, B) != (a, b)
+        assert derived > 10
+
+    @pytest.mark.parametrize("E, eps, order", [
+        (E37, 1, 1), (E49, -1, 2), (E32_1, -1, 4)],
+        ids=["37a", "49a", "32a1"])
+    def test_sign_and_torsion_constant(self, E, eps, order):
+        sign, c = modparam._involution(E, periods(E, PREC))
+        assert (sign, _torsion_order(c)) == (eps, order)
+        # the basis of periods, and so c, is the same at every precision
+        assert modparam._involution(E, periods(E, 1000)) == (sign, c)
+
+    def test_bundled_32a_is_refused(self):
+        # its Gamma0(32) periods sit at (+-1/2, 1/2): every class evaluated
+        assert modparam._involution(E32, periods(E32, PREC)) is None
+        for D in _admissible(32, 100):
+            assert (orbit_points(E32, D, PREC).torus_coordinates
+                    == direct_torus_oracle(E32, D, PREC))
+
+    @settings(max_examples=40, deadline=None)
+    @given(E=st.sampled_from([E37, E49, E32_1]), index=st.integers(0, 60))
+    def test_partners_are_an_involution_covered_by_the_evaluated(
+            self, E, index):
+        N = E.conductor
+        D = _admissible(N, 700)[index]
+        fiber = heegner_fiber(D, N)
+        partner = modparam._partners(fiber, N)
+        beta = fiber[0].b
+        n = qform.BinaryQuadraticForm(N, beta, (beta * beta - D) // (4 * N))
+        for i, f in enumerate(fiber):
+            assert partner[partner[i]] == i
+            assert fiber[partner[i]] == star_act(n, f.inverse(), N)
+        taus = []
+
+        def recording_eval_phi(E, ts, prec):
+            taus.extend(ts)
+            return eval_phi(E, ts, prec)
+
+        modparam.orbit_points.cache_clear()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(modparam, "eval_phi", recording_eval_phi)
+            orbit = modparam.orbit_points(E, D, 64)
+        modparam.orbit_points.cache_clear()
+        evaluated = {i for i, f in enumerate(fiber)
+                     if heegner_tau(f, 104) in taus}
+        assert len(evaluated) == len(taus)
+        assert evaluated | {partner[i] for i in evaluated} == set(
+            range(len(fiber)))
+        assert len(orbit.torus_coordinates) == len(fiber)
+
+    def test_one_class_orbit_makes_no_probe(self, monkeypatch):
+        calls = []
+
+        def refused(E, L):
+            raise AssertionError("probe on a one-class orbit")
+
+        def counting(E, taus, prec):
+            calls.append(len(taus))
+            return eval_phi(E, taus, prec)
+
+        monkeypatch.setattr(modparam, "_involution", refused)
+        monkeypatch.setattr(modparam, "eval_phi", counting)
+        orbit_points(E37, -7, PREC)
+        orbit_points(E49, -19, PREC)
+        assert calls == [1, 1]
+
+    def _fake_horner(self, p0, p1):
+        # rows (|x| = 1) give 0, so the probe passes; q of tau_0 is real
+        def horner(coeffs, x):
+            if abs(abs(x) - 1) < 1e-9:
+                return 0j
+            return p0 if x.imag == 0 else p1
+        return horner
+
+    def test_ambiguous_sign_raises(self, monkeypatch):
+        # an earlier test may have kept these constants; a raise keeps none
+        modparam._involution.cache_clear()
+        monkeypatch.setattr(modparam, "_horner53", self._fake_horner(0j, 0j))
+        with pytest.raises(InvolutionUnresolved, match="2 signs"):
+            modparam._involution(E37, periods(E37, PREC))
+
+    def test_non_torsion_constant_raises(self, monkeypatch):
+        # eps = -1 alone fits, and c = 2 phi(tau_0) = 0.246 is no torsion
+        modparam._involution.cache_clear()
+        monkeypatch.setattr(modparam, "_horner53",
+                            self._fake_horner(0.123 + 0j, 0.123 + 0.4567j))
+        with pytest.raises(InvolutionUnresolved, match="not torsion"):
+            modparam._involution(E37, periods(E37, PREC))
