@@ -53,10 +53,9 @@ def _terms_needed(im_tau: mpf, precision_bits: int) -> int:
         raise ConvergenceTooSlow("Im(tau) below 10^-3")
     t = 2 * math.pi * float(im_tau)
     x = ((precision_bits + 5) * math.log(2) - math.log(-math.expm1(-t))) / t
-    M = max(1, math.floor(x - 1e-6))
-    if abs(x - round(x)) > 1e-6:
-        M = max(1, math.floor(x))
-    else:
+    near = abs(x - round(x)) <= 1e-6
+    M = max(1, math.floor(x - 1e-6 if near else x))
+    if near:
         with mp.workprec(64):
             t = 2 * mp.pi * im_tau
             target = mp.ldexp(-mp.expm1(-t), -(precision_bits + 5))
@@ -147,8 +146,13 @@ def _involution(E: CurveModel, L: Lattice
                 ) -> tuple[int, tuple[Fraction, Fraction]] | None:
     """(eps, c): phi(w_N tau) = eps phi(tau) + c, N = E.conductor, with c's
     coordinates on E's lattice L in (1/m)Z^2, m <= 12 least; None (no
-    pairing) if floats cannot decide or a Gamma0(N) probe finds a period
-    of phi off L (the bundled 32a: (+-1/2, 1/2)).  In floats:
+    pairing) if N > 1000 (the probe's Im tau = 1/N is below eval_phi's
+    10^-3), if floats cannot decide, or if a Gamma0(N) probe finds a
+    period of phi off L (the bundled 32a: (+-1/2, 1/2)).  The probe samples
+    eight elements, not a generating set: a model with a period off L that
+    they miss passes, and pairing then moves a derived class by that
+    period; its direct evaluation, too, then depends on the fiber form
+    chosen.  In floats:
     - probe: for the first eight d >= 2 prime to N, a = 1/d mod N, gamma =
       [[a, b], [N, d]] takes (-d + i)/N to (a + i)/N; phi((x + i)/N) = sum_k
       S_k zeta^(kx), zeta = e^(2 pi i/N), S_k = sum_(n = k mod N) a_n r^n/n,
@@ -166,6 +170,8 @@ def _involution(E: CurveModel, L: Lattice
     tested against Z (four values, times m) below delta = 48 e gain, which
     must be below 2^-21, half the 2^-20 tolerance (2^-32 on 49a)."""
     N = E.conductor
+    if N > 1000:
+        return None
     (s1, t1), (si, ti) = ([float(x) for x in L.coordinates(mpc(u))]
                           for u in (1, 1j))
     M, r = _terms_needed(1 / N, 36), math.exp(-2 * math.pi / N)
@@ -227,11 +233,12 @@ def orbit_points(E: CurveModel, D: int, precision_bits: int) -> OrbitEvaluation:
     .) (_partners; an involution).  The a_n are real and f|w_N = eps f, so
     phi(w_N(-conj tau)) = eps conj phi(tau) + c; Gamma0(N)-equivalent
     forms differ by periods of phi, which direct evaluation, too, takes to
-    lie in L, and which _involution's probe samples.  Of two classes so
-    paired only the one of smaller a (larger Im tau; the first on a tie)
-    is evaluated, every class if h = 1 or _involution refuses; the other
-    gets L.conjugate(A, B, eps, c), in integers, not reduced (every reader
-    works mod 2^K).  That is exact but for half a unit of 2^-K per
+    lie in L, and which _involution's probe samples (eight elements, a
+    check, not a certificate).  Of two classes so paired only the one of
+    smaller a (larger Im tau; the first on a tie) is evaluated, every class
+    if h = 1 or _involution refuses (N > 1000 among its reasons); the
+    other gets L.conjugate(A, B, eps, c), in integers, not reduced (every
+    reader works mod 2^K).  That is exact but for half a unit of 2^-K per
     coordinate of c, so it errs by its source's error plus under 2^-K
     scale, inside Lattice.near's margin.  terms_used is the largest term
     count of the evaluated classes.

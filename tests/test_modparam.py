@@ -960,6 +960,22 @@ class TestPairing:
         # the basis of periods, and so c, is the same at every precision
         assert modparam._involution(E, periods(E, 1000)) == (sign, c)
 
+    @pytest.mark.parametrize("E, D", [
+        (CurveModel(0, 0, 1, -1, -2, 1259), -31),
+        (CurveModel(0, -1, 1, 1, 1, 1003), -47)], ids=["1259", "1003"])
+    def test_conductor_above_1000_is_evaluated_in_full(self, E, D):
+        # squarefree Delta = -N: minimal and semistable, conductor N.  The
+        # probe's Im tau = 1/N is under eval_phi's floor, so no pairing:
+        # every class is evaluated, as before pairing, though the fiber's
+        # classes pair and each fiber tau has Im tau >= 10^-3
+        N, prec = E.conductor, 53
+        assert E.discriminant == -N
+        fiber = heegner_fiber(D, N)
+        assert modparam._partners(fiber, N) != list(range(len(fiber)))
+        assert modparam._involution(E, periods(E, prec)) is None
+        assert (orbit_points(E, D, prec).torus_coordinates
+                == direct_torus_oracle(E, D, prec))
+
     def test_bundled_32a_is_refused(self):
         # its Gamma0(32) periods sit at (+-1/2, 1/2): every class evaluated
         assert modparam._involution(E32, periods(E32, PREC)) is None
