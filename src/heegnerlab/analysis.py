@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
 from functools import lru_cache
 
 from . import arith
@@ -62,8 +61,7 @@ def orbit_degree(orbit: OrbitEvaluation, n: int) -> int:
     return len(reps)
 
 
-@dataclass(frozen=True)
-class Relation:
+class Relation(arith._Record):
     """t*(n_1 P_1 + ... + n_r P_r) = identity, t a torsion slack <= 12."""
 
     coefficients: tuple[int, ...]
@@ -137,8 +135,7 @@ def verify_relation(exact_points, rel: Relation, E: CurveModel) -> bool:
     return acc.is_infinity
 
 
-@dataclass(frozen=True)
-class FieldEntry:
+class FieldEntry(arith._Record):
     discriminant: int
     admissible: bool
     error: str | None = None
@@ -151,8 +148,7 @@ class FieldEntry:
     divisibility_ok: bool | None = None  # h | orbitdeg * (modular_degree)!
 
 
-@dataclass(frozen=True)
-class IndependenceReport:
+class IndependenceReport(arith._Record):
     curve_label: str
     entries: tuple[FieldEntry, ...]
     search_bound: int
@@ -199,7 +195,7 @@ def independence_report(
             continue
         entry, exact_pt = _orbit_entry(orbit)
         if entry.error is None:  # the one fact that depends on B
-            entry = replace(entry, prime_to_bound_part=arith.prime_to_B_part(
+            entry = entry.replace(prime_to_bound_part=arith.prime_to_B_part(
                 entry.class_number, B))
         entries.append(entry)
         orbits.append(orbit)  # it joins the search even if a stage failed

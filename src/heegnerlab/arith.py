@@ -1,6 +1,7 @@
 """Exact integer utilities: Kronecker symbols, square roots mod 4N, odd parts,
-prime-to-B parts, trial-division factorization, and the one double-and-add
-that raises forms, curve points and quadratic-field elements to powers.
+prime-to-B parts, trial-division factorization, the one double-and-add
+that raises forms, curve points and quadratic-field elements to powers, and
+the immutable record that the result types share.
 
 Everything here is deterministic and desk-scale (|D| <= 10^6, N <= 10^4);
 no probabilistic primality or sub-exponential factoring.
@@ -127,3 +128,50 @@ def _multiple(n: int, P, add, zero, *law):
         if n:  # no doubling above the top bit
             P = add(P, P, *law)
     return result
+
+
+def _compare(op):  # op on the _values of two records of one class
+    return lambda a, b: op(a._values, b._values) if type(b) is type(a) else NotImplemented
+
+
+class _Record:
+    """Immutable record: the fields are the class's own annotations, in order,
+    defaulting to their class-body values; ==, hash and <, <=, >, >= (order=True
+    in the class line) are those of their tuple _values, within one class."""
+
+    def __init_subclass__(cls, order=False):
+        cls._fields = names = tuple(cls.__dict__.get("__annotations__", ()))
+        cls._defaults = {f: cls.__dict__[f] for f in names if f in cls.__dict__}
+        for name in ("__lt__", "__le__", "__gt__", "__ge__") if order else ():
+            setattr(cls, name, _compare(getattr(tuple, name)))
+
+    def __init__(self, *args, **kwargs):
+        names = self._fields
+        if kwargs or len(args) != len(names):  # bind by name, with defaults
+            rest, values = names[len(args):], {**self._defaults, **kwargs}
+            if not kwargs.keys() <= set(rest) <= values.keys() or len(args) > len(names):
+                raise TypeError(f"{type(self).__name__} takes {', '.join(names)}")
+            args += tuple(values[f] for f in rest)
+        for name, value in zip(names, args):  # a write to __dict__ would slow reads
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "_values", args)
+        if self.__post_init__:
+            self.__post_init__()
+
+    def __setattr__(self, name, *value):  # also __delattr__, without value
+        verb = "assign to" if value else "delete"
+        raise AttributeError(f"cannot {verb} field {name!r}")
+
+    __delattr__ = __setattr__
+    __eq__ = _compare(tuple.__eq__)
+    __post_init__ = None  # or a subclass's checks on its fields
+
+    def __hash__(self):
+        return hash(self._values)
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self._values))
+        return f"{type(self).__qualname__}({fields})"
+
+    def replace(self, **changes):
+        return type(self)(**dict(zip(self._fields, self._values), **changes))

@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
 from fractions import Fraction
 
 from mpmath import mp
@@ -45,8 +44,8 @@ def _num(v, prec_bits: int) -> str:
 
 
 def jsonify(v, prec_bits: int):
-    """Map library values onto the documented JSON schema; a value of any
-    other type raises TypeError."""
+    """Map library values onto the documented JSON schema, a record but
+    QuadElt as the object of its fields; any other type raises TypeError."""
     if v is None or isinstance(v, (bool, int, str)):
         return v
     if isinstance(v, Fraction):
@@ -57,6 +56,8 @@ def jsonify(v, prec_bits: int):
             "sqrt_part": jsonify(v.y, prec_bits),
             "sqrt_of": v.d,
         }
+    if isinstance(v, arith._Record):
+        return jsonify(dict(zip(v._fields, v._values)), prec_bits)
     if isinstance(v, (complex, mp.mpf, mp.mpc)):
         v = _denoise(v, prec_bits)
         return {
@@ -78,10 +79,6 @@ def _precision(text: str) -> int:
     return bits
 
 
-def _form_dict(f):
-    return {"a": f.a, "b": f.b, "c": f.c}
-
-
 def _curve(args):
     return db.find_curve(args.curve, args.database).curve()
 
@@ -93,7 +90,7 @@ def cmd_classgroup(args):
         "discriminant": args.disc,
         "order": len(forms),
         "structure": list(structure),
-        "forms": [_form_dict(f) for f in forms],
+        "forms": forms,
     }
     return payload, [
         f"discriminant {args.disc}: h = {len(forms)}, "
@@ -118,13 +115,7 @@ def cmd_heegner_list(args):
     lines = [f"{len(fiber)} fiber representative(s) at level {args.level}:"]
     for f in fiber:
         t = tau(f, args.prec)
-        reps.append(
-            {
-                "form": _form_dict(f),
-                "class_form": _form_dict(qform.reduce(f)),
-                "tau": t,
-            }
-        )
+        reps.append({"form": f, "class_form": qform.reduce(f), "tau": t})
         lines.append(
             f"  ({f.a}, {f.b}, {f.c})"
             f"  tau = {_num(t, args.prec)}"
@@ -224,7 +215,6 @@ def cmd_independence(args):
     E = _curve(args)
     discs = [int(s) for s in args.discs.split(",")]
     report = analysis.independence_report(E, discs, args.bound, args.prec)
-    payload = asdict(report)
     lines = [f"{report.curve_label}: verdict {report.verdict}"]
     for e in report.entries:
         if not e.admissible or e.error:
@@ -241,7 +231,7 @@ def cmd_independence(args):
             f"torsion slack {report.relation.torsion_slack}"
         )
     lines.append(report.hypothesis_note)
-    return payload, lines
+    return report, lines
 
 
 # every subcommand flag is required: flag -> (type, help)

@@ -8,7 +8,6 @@ corrupting downstream measurements.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 
@@ -22,8 +21,7 @@ _REQUIRED = {"label", "a_invariants", "conductor"}
 _OPTIONAL = {"cm_discriminant", "modular_degree", "known_generators"}
 
 
-@dataclass(frozen=True)
-class CurveDatabaseEntry:
+class CurveDatabaseEntry(arith._Record):
     label: str
     a_invariants: tuple[int, int, int, int, int]
     conductor: int

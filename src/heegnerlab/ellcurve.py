@@ -12,15 +12,13 @@ in the lattice module.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import arith
 from .errors import FieldMismatch
 
 
-@dataclass(frozen=True)
-class QuadElt:
+class QuadElt(arith._Record):
     """Exact element x + y*sqrt(d) of a quadratic field, d squarefree != 0, 1."""
 
     x: Fraction
@@ -105,8 +103,7 @@ class QuadElt:
             return self.d == other.d and self.x == other.x and self.y == other.y
         return NotImplemented
 
-    def __hash__(self):
-        return hash((self.x, self.y, self.d))
+    __hash__ = arith._Record.__hash__  # hash((x, y, d)); __eq__ above unsets it
 
     def conjugate(self):
         return QuadElt(self.x, -self.y, self.d)
@@ -115,8 +112,7 @@ class QuadElt:
         return f"{self.x} + {self.y}*sqrt({self.d})"
 
 
-@dataclass(frozen=True)
-class CurveModel:
+class CurveModel(arith._Record):
     a1: int
     a2: int
     a3: int
@@ -175,8 +171,7 @@ def _cm_discriminant(c4: int, disc: int) -> int | None:
     return None if r else _CM_J.get(j)
 
 
-@dataclass(frozen=True)
-class CurvePoint:
+class CurvePoint(arith._Record):
     """Either the point at infinity or affine (x, y) with exact coordinates
     (Fraction, or QuadElt over one quadratic field)."""
 

@@ -21,21 +21,20 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from collections.abc import Iterator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
 from mpmath import mp, mpc, mpf
 from mpmath.libmp import from_man_exp
 
+from .arith import _Record
 from .ellcurve import CurveModel, CurvePoint, QuadElt
 from .errors import IdentityPoint, PrecisionUnachievable
 
 PRECISION_BITS = range(53, 1001)  # the precisions periods admits
 
 
-@dataclass(frozen=True)
-class Lattice:
+class Lattice(_Record):
     omega1: mpc
     omega2: mpc
     precision_bits: int

@@ -24,14 +24,13 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
 from mpmath import mp, mpc, mpf
 from mpmath.libmp import to_rational
 
-from . import qform
+from . import arith, qform
 from .ellcurve import CurveModel, QuadElt, an_coeffs
 from .errors import (ConvergenceTooSlow, InvolutionUnresolved,
                      RecognitionFailed)
@@ -117,8 +116,7 @@ def eval_phi(E: CurveModel, taus, precision_bits: int
     return tuple(values), Ms
 
 
-@dataclass(frozen=True)
-class OrbitEvaluation:
+class OrbitEvaluation(arith._Record):
     """A full conjugate orbit of class-field points on the torus, one per
     ideal class, stored as the torus_coordinates (Lattice.torus) of their
     Abel-Jacobi images; points_z are the reduced images (Lattice.point)."""
@@ -267,8 +265,7 @@ def orbit_points(E: CurveModel, D: int, precision_bits: int) -> OrbitEvaluation:
         for i, j in enumerate(partner)), terms_used=max(Ms), lattice=L)
 
 
-@dataclass(frozen=True)
-class TracePoint:
+class TracePoint(arith._Record):
     orbit: OrbitEvaluation  # for discriminant D: the trace is in E(Q(sqrt(D)))
     z: mpc
     xy: tuple[mpc, mpc] | None  # None exactly for the identity
@@ -299,8 +296,7 @@ def trace_point(orbit: OrbitEvaluation) -> TracePoint:
                       half_lattice=L.near(2 * A, 2 * B))
 
 
-@dataclass(frozen=True)
-class RecognizedAlgebraic:
+class RecognizedAlgebraic(arith._Record):
     kind: str  # "rational" | "quadratic"
     # rational: (Fraction, Fraction); quadratic: (x, y), each a Fraction or
     # a QuadElt, not both Fractions

@@ -12,7 +12,6 @@ tuple of reduced forms, principal form first.  Integers and Fractions only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import arith
@@ -24,8 +23,7 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True, order=True)
-class BinaryQuadraticForm:
+class BinaryQuadraticForm(arith._Record, order=True):
     a: int
     b: int
     c: int

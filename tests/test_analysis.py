@@ -6,7 +6,6 @@ import importlib
 import inspect
 import itertools
 import pkgutil
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -666,8 +665,8 @@ class TestFieldFailures:
         assert seen["orbit_degree"] == [-7] * 3 + [-47] * 3 + [-71] * 3
         # the part of h prime to the bound is the one fact the report adds
         assert first.entries[1].prime_to_bound_part == 5
-        assert first.entries[1] == replace(second.entries[0],
-                                           prime_to_bound_part=5)
+        assert first.entries[1] == second.entries[0].replace(
+            prime_to_bound_part=5)
 
     def test_class_number_counted_once_per_field(self, monkeypatch):
         # the fiber holds one point per class: h is read from the orbit

@@ -18,6 +18,10 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 # the text each README example printed before every subcommand returned its
 # payload and lines to run_command
 README_TEXT = Path(__file__).resolve().parent / "readme_cli_text.json"
+# the exact stdout of independence (text and --json: the README example, a
+# relation with an unrecognized field, an inadmissible field, two without a
+# relation) and of point --json on three curves
+OUTPUT_PINS = Path(__file__).resolve().parent / "cli_output_pins.json"
 
 
 def run_json(capsys, args):
@@ -173,6 +177,13 @@ class TestNoiseDigits:
             assert jsonify(mp.ldexp(1, -199), 200)["re"] != "0.0"
 
 
+@pytest.mark.parametrize("command", sorted(json.loads(OUTPUT_PINS.read_text())))
+def test_output_is_byte_identical_to_its_pin(capsys, command):
+    want = json.loads(OUTPUT_PINS.read_text())[command]
+    assert run_command(command.split()) == 0
+    assert capsys.readouterr().out == want
+
+
 def test_jsonify_refuses_a_value_without_a_json_form():
     # a value outside the schema raises instead of turning into its str
     for v, name in (({1, 2}, "set"), (object(), "object"),
@@ -303,16 +314,20 @@ class TestPlumbing:
                 "print(json.dumps([k for k, v in vars(heegnerlab).items() "
                 "if not k.startswith('__') "
                 "and not isinstance(v, types.ModuleType)])); "
-                "import heegnerlab.cli; print('sympy' in sys.modules)")
+                "import heegnerlab.cli; print(json.dumps(sorted(m for m in ("
+                "'sympy', 'dataclasses', 'inspect', 'ast', 'dis', 'tokenize') "
+                "if m in sys.modules)))")
         proc = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True,
             env={**os.environ, "PYTHONPATH": src}, timeout=60, check=True)
-        loaded, bound, sympy = proc.stdout.splitlines()
+        loaded, bound, unwanted = proc.stdout.splitlines()
         layers = {"analysis", "lattice", "modparam", "qform", "heegner",
                   "ellcurve", "arith", "db"}
         assert {f"heegnerlab.{m}" for m in layers} <= set(json.loads(loaded))
         assert json.loads(bound) == []
-        assert sympy == "False"
+        # no sympy; and the records need no dataclasses, whose import would
+        # pull in inspect, ast, dis and tokenize at every CLI start
+        assert json.loads(unwanted) == []
 
 
 _GLOBAL = {

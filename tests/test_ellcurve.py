@@ -607,7 +607,7 @@ def exact_imports(root):
     """(modules reached, offending imports) from root through the package
     modules it imports: no mpmath, no float module, and from math only
     the integer functions."""
-    exact = {"__future__", "dataclasses", "fractions", "math"}
+    exact = {"__future__", "fractions", "math"}
     integer_math = {"comb", "gcd", "isqrt", "lcm", "prod"}
     seen, todo, offenders = set(), [root], []
     while todo:

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 from fractions import Fraction
 from fractions import Fraction as F
@@ -273,7 +272,7 @@ class TestCoefficientPrefix:
                      if all(p % d for d in range(2, math.isqrt(p) + 1))]
         assert primes == up_to_804
         # keyed on the a-invariants and the level, not on the label
-        eval_phi(dataclasses.replace(E37, label="x"),
+        eval_phi(E37.replace(label="x"),
                  [heegner_tau(f, PREC + 20)], PREC)
         assert primes == up_to_804
         assert list(ellcurve._PREFIXES) == [((0, 0, 1, -1, 0), 37)]
@@ -385,7 +384,7 @@ class TestOrbits:
     def test_orbits_share_one_lattice(self):
         L = orbit_points(E37, -7, PREC).lattice
         assert orbit_points(E37, -83, PREC).lattice is L
-        relabeled = dataclasses.replace(E37, label="other")
+        relabeled = E37.replace(label="other")
         assert orbit_points(relabeled, -11, PREC).lattice is L
         assert orbit_points(E37, -7, PREC + 1).lattice is not L
         # fill the cache with keys no other test uses: 11a1 at other precisions
@@ -458,12 +457,9 @@ class TestTrace:
             assert abs(tr.z - orb.points_z[0]) < mp.mpf(2) ** -(PREC - 20)
 
     def test_trace_invariant_under_permutation(self):
-        import dataclasses
-
         orb = orbit_points(E37, -83, PREC)
-        perm = dataclasses.replace(
-            orb, torus_coordinates=tuple(map(orb.lattice.torus,
-                                             orb.points_z[::-1])))
+        perm = orb.replace(torus_coordinates=tuple(map(orb.lattice.torus,
+                                                       orb.points_z[::-1])))
         with mp.workprec(PREC):
             t1, t2 = trace_point(orb), trace_point(perm)
             assert abs(t1.z - t2.z) < mp.mpf(2) ** -(PREC - 20)
