@@ -355,7 +355,12 @@ def _ap_by_points(c4: int, c6: int, d: int | None, p: int) -> int | None:
     return candidates.pop() if len(candidates) == 1 else None
 
 
-def ap(E: CurveModel, p: int) -> int:
+def _invariants(E: CurveModel) -> tuple:  # (Delta, c4, c6, d), d as in ap
+    disc, (c4, c6) = E.discriminant, E.c_invariants
+    return disc, c4, c6, _cm_discriminant(c4, disc)
+
+
+def ap(E: CurveModel, p: int, invariants=None) -> int:
     """a_p = p + 1 - #E(F_p) at every prime p of the minimal model E.  At a
     prime p not dividing 6 Delta it is the one candidate that every point
     tried allows (_ap_by_points).  On a CM curve, d read off j, the
@@ -365,11 +370,10 @@ def ap(E: CurveModel, p: int) -> int:
     At p | 6 Delta, and at the few small p that stay ambiguous, points are
     counted: at a bad prime the count includes the singular point, so a_p
     is p minus the nonsingular points, 1 split multiplicative, -1 non-split,
-    0 additive."""
-    disc, a = E.discriminant, None
-    if 6 * disc % p:
-        c4, c6 = E.c_invariants
-        a = _ap_by_points(c4, c6, _cm_discriminant(c4, disc), p)
+    0 additive.  invariants, _invariants(E), spare a caller at many primes
+    (an_coeffs) recomputing them at each."""
+    disc, c4, c6, d = invariants or _invariants(E)
+    a = _ap_by_points(c4, c6, d, p) if 6 * disc % p else None
     if a is None:
         a = p + 1 - _count_points(E, p)
     if a * a > 4 * p:
@@ -396,6 +400,7 @@ def an_coeffs(E: CurveModel, M: int) -> tuple[int, ...]:
     if len(known) >= M:
         return known[:M]
     a = [0, *known] + [0] * (M - len(known))
+    invariants = _invariants(E)
     # smallest prime factor: the last, hence least, i <= sqrt(n) to write n
     spf = list(range(M + 1))
     for i in range(math.isqrt(M), 1, -1):
@@ -407,7 +412,7 @@ def an_coeffs(E: CurveModel, M: int) -> tuple[int, ...]:
         if pk < n:  # n = pk * m with gcd(pk, m) = 1
             a[n] = a[pk] * a[n // pk]
         elif n == p:
-            a[n] = ap(E, p)
+            a[n] = ap(E, p, invariants)
         elif E.conductor % p:  # p^k at a good prime
             a[n] = a[p] * a[n // p] - p * a[n // p // p]
         else:

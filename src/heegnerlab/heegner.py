@@ -60,9 +60,9 @@ def heegner_fiber(D: int, N: int) -> tuple[qform.BinaryQuadraticForm, ...]:
             if (b * b - D) % (4 * a):
                 continue
             c = (b * b - D) // (4 * a)
-            form = qform.BinaryQuadraticForm(a, b, c)
-            if math.gcd(math.gcd(a, b), c) != 1:
+            if math.gcd(a, b, c) != 1:
                 continue
+            form = qform.BinaryQuadraticForm(a, b, c)
             found.setdefault(qform.reduce(form), form)
     return tuple(found[f] for f in classes)
 

@@ -2,7 +2,9 @@
 
 Evaluates phi(tau) = sum a_n q^n / n on the upper half plane, one whole
 orbit per pass, in integer fixed point over the coefficients that an_coeffs
-keeps per curve, stores conjugate orbits of class-field points by their
+keeps per curve (blocks of about sqrt(2M) terms, each one C-level dot
+product with packed powers of q, joined by Horner's rule in q^m), stores
+conjugate orbits of class-field points by their
 integer coordinates on the torus C/L (Lattice.torus), and sums them to
 trace points; only a trace is mapped to curve coordinates, and its flags
 (identity, half-lattice, real) are Lattice.near on its torus sum.
@@ -24,6 +26,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+import operator
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
@@ -77,40 +80,58 @@ def eval_phi(E: CurveModel, taus, precision_bits: int
     C, and errs below 2^-(precision_bits+3) in all.  A single point is a
     one-element taus.
 
-    Horner's rule runs on integers.  With M = max M_j (the a_n are
-    extended only that far) and g = bitlen(4(M+1)), values carry K =
-    precision_bits + 20 + g fraction bits, c_n = floor(a_n 2^K / n) is
-    built once for the orbit with c_0 = 0, and each q_j carries S = K + g
-    bits.  Each of the M_j + 1 steps acc <- acc q_j + c_n, n = M_j..0,
-    errs by under 4 units of 2^-K: sqrt(2) from flooring the product, 1
-    from c_n, sqrt(2) from q_j, as |c_n| <= d(n)/sqrt(n) <= 2 bounds |acc|
-    by 2/(1-|q_j|) < 4(M_j+1) <= 2^g (were (M_j+1)(1-|q_j|) <= 1/2, then
-    |q_j|^(M_j+1) >= 1/2 and the tail bound would exceed 1).  Later steps
-    scale an error by |q_j| < 1, so the rounding stays below 4(M_j+1) 2^-K
-    <= 2^-(precision_bits+20): the K shared by the orbit is at least each
-    point's own.  A step forms the complex product from three integer
-    products, k = q_r (re + im), re' = k - im (q_r + q_i), im' = k + re
-    (q_i - q_r); these are the integers re q_r - im q_i and re q_i + im q_r
-    of the four-product form, so the shifted result is the same to the bit
-    and the bound above holds as stated.  The mpc Horner loop this replaced is the oracle in
-    tests/test_modparam.py, beside a direct sum carried far past M_j.
+    The sum runs on integers in blocks of m = isqrt(2(M_j+1)) terms.  With
+    M = max M_j (the a_n are extended only that far) and g = bitlen(4(M+1)),
+    values carry K = precision_bits + 20 + g fraction bits, c_n = floor(a_n
+    2^K / n) is built once for the orbit with c_0 = 0, and q_j, p_i = q_j^i
+    (i < m) and Q = q_j^m carry S = K + g + 8 bits, each power from the last
+    by the floored three-product step k = q_r (re + im), re' = k - im (q_r +
+    q_i), im' = k + re (q_i - q_r) (re q_r - im q_i and re q_i + im q_r to
+    the bit).  Packed as r_i + s_i 2^W, W = 2S, a block's sum P = sum c_n
+    p_i is one C-level dot product, where a zero c_n (a_p = 0 at inert p on
+    a CM curve) is one multiply by 0; |sum c_n r_i| < m 2^(K+1) (2^S + 3m) <
+    2^(W-1), as |c_n| <= d(n)/sqrt(n) <= 2, so P splits exactly with hi =
+    floor((P + 2^(W-1)) / 2^W).  Horner's rule then runs over the blocks in
+    Q: acc <- floor((acc Q + P) / 2^S), one three-product step, one floor.
+
+    Error, in units of 2^-K: q_j errs below sqrt(2) 2^-S, so p_i below 3i
+    2^-S (a floor and q_j's error per step).  The c_n err by 1 each, scaled
+    by |p_i Q^j| < 1 + 3m 2^-S: M_j + 1 in all.  A block's powers add under
+    2 sum 3i 2^-S < 6(M_j+1) 2^-S < 1/64.  An outer step floors (sqrt(2))
+    and multiplies |acc| < 2/(1 - |q_j|) < 4(M_j+1) <= 2^g by Q's error, 3m
+    2^-S: 3m/256 (were (M_j+1)(1-|q_j|) <= 1/2, |q_j|^(M_j+1) >= 1/2 and the
+    tail bound would exceed 1).  Later steps scale an error by |Q| < 1, and
+    m >= 2 leaves at most M_j/2 + 1 blocks, so the total stays below 2.1
+    (M_j+1) < 2^g units, 2^-(precision_bits+20): the K shared by the orbit
+    is at least each point's own.  The integer Horner loop this replaced
+    and the mpc loop before it are oracles in tests/test_modparam.py,
+    beside a direct sum carried far past M_j.
     """
     Ms = tuple(_terms_needed(mp.im(tau), precision_bits) for tau in taus)
     M = max(Ms)
     g = (4 * M + 4).bit_length()
     K = precision_bits + 20 + g
-    S = K + g
+    S = K + g + 8
+    W = 2 * S
     c = [0] + [(a << K) // n for n, a in enumerate(an_coeffs(E, M), 1)]
     values = []
     for tau, Mj in zip(taus, Ms):
         with mp.workprec(S + 10):
             q = mp.exp(2j * mp.pi * tau)
             qr, qi = int(mp.ldexp(mp.re(q), S)), int(mp.ldexp(mp.im(q), S))
-        qs, qd = qr + qi, qi - qr
+        m, qs, qd = math.isqrt(2 * Mj + 2), qr + qi, qi - qr
+        powers, pr, pi = [], 1 << S, 0
+        for _ in range(m):  # p_0..p_(m-1) packed, then (pr, pi) = Q
+            powers.append(pr + (pi << W))
+            k = qr * (pr + pi)
+            pr, pi = (k - pi * qs) >> S, (k + pr * qd) >> S
+        Qs, Qd = pr + pi, pi - pr
         re = im = 0
-        for cn in reversed(c[:Mj + 1]):
-            k = qr * (re + im)
-            re, im = ((k - im * qs) >> S) + cn, (k + re * qd) >> S
+        for j in reversed(range(0, Mj + 1, m)):
+            P = sum(map(operator.mul, c[j:min(j + m, Mj + 1)], powers))
+            hi = (P + (1 << W - 1)) >> W
+            k, lo = pr * (re + im), P - (hi << W)
+            re, im = (k - im * Qs + lo) >> S, (k + re * Qd + hi) >> S
         with mp.workprec(precision_bits + 20):
             values.append(mp.mpc(mp.ldexp(re, -K), mp.ldexp(im, -K)))
     return tuple(values), Ms

@@ -3,7 +3,7 @@ from fractions import Fraction
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
@@ -156,6 +156,86 @@ class TestHornerStep:
         assert values == two_step_horner_oracle(E, taus, prec)
 
 
+def fixed_point_horner_oracle(E, taus, precision_bits):
+    """eval_phi's values as it formed them before its blocked sum: M_j + 1
+    integer Horner steps acc <- acc q_j + c_n, n = M_j..0, with S = K + g."""
+    Ms = tuple(_terms_needed(mp.im(tau), precision_bits) for tau in taus)
+    M = max(Ms)
+    g = (4 * M + 4).bit_length()
+    K = precision_bits + 20 + g
+    S = K + g
+    c = [0] + [(a << K) // n for n, a in enumerate(an_coeffs(E, M), 1)]
+    values = []
+    for tau, Mj in zip(taus, Ms):
+        with mp.workprec(S + 10):
+            q = mp.exp(2j * mp.pi * tau)
+            qr, qi = int(mp.ldexp(mp.re(q), S)), int(mp.ldexp(mp.im(q), S))
+        qs, qd = qr + qi, qi - qr
+        re = im = 0
+        for cn in reversed(c[:Mj + 1]):
+            k = qr * (re + im)
+            re, im = ((k - im * qs) >> S) + cn, (k + re * qd) >> S
+        with mp.workprec(precision_bits + 20):
+            values.append(mp.mpc(mp.ldexp(re, -K), mp.ldexp(im, -K)))
+    return tuple(values), Ms
+
+
+def tau_with_terms(M, precision_bits, re=0.25):
+    """A tau whose term count is M: Im tau puts _terms_needed's x at M + 1/2
+    (fixed-point iteration of its formula)."""
+    t = (precision_bits + 5) * math.log(2) / (M + 0.5)
+    for _ in range(50):
+        t = ((precision_bits + 5) * math.log(2)
+             - math.log(-math.expm1(-t))) / (M + 0.5)
+    tau = mp.mpc(re, t / (2 * math.pi))
+    assert _terms_needed(mp.im(tau), precision_bits) == M
+    return tau
+
+
+def assert_within_budget(values, oracle, precision_bits):
+    # the contract, and the 2^-(prec+20) rounding budget of each side plus
+    # rounding to mpc at prec + 20 bits
+    with mp.workprec(precision_bits + 40):
+        for v, w in zip(values, oracle):
+            assert abs(v - w) < mp.mpf(2) ** -(precision_bits + 3)
+            assert abs(v - w) < mp.mpf(2) ** -(precision_bits + 17) * (1 + abs(w))
+
+
+class TestBlockedSum:
+    # M_j = 1 is one block with m = 2 > M_j; 2 leaves a one-term last block;
+    # 418 + 1 and 2014 + 1 are one short of a multiple of m (28, 63), 419 + 1
+    # and 2015 + 1 are multiples
+    TERMS = (1, 2, 418, 419, 2014, 2015)
+
+    def test_block_shapes(self):
+        shapes = [(M + 1) % math.isqrt(2 * M + 2) for M in self.TERMS]
+        assert shapes == [0, 1, 27, 0, 62, 0]
+
+    @pytest.mark.parametrize("prec", [53, 200, 1000])
+    @pytest.mark.parametrize("E", [E37, E49, E32_1], ids=["37a", "49a", "32a1"])
+    def test_fixed_term_counts(self, E, prec):
+        taus = [tau_with_terms(M, prec, re=0.1 * i - 0.3)
+                for i, M in enumerate(self.TERMS)]
+        for orbit in [[t] for t in taus] + [taus]:
+            values, Ms = eval_phi(E, orbit, prec)
+            oracle, oracle_Ms = fixed_point_horner_oracle(E, orbit, prec)
+            assert Ms == oracle_Ms
+            assert_within_budget(values, oracle, prec)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([E37, E49, E32_1]), st.sampled_from([53, 200, 1000]),
+           st.lists(st.tuples(st.floats(-0.5, 0.5), st.floats(0.02, 1)),
+                    min_size=1, max_size=4))
+    def test_matches_the_horner_oracle(self, E, prec, points):
+        taus = [mp.mpc(x, y) for x, y in points]
+        Ms = [_terms_needed(mp.im(t), prec) for t in taus]
+        assume(len(set(Ms)) == len(Ms))
+        values, got_Ms = eval_phi(E, taus, prec)
+        oracle, oracle_Ms = fixed_point_horner_oracle(E, taus, prec)
+        assert list(got_Ms) == Ms and oracle_Ms == got_Ms
+        assert_within_budget(values, oracle, prec)
+
+
 def mpf_to_fraction_oracle(x):
     """The exact value of an mpf, read off its mantissa and exponent as
     _round_rational did before it used mpmath's to_rational."""
@@ -258,9 +338,9 @@ class TestCoefficientPrefix:
         monkeypatch.setattr(ellcurve, "_PREFIXES", {})
         primes = []
 
-        def counted(E, p):
+        def counted(E, p, *invariants):
             primes.append(p)
-            return ap(E, p)
+            return ap(E, p, *invariants)
 
         monkeypatch.setattr(ellcurve, "ap", counted)
         # one point at a time, term counts 400, 804, 199, 602, 804, 400, 602:
