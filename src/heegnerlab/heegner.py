@@ -1,7 +1,7 @@
 """Heegner condition, level-N Heegner fibers and the class-group star action.
 
 A fiber element is a bare form (a, b, c) of discriminant D with N | a and
-b = beta (mod 2N), beta the fixed square root of D mod 4N; qform.reduce
+b = beta (mod 2N), beta the fixed square root of D mod 4N; qform.reduced
 names its class.  Its upper-half-plane point is tau(form) = (-b + sqrt(D))
 / (2a).  One representative per class, normalized to minimal a (then least
 b >= 0), which keeps Im(tau) as large as the normalization allows.
@@ -9,7 +9,6 @@ b >= 0), which keeps Im(tau) as large as the normalization allows.
 
 from __future__ import annotations
 
-import functools
 import math
 
 from mpmath import mp, mpc
@@ -34,7 +33,6 @@ def heegner_condition(D: int, N: int) -> bool:
     return all(arith.kronecker(D, p) == 1 for p in arith.prime_divisors(N))
 
 
-@functools.lru_cache(maxsize=None)
 def heegner_fiber(D: int, N: int) -> tuple[qform.BinaryQuadraticForm, ...]:
     """One fiber form per ideal class of the order of discriminant D, in
     enumerate_reduced(D) order, all sharing the fixed root beta of D mod 4N.
@@ -48,7 +46,7 @@ def heegner_fiber(D: int, N: int) -> tuple[qform.BinaryQuadraticForm, ...]:
     beta = arith.sqrt_mod_4N(D, N)
     classes = qform.enumerate_reduced(D)
     h = len(classes)
-    found: dict[qform.BinaryQuadraticForm, qform.BinaryQuadraticForm] = {}
+    found: dict[tuple[int, int, int], tuple[int, int, int]] = {}
     t = 0
     while len(found) < h:
         t += 1
@@ -62,9 +60,8 @@ def heegner_fiber(D: int, N: int) -> tuple[qform.BinaryQuadraticForm, ...]:
             c = (b * b - D) // (4 * a)
             if math.gcd(a, b, c) != 1:
                 continue
-            form = qform.BinaryQuadraticForm(a, b, c)
-            found.setdefault(qform.reduce(form), form)
-    return tuple(found[f] for f in classes)
+            found.setdefault(qform.reduced(a, b, c), (a, b, c))
+    return tuple(qform.BinaryQuadraticForm(*found[f.a, f.b, f.c]) for f in classes)
 
 
 def star_act(b_class: qform.BinaryQuadraticForm, form: qform.BinaryQuadraticForm,

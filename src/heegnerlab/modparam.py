@@ -234,9 +234,8 @@ def _partners(fiber, N: int) -> list[int]:
     # the class index of (N c, b, a/N) for each fiber form (a, b, c)
     if len(fiber) == 1:
         return [0]
-    index = {qform.reduce(f): i for i, f in enumerate(fiber)}
-    form = qform.BinaryQuadraticForm
-    return [index[qform.reduce(form(N * f.c, f.b, f.a // N))] for f in fiber]
+    index = {qform.reduced(f.a, f.b, f.c): i for i, f in enumerate(fiber)}
+    return [index[qform.reduced(N * f.c, f.b, f.a // N)] for f in fiber]
 
 
 @lru_cache(maxsize=32)

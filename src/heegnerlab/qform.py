@@ -65,24 +65,25 @@ def principal_form(D: int) -> BinaryQuadraticForm:
     return BinaryQuadraticForm(1, 1, (1 - D) // 4)
 
 
-def reduce(f: BinaryQuadraticForm) -> BinaryQuadraticForm:
-    """Unique reduced form properly equivalent to f."""
-    f.validate()
-    a, b, c = f.a, f.b, f.c
+def reduced(a: int, b: int, c: int) -> tuple[int, int, int]:
+    """Reduced triple of the primitive positive definite (a, b, c), unchecked."""
     while True:
         if c < a or (c == a and b < 0):
             a, b, c = c, -b, a
             continue
         if b > a or b <= -a:
-            # translate b into (-a, a]
-            r = b % (2 * a)
-            if r > a:
-                r -= 2 * a
+            r = a - (a - b) % (2 * a)  # b translated into (-a, a]
             c = c + ((r * r - b * b) // (4 * a))
             b = r
             continue
         break
-    return BinaryQuadraticForm(a, b, c)
+    return a, b, c
+
+
+def reduce(f: BinaryQuadraticForm) -> BinaryQuadraticForm:
+    """Unique reduced form properly equivalent to f."""
+    f.validate()
+    return BinaryQuadraticForm(*reduced(f.a, f.b, f.c))
 
 
 def enumerate_reduced(D: int) -> tuple[BinaryQuadraticForm, ...]:

@@ -31,7 +31,6 @@ from heegnerlab.errors import (
     FieldMismatch,
     HeegnerConditionFailed,
 )
-from heegnerlab.heegner import heegner_fiber
 from heegnerlab.lattice import periods, weierstrass_map
 from heegnerlab.modparam import OrbitEvaluation, orbit_points
 
@@ -678,7 +677,6 @@ class TestFieldFailures:
             return real(D)
 
         monkeypatch.setattr(qform, "enumerate_reduced", counting)
-        heegner_fiber.cache_clear()
         rep = independence_report(E37, [-7, -11, -47], 2, PREC)
         assert seen == [-7, -11, -47]
         assert [e.class_number for e in rep.entries] == [1, 1, 5]

@@ -304,6 +304,24 @@ class TestPlumbing:
         out2 = capsys.readouterr().out
         assert out1 == out2
 
+    def test_module_runs_as_a_script(self, capsys):
+        # python -m heegnerlab.cli was a silent no-op: exit 0, no output
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        argv = ["classgroup", "--disc", "-23", "--json"]
+
+        def run_module(args):
+            return subprocess.run(
+                [sys.executable, "-m", "heegnerlab.cli", *args],
+                capture_output=True, env={**os.environ, "PYTHONPATH": src},
+                timeout=60)
+
+        proc = run_module(argv)
+        assert run_command(argv) == 0
+        assert proc.returncode == 0
+        assert proc.stdout == capsys.readouterr().out.encode() != b""
+        usage = run_module(["classgroup"])
+        assert usage.returncode == 2 and b"usage:" in usage.stderr
+
     def test_import_leaves_sympy_unloaded(self):
         # `import heegnerlab` loads every layer, so a tracer installed right
         # after it finds them all, and binds only submodules

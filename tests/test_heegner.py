@@ -3,10 +3,11 @@ import math
 import pytest
 from mpmath import mp
 
-from heegnerlab import arith, heegner, qform
-from heegnerlab.errors import FiberIncomplete
+from heegnerlab import arith, heegner, modparam, qform
+from heegnerlab.errors import FiberIncomplete, HeegnerConditionFailed
 from heegnerlab.heegner import heegner_condition, heegner_fiber, star_act
 from heegnerlab.heegner import tau as heegner_tau
+from test_qform import reduce_oracle
 
 
 def brute_fiber_forms(D, N, bound=500):
@@ -27,6 +28,42 @@ def brute_fiber_forms(D, N, bound=500):
             if key not in classes:
                 classes[key] = (a, b, c)
     return classes
+
+
+def fiber_oracle(D, N):
+    """heegner_fiber's record-based scan before the integer kernel, verbatim
+    (reducing by reduce_oracle, without the memo)."""
+    if not heegner_condition(D, N):
+        raise HeegnerConditionFailed(f"(D={D}, N={N}) fails the Heegner condition")
+    beta = arith.sqrt_mod_4N(D, N)
+    classes = qform.enumerate_reduced(D)
+    h = len(classes)
+    found: dict[qform.BinaryQuadraticForm, qform.BinaryQuadraticForm] = {}
+    t = 0
+    while len(found) < h:
+        t += 1
+        if t > 10000 * h:
+            raise FiberIncomplete(
+                f"fiber search for (D={D}, N={N}) did not complete")
+        a = N * t
+        for b in range(beta, 2 * a + 1, 2 * N):
+            if (b * b - D) % (4 * a):
+                continue
+            c = (b * b - D) // (4 * a)
+            if math.gcd(a, b, c) != 1:
+                continue
+            form = qform.BinaryQuadraticForm(a, b, c)
+            found.setdefault(reduce_oracle(form), form)
+    return tuple(found[f] for f in classes)
+
+
+def partners_oracle(fiber, N):
+    """modparam._partners on records before the integer kernel, verbatim."""
+    if len(fiber) == 1:
+        return [0]
+    index = {reduce_oracle(f): i for i, f in enumerate(fiber)}
+    form = qform.BinaryQuadraticForm
+    return [index[reduce_oracle(form(N * f.c, f.b, f.a // N))] for f in fiber]
 
 
 class TestCondition:
@@ -98,6 +135,33 @@ class TestFiber:
                 # tau is a root of a tau^2 + b tau + c
                 val = f.a * tau**2 + f.b * tau + f.c
                 assert abs(val) < mp.mpf(2) ** -80
+
+
+class TestIntegerScan:
+    # the scan reduces bare triples and builds a form only per class
+    @pytest.mark.parametrize("N", [11, 32, 37, 49])
+    def test_fibers_and_partners_match_the_record_scan(self, N):
+        for D in range(-3, -500, -1):
+            if D % 4 in (0, 1) and heegner_condition(D, N):
+                fiber = heegner_fiber(D, N)
+                assert fiber == fiber_oracle(D, N), D
+                assert modparam._partners(fiber, N) == partners_oracle(fiber, N), D
+
+    def test_two_records_per_class(self, monkeypatch):
+        # h = 51: enumerate_reduced's 51 classes and the 51 representatives;
+        # the record scan built 317, one or two per primitive candidate
+        built = []
+        real = qform.BinaryQuadraticForm.__init__
+
+        def counting(self, *args):
+            built.append(args)
+            real(self, *args)
+
+        monkeypatch.setattr(qform.BinaryQuadraticForm, "__init__", counting)
+        fiber = heegner_fiber(-1559, 49)
+        assert len(fiber) == 51 and len(built) == 102
+        modparam._partners(fiber, 49)
+        assert len(built) == 102
 
 
 class TestStarAction:

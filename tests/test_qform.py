@@ -2,7 +2,7 @@ import itertools
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from heegnerlab import arith, qform
@@ -149,6 +149,44 @@ def partition_group_structure_oracle(forms) -> tuple[int, ...]:
     return divisors
 
 
+def reduce_oracle(f: BinaryQuadraticForm) -> BinaryQuadraticForm:
+    """The record-based reduction loop that qform.reduced replaced, verbatim."""
+    f.validate()
+    a, b, c = f.a, f.b, f.c
+    while True:
+        if c < a or (c == a and b < 0):
+            a, b, c = c, -b, a
+            continue
+        if b > a or b <= -a:
+            # translate b into (-a, a]
+            r = b % (2 * a)
+            if r > a:
+                r -= 2 * a
+            c = c + ((r * r - b * b) // (4 * a))
+            b = r
+            continue
+        break
+    return BinaryQuadraticForm(a, b, c)
+
+
+@st.composite
+def primitive_forms(draw):
+    """(a, b, c) primitive, positive definite: any shape, or a tie a = c or
+    |b| = a, which the reduced form breaks toward b >= 0."""
+    a = draw(st.integers(1, 10**4))
+    shape = draw(st.sampled_from(["any", "a = c", "|b| = a"]))
+    if shape == "a = c":
+        b, c = draw(st.integers(1 - 2 * a, 2 * a - 1)), a
+    elif shape == "|b| = a":
+        b = draw(st.sampled_from([a, -a]))
+        c = draw(st.integers(a // 4 + 1, a + 10**4))
+    else:  # c < a, b < 0 and |b| > a all occur
+        b = draw(st.integers(-10**5, 10**5))
+        c = b * b // (4 * a) + 1 + draw(st.integers(0, 10**4))
+    assume(math.gcd(a, b, c) == 1)
+    return a, b, c
+
+
 def discriminants(lo):
     return [D for D in range(lo + 1, 0) if D % 4 in (0, 1)]
 
@@ -165,6 +203,22 @@ class TestReduction:
         f = qform.BinaryQuadraticForm(3, 1, 2)  # D = -23
         g = qform.reduce(f)
         assert (g.a, g.b, g.c) == (2, -1, 3) or (g.a, g.b, g.c) == (2, 1, 3)
+
+    @settings(max_examples=600, deadline=None)
+    @given(form=primitive_forms())
+    def test_kernel_matches_the_record_loop(self, form):
+        a, b, c = form
+        want = reduce_oracle(BinaryQuadraticForm(a, b, c))
+        assert qform.reduced(a, b, c) == (want.a, want.b, want.c)
+        assert qform.reduce(BinaryQuadraticForm(a, b, c)) == want
+        assert want.is_reduced() and want.discriminant == b * b - 4 * a * c
+
+    def test_kernel_examples(self):
+        assert qform.reduced(2, -2, 3) == (2, 2, 3)  # |b| = a
+        assert qform.reduced(3, -1, 3) == (3, 1, 3)  # a = c
+        assert qform.reduced(6, 1, 1) == (1, 1, 6)  # c < a
+        assert qform.reduced(3, 13, 15) == (1, 1, 3)  # |b| > a
+        assert qform.reduced(2, -5, 4) == (1, 1, 2)  # b < -a
 
     def test_invalid_form_rejected(self):
         with pytest.raises(InvalidForm):
