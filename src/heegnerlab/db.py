@@ -127,6 +127,10 @@ def _validate(entry: CurveDatabaseEntry, where: str) -> None:
         if c4 % p**4 == 0 and c6 % p**6 == 0 and _kraus(c4 // p**4,
                                                          c6 // p**6):
             raise ValidationError(f"{where}: the model is not minimal at {p}")
+        e = 1 if c4 % p else 2  # multiplicative, else additive reduction
+        if p >= 5 and (N % p**e or N % p ** (e + 1) == 0):  # tame (Tate)
+            raise ValidationError(f"{where}: conductor {N} must have"
+                                  f" exponent {e} at {p}, by Tate")
     # the CM order is read off j(E), so a stored one must agree with it
     d = E.cm_order_discriminant
     if entry.cm_discriminant not in (None, d):

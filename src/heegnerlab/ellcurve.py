@@ -1,9 +1,9 @@
 """Exact elliptic curve core: Weierstrass models, group law over Q and over
-quadratic fields, a_p from points mod p (by point counting where they cannot
-decide), on a CM curve from Deuring's a_p = 0 at inert p and the norm
-equation at split p first, Hecke coefficient recursion over one stored,
-growing prefix per curve, and the Lutz-Nagell torsion enumeration.
-Integers and Fractions only: no mpmath, no floats.
+quadratic fields, a_p from points mod p (counted where they cannot decide;
+on a CM curve a_p = 0 at inert p and the norm equation at split p first),
+Hecke coefficient recursion over one stored, growing prefix per curve, with
+a_p at CM split p from the Hecke character, and the Lutz-Nagell torsion
+enumeration.  Integers and Fractions only: no mpmath, no floats.
 
 Analytic pieces (period lattices, Weierstrass map, elliptic logarithm) live
 in the lattice module.
@@ -381,13 +381,75 @@ def ap(E: CurveModel, p: int, invariants=None) -> int:
     return a
 
 
+def _character_ap(E: CurveModel, invariants: tuple, spf: list, M: int):
+    """p -> a_p at the primes p <= M of an an_coeffs extension, spf its
+    sieve: ap, but at split p on a CM curve from the Hecke character.  K =
+    Q(sqrt d_K), d_K d's fundamental part, has class number 1; (t, v) is
+    (t + v sqrt d_K)/2, of trace t.  Deuring (Silverman, Advanced Topics,
+    II.9-10): a_p = Tr psi(P) at split p = P P' of good reduction, where
+    psi((pi)) = eps(pi) pi, eps: (O_K/f)^* -> mu_K, eps(u) = 1/u on mu_K,
+    and N = |d_K| N(f).  E is over Q, so complex conjugation takes Frobenius
+    at P to that at P', and f to itself: over l^k || N/|d_K|, f is l^(k/2)
+    at an unramified l (k odd: ap throughout) and L^k at a ramified l, L =
+    (l, w - r), w = (d_K + sqrt d_K)/2 a root of x^2 + n0 mod l, n0 = (d_K^2
+    - d_K)/4, r = n0 mod l.  pi's key, its reductions by each part's
+    Hermite basis (A, 0), (B, C) in (t, v), is pi mod f, as the parts are
+    coprime.  At a class of (O_K/f)^*/mu_K's first prime eps(pi) is the z in
+    mu_K with Tr(z pi) = ap, kept over the class as eps(u pi) = eps(pi)/u
+    and checked at its second (else ArithmeticError); z is unique as p does
+    not divide 6 d: (z - z') pi of trace 0 is (0, y), and p N(z - z') =
+    |d_K| y^2/4 gives p | y, p | 4 N(z - z') <= 16.  pi comes from a sweep
+    of t^2 + |d_K| v^2 <= 4M; p | 6 Delta, inert p go to ap.  Certified
+    given that N is E's conductor, as the parametrisation's level is."""
+    disc, d = invariants[0], invariants[3]
+    dK = d and d // {-12: 4, -16: 4, -27: 9, -28: 4}.get(d, 1)
+    if not dK or E.conductor % dK:
+        return lambda p: ap(E, p, invariants)
+    parts, table = [], {}  # table: key -> (eps, primes asked)
+    for l, k in arith.factorize(E.conductor // -dK).items():
+        if k % 2 and dK % l:
+            return lambda p: ap(E, p, invariants)
+        s, r = l ** (k // 2), k % 2 * ((dK * dK - dK) // 4 % l)
+        parts.append((2 * s * l ** (k % 2), s * (dK - 2 * r), s))
+    units = [(t, v) for t in range(-2, 3) for v in (-1, 0, 1)
+             if t * t - dK * v * v == 4]
+
+    def mul(u, w):
+        return ((u[0] * w[0] + dK * u[1] * w[1]) // 2,
+                (u[0] * w[1] + u[1] * w[0]) // 2)
+
+    def key(t, v):
+        return tuple(((t - v // C * B) % A, v % C) for A, B, C in parts)
+
+    gen = {q: (t, v) for v in range(1, math.isqrt(4 * M // -dK) + 1)
+           for t in range(dK * v % 2, math.isqrt(4 * M + dK * v * v) + 1, 2)
+           if spf[q := (t * t - dK * v * v) // 4] == q and 6 * disc % q}
+
+    def a_p(p):
+        if p not in gen:
+            return ap(E, p, invariants)
+        pi = gen[p]
+        eps, seen = table.get(key(*pi), (None, 0))
+        if seen == 2:
+            return mul(eps, pi)[0]
+        a = ap(E, p, invariants)
+        z = [u for u in units if mul(u, pi)[0] == a]
+        if len(z) != 1 or seen and z != [eps]:
+            raise ArithmeticError(f"a_{p} = {a} does not fit a Hecke"
+                                  f" character: is {E.conductor} the conductor?")
+        for u in units:  # eps(u pi) = eps(pi)/u, and 1/u = (t, -v)
+            table[key(*mul(u, pi))] = (mul(z[0], (u[0], -u[1])), seen + 1)
+        return a
+    return a_p
+
+
 _PREFIXES: dict[tuple, tuple[int, ...]] = {}  # (a-invariants, N) -> a_1..a_M
 _PREFIX_CURVES = 8
 
 
 def an_coeffs(E: CurveModel, M: int) -> tuple[int, ...]:
     """Fourier coefficients (a_1, ..., a_M) of the newform attached to E, from
-    ap at primes and the Hecke recursion.  One growing prefix is
+    _character_ap at primes and the Hecke recursion.  One growing prefix is
     kept per (a-invariants, conductor), for at most 8 curves with the
     oldest dropped; only the a_n beyond it are computed."""
     if M < 1 or M > 10**6:
@@ -400,11 +462,11 @@ def an_coeffs(E: CurveModel, M: int) -> tuple[int, ...]:
     if len(known) >= M:
         return known[:M]
     a = [0, *known] + [0] * (M - len(known))
-    invariants = _invariants(E)
     # smallest prime factor: the last, hence least, i <= sqrt(n) to write n
     spf = list(range(M + 1))
     for i in range(math.isqrt(M), 1, -1):
         spf[i * i :: i] = [i] * len(range(i * i, M + 1, i))
+    a_p = _character_ap(E, _invariants(E), spf, M)
     for n in range(len(known) + 1, M + 1):
         p = pk = spf[n]
         while n % (pk * p) == 0:
@@ -412,7 +474,7 @@ def an_coeffs(E: CurveModel, M: int) -> tuple[int, ...]:
         if pk < n:  # n = pk * m with gcd(pk, m) = 1
             a[n] = a[pk] * a[n // pk]
         elif n == p:
-            a[n] = ap(E, p, invariants)
+            a[n] = a_p(p)
         elif E.conductor % p:  # p^k at a good prime
             a[n] = a[p] * a[n // p] - p * a[n // p // p]
         else:

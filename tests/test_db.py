@@ -201,6 +201,22 @@ class TestMinimality:
         with pytest.raises(ValidationError):
             load_database(write_db(tmp_path, [bad]))
 
+    @pytest.mark.parametrize("ai, N, exponent", [
+        # 7 | c4 = 105: additive at 7, so 49; 7 divides Delta = -343, and
+        # point --disc -19 evaluated phi at level 7 and recognized nothing
+        ([1, -1, 0, -2, -1], 7, 2),
+        # 11 does not divide c4 = 496: multiplicative at 11, so 11; 121
+        # divides Delta = -11^5
+        ([0, -1, 1, -10, -20], 121, 1),
+    ], ids=["49a with N = 7", "11a1 with N = 121"])
+    def test_wrong_exponent_above_3_rejected(self, tmp_path, ai, N,
+                                             exponent):
+        bad = {"label": "x", "a_invariants": ai, "conductor": N}
+        with pytest.raises(ValidationError,
+                           match=f"conductor {N} must have exponent"
+                                 f" {exponent}"):
+            load_database(write_db(tmp_path, [bad]))
+
     def test_v3_of_c6_equal_to_2_keeps_a_model_minimal(self, tmp_path):
         # y^2 + y = x^3 - 61: Delta = -3^13, c4 = 0 and c6 = 3^6 * 72, yet
         # v3(72) = 2, so no integral model has invariants (0, 72) and this

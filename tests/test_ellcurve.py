@@ -500,6 +500,85 @@ class TestCoefficients:
             assert abs(a[p]) <= 2 * math.isqrt(p) + 1
 
 
+def ap_an_coeffs_oracle(E, M):
+    """a_1..a_M by the Hecke recursion from ap(E, p) at every prime p <= M,
+    the per-prime point method that an_coeffs replaces at CM split primes."""
+    a = [0, 1] + [0] * (M - 1)
+    for n in range(2, M + 1):
+        p = next(q for q in PRIMES_BELOW_3000 if n % q == 0)
+        pk = p
+        while n % (pk * p) == 0:
+            pk *= p
+        if pk < n:
+            a[n] = a[pk] * a[n // pk]
+        elif n == p:
+            a[n] = ap(E, p)
+        elif E.conductor % p:
+            a[n] = a[p] * a[n // p] - p * a[n // p // p]
+        else:
+            a[n] = a[p] * a[n // p]
+    return tuple(a[1:])
+
+
+def split_primes_sent_to_ap(E, M, monkeypatch):
+    # the primes p not dividing 6 Delta, split in the CM field, at which
+    # building a_1..a_M from an empty store asks ap for a_p
+    d, calls = E.cm_order_discriminant, []
+    real = ellcurve.ap
+
+    def spy(E, p, invariants=None):
+        calls.append(p)
+        return real(E, p, invariants)
+
+    monkeypatch.setattr(ellcurve, "ap", spy)
+    with mock.patch.dict(ellcurve._PREFIXES, clear=True):
+        an_coeffs(E, M)
+    return [p for p in calls
+            if 6 * E.discriminant % p and pow(d, (p - 1) // 2, p) == 1]
+
+
+class TestCharacterCoefficients:
+    @pytest.mark.parametrize("label", CM_DISCRIMINANTS)
+    def test_character_equals_ap_at_every_prime_below_3000(self, label):
+        # ap itself equals the O(p) count below 3000 (TestPointCounting)
+        E = BAD_REDUCTION_CURVES[label]
+        with mock.patch.dict(ellcurve._PREFIXES, clear=True):
+            assert an_coeffs(E, 3000) == ap_an_coeffs_oracle(E, 3000)
+
+    @pytest.mark.parametrize("label", ["32a", "49a", "64a1", "121b1"])
+    def test_extension_learns_its_own_table(self, label):
+        E = BAD_REDUCTION_CURVES[label]
+        with mock.patch.dict(ellcurve._PREFIXES, clear=True):
+            an_coeffs(E, 700)
+            extended = an_coeffs(E, 3000)
+        with mock.patch.dict(ellcurve._PREFIXES, clear=True):
+            assert extended == an_coeffs(E, 3000)
+
+    @pytest.mark.parametrize("E, M, most, split", [
+        (E32, 756, 2, 62),  # one class of (O_K/f)^*/mu_K, f^3 = (2)
+        (E49, 700, 6, 59),  # three classes, f = (sqrt -7)
+    ], ids=["32a", "49a"])
+    def test_two_points_per_class(self, E, M, most, split, monkeypatch):
+        # ap is asked only at each class's first two split primes (the
+        # per-prime point method asked at all of them)
+        sent = split_primes_sent_to_ap(E, M, monkeypatch)
+        assert len(sent) <= most
+        d = E.cm_order_discriminant
+        assert split == len([p for p in PRIMES_BELOW_3000 if p <= M
+                             and 6 * E.discriminant % p
+                             and pow(d, (p - 1) // 2, p) == 1])
+
+    def test_wrong_conductor_exponent_raises(self):
+        # 32a with N = 16: f would be (2), and the table learned at 5
+        # disagrees with ap at 13, the class's second prime (a_13 = 6);
+        # without the check a_n would come out wrong, not fail
+        E = CurveModel(0, 0, 0, -1, 0, 16)
+        with mock.patch.dict(ellcurve._PREFIXES, clear=True):
+            with pytest.raises(ArithmeticError,
+                               match="a_13 = 6 .* is 16 the conductor"):
+                an_coeffs(E, 1500)
+
+
 # (Cremona label, a-invariants, conductor, torsion structure): cyclic of
 # order 5..12 and Z/2 x Z/2m with m > 1
 TORSION_CURVES = [
