@@ -32,7 +32,6 @@ class CurveDatabaseEntry(arith._Record):
     def curve(self) -> CurveModel:
         return CurveModel(*self.a_invariants, conductor=self.conductor,
                           label=self.label,
-                          cm_discriminant=self.cm_discriminant,
                           modular_degree=self.modular_degree)
 
 

@@ -1,9 +1,9 @@
 """Exact elliptic curve core: Weierstrass models, group law over Q and over
-quadratic fields, a_p from points mod p (counted where they cannot decide;
-on a CM curve a_p = 0 at inert p and the norm equation at split p first),
-Hecke coefficient recursion over one stored, growing prefix per curve, with
-a_p at CM split p from the Hecke character, and the Lutz-Nagell torsion
-enumeration.  Integers and Fractions only: no mpmath, no floats.
+quadratic fields, a_p from points mod p alone (counted where they cannot
+decide), Hecke coefficient recursion over one stored, growing prefix per
+curve, with every CM a_p at p not dividing 6 Delta from Deuring's theorem
+(the Hecke character), and the Lutz-Nagell torsion enumeration.  Integers
+and Fractions only: no mpmath, no floats.
 
 Analytic pieces (period lattices, Weierstrass map, elliptic logarithm) live
 in the lattice module.
@@ -120,7 +120,6 @@ class CurveModel(arith._Record):
     a6: int
     conductor: int
     label: str = ""
-    cm_discriminant: int | None = None
     modular_degree: int | None = None
 
     @property
@@ -151,7 +150,9 @@ class CurveModel(arith._Record):
         """Discriminant d of End(E) over Qbar if E has CM, else None: E has
         CM exactly when j = c4^3/Delta is one of the 13 rational CM
         j-invariants (Silverman, Advanced Topics, A 3)."""
-        return _cm_discriminant(self.c_invariants[0], self.discriminant)
+        disc = self.discriminant  # no j if singular
+        j, r = divmod(self.c_invariants[0] ** 3, disc) if disc else (None, 1)
+        return None if r else _CM_J.get(j)
 
     def rhs(self, x):
         return x * x * x + self.a2 * x * x + self.a4 * x + self.a6
@@ -164,11 +165,6 @@ class CurveModel(arith._Record):
 _CM_J = {0: -3, 1728: -4, -3375: -7, 8000: -8, -32768: -11, 54000: -12,
          287496: -16, -884736: -19, -12288000: -27, 16581375: -28,
          -884736000: -43, -147197952000: -67, -262537412640768000: -163}
-
-
-def _cm_discriminant(c4: int, disc: int) -> int | None:
-    j, r = divmod(c4**3, disc) if disc else (None, 1)  # no j if singular
-    return None if r else _CM_J.get(j)
 
 
 class CurvePoint(arith._Record):
@@ -298,42 +294,22 @@ def _hasse_candidates(P, a: int, p: int, H: int) -> set[int]:
     return found
 
 
-def _cm_traces(d: int, p: int) -> set[int]:
-    """The values a_p can take at a prime p not dividing 6 d Delta when E
-    has CM by the order of discriminant d.  Inert p: the reduction is
-    supersingular (Deuring), so p | a_p, and a_p = 0 by Hasse as p >= 5.
-    Split p: Frobenius has norm p and lies in End of the reduction, which
-    contains End(E) with index a power of p (Deuring), so equals it as p
-    does not divide d: Frobenius is (t + v sqrt d)/2, t^2 + |d| v^2 = 4p."""
-    if pow(d, (p - 1) // 2, p) != 1:
-        return {0}
-    traces = set()
-    for v in range(1, math.isqrt(4 * p // -d) + 1):
-        t = math.isqrt(4 * p + d * v * v)
-        if t * t == 4 * p + d * v * v:
-            traces |= {t, -t}
-    return traces
-
-
-def _ap_by_points(c4: int, c6: int, d: int | None, p: int) -> int | None:
+def _ap_by_points(c4: int, c6: int, p: int) -> int | None:
     """a_p at a prime p not dividing 6 Delta from points (Cohen, GTM 138,
     7.4), or None if every x0 leaves more than one candidate.  These start
-    as _cm_traces if E has CM by the order of discriminant d and p does not
-    divide d, else as [-H, H], H = floor(2 sqrt p) (Hasse).  The short model
-    Y^2 = f(X) = X^3 + A X + B, A = -27 c4, B = -54 c6, is E over F_p.  Each
-    x0 with c = f(x0) != 0 gives the point P = (c x0, c^2) of y^2 = x^3 +
-    c^2 A x + c^3 B, with no square root: that curve is E when c is a square
-    mod p, else its quadratic twist, of order p + 1 + a_p.  By Lagrange a_p
-    is among the u that P allows, (p + 1 -+ u) P = O: those in [-H, H] by
-    baby-step giant-step while the candidates are more than six, else those
-    with (p + 1) P = +-|u| P.  Mestre's theorem leaves none ambiguous after
-    every x0 for p > 457."""
-    candidates = _cm_traces(d, p) if d and d % p else None
+    as [-H, H], H = floor(2 sqrt p) (Hasse), on every curve.  The short
+    model Y^2 = f(X) = X^3 + A X + B, A = -27 c4, B = -54 c6, is E over F_p.
+    Each x0 with c = f(x0) != 0 gives the point P = (c x0, c^2) of y^2 = x^3
+    + c^2 A x + c^3 B, with no square root: that curve is E when c is a
+    square mod p, else its quadratic twist, of order p + 1 + a_p.  By
+    Lagrange a_p is among the u that P allows, (p + 1 -+ u) P = O: those in
+    [-H, H] by baby-step giant-step while the candidates are more than six,
+    else those with (p + 1) P = +-|u| P.  Mestre's theorem leaves none
+    ambiguous after every x0 for p > 457."""
     A, B = -27 * c4 % p, -54 * c6 % p
     H = math.isqrt(4 * p)
+    candidates = None  # all of [-H, H]
     for x0 in range(p):
-        if candidates is not None and len(candidates) == 1:
-            return candidates.pop()
         c = (x0 * x0 * x0 + A * x0 + B) % p
         if c == 0:
             continue
@@ -342,38 +318,33 @@ def _ap_by_points(c4: int, c6: int, d: int | None, p: int) -> int | None:
         if candidates is None or len(candidates) > 6:
             found = {sign * u for u in _hasse_candidates(P, a, p, H)}
             candidates = found if candidates is None else candidates & found
-            continue
-        Q = arith._multiple(p + 1, P, _add_mod, None, a, p)
-        allowed = set()
-        for m in {abs(u) for u in candidates}:
-            U = arith._multiple(m, P, _add_mod, None, a, p)
-            if Q == U:
-                allowed.add(sign * m)
-            if Q == (U and (U[0], -U[1] % p)):  # -U, None for O
-                allowed.add(-sign * m)
-        candidates &= allowed
-    return candidates.pop() if len(candidates) == 1 else None
-
-
-def _invariants(E: CurveModel) -> tuple:  # (Delta, c4, c6, d), d as in ap
-    disc, (c4, c6) = E.discriminant, E.c_invariants
-    return disc, c4, c6, _cm_discriminant(c4, disc)
+        else:
+            Q = arith._multiple(p + 1, P, _add_mod, None, a, p)
+            allowed = set()
+            for m in {abs(u) for u in candidates}:
+                U = arith._multiple(m, P, _add_mod, None, a, p)
+                if Q == U:
+                    allowed.add(sign * m)
+                if Q == (U and (U[0], -U[1] % p)):  # -U, None for O
+                    allowed.add(-sign * m)
+            candidates &= allowed
+        if len(candidates) == 1:
+            return candidates.pop()
+    return None
 
 
 def ap(E: CurveModel, p: int, invariants=None) -> int:
-    """a_p = p + 1 - #E(F_p) at every prime p of the minimal model E.  At a
-    prime p not dividing 6 Delta it is the one candidate that every point
-    tried allows (_ap_by_points).  On a CM curve, d read off j, the
-    candidates at p not dividing d are {0} at an inert p, which needs no
-    point (Deuring), and the +-t with t^2 + |d| v^2 = 4p at a split p, as
-    Frobenius lies in the CM order (_cm_traces); else the Hasse interval.
-    At p | 6 Delta, and at the few small p that stay ambiguous, points are
-    counted: at a bad prime the count includes the singular point, so a_p
-    is p minus the nonsingular points, 1 split multiplicative, -1 non-split,
-    0 additive.  invariants, _invariants(E), spare a caller at many primes
+    """a_p = p + 1 - #E(F_p) at every prime p of the minimal model E, from
+    points alone and with no CM theory, so that it can check the Hecke
+    character (_character_ap).  At a prime p not dividing 6 Delta it is the
+    one candidate that every point tried allows (_ap_by_points).  At p | 6
+    Delta, and at the few small p that stay ambiguous, points are counted:
+    at a bad prime the count includes the singular point, so a_p is p minus
+    the nonsingular points, 1 split multiplicative, -1 non-split, 0
+    additive.  invariants, (Delta, c4, c6), spare a caller at many primes
     (an_coeffs) recomputing them at each."""
-    disc, c4, c6, d = invariants or _invariants(E)
-    a = _ap_by_points(c4, c6, d, p) if 6 * disc % p else None
+    disc, c4, c6 = invariants or (E.discriminant, *E.c_invariants)
+    a = _ap_by_points(c4, c6, p) if 6 * disc % p else None
     if a is None:
         a = p + 1 - _count_points(E, p)
     if a * a > 4 * p:
@@ -381,34 +352,40 @@ def ap(E: CurveModel, p: int, invariants=None) -> int:
     return a
 
 
-def _character_ap(E: CurveModel, invariants: tuple, spf: list, M: int):
+def _character_ap(E: CurveModel, spf: list, M: int):
     """p -> a_p at the primes p <= M of an an_coeffs extension, spf its
-    sieve: ap, but at split p on a CM curve from the Hecke character.  K =
-    Q(sqrt d_K), d_K d's fundamental part, has class number 1; (t, v) is
-    (t + v sqrt d_K)/2, of trace t.  Deuring (Silverman, Advanced Topics,
-    II.9-10): a_p = Tr psi(P) at split p = P P' of good reduction, where
-    psi((pi)) = eps(pi) pi, eps: (O_K/f)^* -> mu_K, eps(u) = 1/u on mu_K,
-    and N = |d_K| N(f).  E is over Q, so complex conjugation takes Frobenius
-    at P to that at P', and f to itself: over l^k || N/|d_K|, f is l^(k/2)
-    at an unramified l (k odd: ap throughout) and L^k at a ramified l, L =
-    (l, w - r), w = (d_K + sqrt d_K)/2 a root of x^2 + n0 mod l, n0 = (d_K^2
-    - d_K)/4, r = n0 mod l.  pi's key, its reductions by each part's
-    Hermite basis (A, 0), (B, C) in (t, v), is pi mod f, as the parts are
-    coprime.  At a class of (O_K/f)^*/mu_K's first prime eps(pi) is the z in
-    mu_K with Tr(z pi) = ap, kept over the class as eps(u pi) = eps(pi)/u
-    and checked at its second (else ArithmeticError); z is unique as p does
-    not divide 6 d: (z - z') pi of trace 0 is (0, y), and p N(z - z') =
-    |d_K| y^2/4 gives p | y, p | 4 N(z - z') <= 16.  pi comes from a sweep
-    of t^2 + |d_K| v^2 <= 4M; p | 6 Delta, inert p go to ap.  Certified
-    given that N is E's conductor, as the parametrisation's level is."""
-    disc, d = invariants[0], invariants[3]
+    sieve: ap, but on a CM curve at p not dividing 6 Delta from Deuring's
+    theorem (Silverman, Advanced Topics, II.9-10).  K = Q(sqrt d_K), d_K
+    d's fundamental part, has class number 1 for all 13 rational CM j;
+    (t, v) is (t + v sqrt d_K)/2, of trace t.  A split p is the norm of a
+    generator (t, v) of a prime above it, v >= 1, and a ramified p is bad,
+    so a p that the sweep of t^2 + |d_K| v^2 <= 4M misses is inert: the
+    reduction is supersingular, so p | a_p, and a_p = 0 as |a_p| <= 2 sqrt p
+    < p.  At split p = P P', a_p = Tr psi(P), where psi((pi)) = eps(pi) pi,
+    eps: (O_K/f)^* -> mu_K, eps(u) = 1/u on mu_K, and N = |d_K| N(f).  As
+    1/u is one-to-one, mu_K injects into (O_K/f)^* for E's conductor, so a
+    conductor on which it does not is refused (ArithmeticError).
+    E is over Q, so complex conjugation takes Frobenius at P to that at P',
+    and f to itself: over l^k || N/|d_K|, f is l^(k/2) at an unramified l
+    (k odd: ap throughout) and L^k at a ramified l, L = (l, w - r), w = (d_K
+    + sqrt d_K)/2 a root of x^2 + n0 mod l, n0 = (d_K^2 - d_K)/4, r = n0 mod
+    l.  pi's key, its reductions by each part's Hermite basis (A, 0), (B, C)
+    in (t, v), is pi mod f, as the parts are coprime.  At a class of
+    (O_K/f)^*/mu_K's first prime eps(pi) is the z in mu_K with Tr(z pi) =
+    ap, kept over the class as eps(u pi) = eps(pi)/u and checked at its
+    second (else ArithmeticError); z is unique as p does not divide 6 d: (z
+    - z') pi of trace 0 is (0, y), and p N(z - z') = |d_K| y^2/4 gives p |
+    y, p | 4 N(z - z') <= 16.  p | 6 Delta go to ap.  Certified given that
+    N is E's conductor, as the parametrisation's level is."""
+    disc, d = E.discriminant, E.cm_order_discriminant
+    inv = (disc, *E.c_invariants)
     dK = d and d // {-12: 4, -16: 4, -27: 9, -28: 4}.get(d, 1)
     if not dK or E.conductor % dK:
-        return lambda p: ap(E, p, invariants)
+        return lambda p: ap(E, p, inv)
     parts, table = [], {}  # table: key -> (eps, primes asked)
     for l, k in arith.factorize(E.conductor // -dK).items():
         if k % 2 and dK % l:
-            return lambda p: ap(E, p, invariants)
+            return lambda p: ap(E, p, inv)
         s, r = l ** (k // 2), k % 2 * ((dK * dK - dK) // 4 % l)
         parts.append((2 * s * l ** (k % 2), s * (dK - 2 * r), s))
     units = [(t, v) for t in range(-2, 3) for v in (-1, 0, 1)
@@ -421,18 +398,21 @@ def _character_ap(E: CurveModel, invariants: tuple, spf: list, M: int):
     def key(t, v):
         return tuple(((t - v // C * B) % A, v % C) for A, B, C in parts)
 
+    if len({key(*u) for u in units}) < len(units):
+        raise ArithmeticError("mu_K does not inject into (O_K/f)^*: is"
+                              f" {E.conductor} the conductor?")
     gen = {q: (t, v) for v in range(1, math.isqrt(4 * M // -dK) + 1)
            for t in range(dK * v % 2, math.isqrt(4 * M + dK * v * v) + 1, 2)
            if spf[q := (t * t - dK * v * v) // 4] == q and 6 * disc % q}
 
     def a_p(p):
         if p not in gen:
-            return ap(E, p, invariants)
+            return 0 if 6 * disc % p else ap(E, p, inv)
         pi = gen[p]
         eps, seen = table.get(key(*pi), (None, 0))
         if seen == 2:
             return mul(eps, pi)[0]
-        a = ap(E, p, invariants)
+        a = ap(E, p, inv)
         z = [u for u in units if mul(u, pi)[0] == a]
         if len(z) != 1 or seen and z != [eps]:
             raise ArithmeticError(f"a_{p} = {a} does not fit a Hecke"
@@ -466,7 +446,7 @@ def an_coeffs(E: CurveModel, M: int) -> tuple[int, ...]:
     spf = list(range(M + 1))
     for i in range(math.isqrt(M), 1, -1):
         spf[i * i :: i] = [i] * len(range(i * i, M + 1, i))
-    a_p = _character_ap(E, _invariants(E), spf, M)
+    a_p = _character_ap(E, spf, M)
     for n in range(len(known) + 1, M + 1):
         p = pk = spf[n]
         while n % (pk * p) == 0:

@@ -249,7 +249,7 @@ class TestEntryToCurve:
         assert (E.a1, E.a2, E.a3, E.a4, E.a6) == (1, -1, 0, -2, -1)
         assert E.conductor == 49
         assert E.label == "49a"
-        assert E.cm_discriminant == -7
+        assert E.cm_order_discriminant == -7
         assert E.modular_degree == 1
 
     def test_frozen(self):

@@ -305,6 +305,22 @@ CM_DISCRIMINANTS = {"32a": -4, "32a1": -4, "49a": -7, "27a1": -3,
                     "32a3": -16, "36a2": -12, "49a2": -28}
 
 
+# a model with CM by each order of test_norm_equation
+CM_MODEL = {-4: "32a", -3: "27a1", -7: "49a", -27: "27a4"}
+
+
+def cm_traces_oracle(d, p):
+    """The a_p that Deuring allows at a prime p not dividing 6 d Delta on a
+    curve with CM by the order of discriminant d: {0} at an inert p, where
+    the reduction is supersingular, and the +-t with t^2 + |d| v^2 = 4p,
+    v >= 1, at a split p, where Frobenius lies in the CM order."""
+    if pow(d, (p - 1) // 2, p) != 1:
+        return {0}
+    return {s * t for v in range(1, math.isqrt(4 * p // -d) + 1)
+            for t in [math.isqrt(4 * p + d * v * v)]
+            if t * t == 4 * p + d * v * v for s in (1, -1)}
+
+
 class TestCMTraces:
     @pytest.mark.parametrize("label", BAD_REDUCTION_CURVES)
     def test_cm_order_is_read_off_j(self, label):
@@ -318,28 +334,31 @@ class TestCMTraces:
         (-4, 31, {0}), (-7, 5, {0}), (-27, 5, {0}),  # inert
     ])
     def test_norm_equation(self, d, p, traces):
-        assert ellcurve._cm_traces(d, p) == traces
+        # the points-only ap lands in the set Deuring allows
+        assert cm_traces_oracle(d, p) == traces
+        assert ap(BAD_REDUCTION_CURVES[CM_MODEL[d]], p) in traces
+
+    @pytest.mark.parametrize("label", CM_DISCRIMINANTS)
+    def test_points_only_ap_obeys_deuring(self, label):
+        # ap assumes no CM theory; its a_p at every p < 3000 of good
+        # reduction are 0 at inert p and traces of norm-p elements at split p
+        E, d = BAD_REDUCTION_CURVES[label], CM_DISCRIMINANTS[label]
+        for p in PRIMES_BELOW_3000:
+            if 6 * E.discriminant % p:
+                assert ap(E, p) in cm_traces_oracle(d, p), p
 
     @pytest.mark.parametrize("label", CM_DISCRIMINANTS)
     def test_inert_primes_do_no_point_arithmetic(self, label, monkeypatch):
-        # Deuring: a_p = 0 at p inert in the CM field, read off at once
-        E, d = BAD_REDUCTION_CURVES[label], CM_DISCRIMINANTS[label]
-        calls = []
-        monkeypatch.setattr(ellcurve, "_add_mod",
-                            lambda *args: calls.append(args))
-        inert = [p for p in PRIMES_BELOW_3000[:100]
-                 if 6 * d * E.discriminant % p
-                 and pow(d, (p - 1) // 2, p) == p - 1]
-        assert len(inert) > 40
-        assert [ap(E, p) for p in inert] == [0] * len(inert)
-        assert calls == []
+        # Deuring: a_p = 0 at p inert in the CM field, so building the
+        # prefix never asks ap there
+        E = BAD_REDUCTION_CURVES[label]
+        assert primes_sent_to_ap(E, 3000, -1, monkeypatch) == []
 
-    @pytest.mark.parametrize("E, p, bsgs", [
-        (E37, 1009, True), (E37, 29, True),  # no CM: the Hasse interval
-        (E49, 1009, False), (E32, 1013, False),  # split: the norm equation
+    @pytest.mark.parametrize("E, p", [
+        (E37, 1009), (E37, 29), (E49, 1009), (E32, 1013),
     ])
-    def test_baby_step_giant_step_only_without_cm(self, E, p, bsgs,
-                                                  monkeypatch):
+    def test_baby_step_giant_step_with_or_without_cm(self, E, p, monkeypatch):
+        # ap assumes no CM: it starts from the Hasse interval on every curve
         calls = []
         real = ellcurve._hasse_candidates
 
@@ -349,7 +368,7 @@ class TestCMTraces:
 
         monkeypatch.setattr(ellcurve, "_hasse_candidates", spy)
         assert ap(E, p) == p + 1 - ellcurve_count_points(E, p)
-        assert bool(calls) == bsgs
+        assert calls
 
 
 class TestPointCounting:
@@ -520,8 +539,8 @@ def ap_an_coeffs_oracle(E, M):
     return tuple(a[1:])
 
 
-def split_primes_sent_to_ap(E, M, monkeypatch):
-    # the primes p not dividing 6 Delta, split in the CM field, at which
+def primes_sent_to_ap(E, M, residue, monkeypatch):
+    # the primes p not dividing 6 Delta with (d/p) = residue at which
     # building a_1..a_M from an empty store asks ap for a_p
     d, calls = E.cm_order_discriminant, []
     real = ellcurve.ap
@@ -533,8 +552,8 @@ def split_primes_sent_to_ap(E, M, monkeypatch):
     monkeypatch.setattr(ellcurve, "ap", spy)
     with mock.patch.dict(ellcurve._PREFIXES, clear=True):
         an_coeffs(E, M)
-    return [p for p in calls
-            if 6 * E.discriminant % p and pow(d, (p - 1) // 2, p) == 1]
+    return [p for p in calls if 6 * E.discriminant % p
+            and pow(d, (p - 1) // 2, p) == residue % p]
 
 
 class TestCharacterCoefficients:
@@ -561,7 +580,7 @@ class TestCharacterCoefficients:
     def test_two_points_per_class(self, E, M, most, split, monkeypatch):
         # ap is asked only at each class's first two split primes (the
         # per-prime point method asked at all of them)
-        sent = split_primes_sent_to_ap(E, M, monkeypatch)
+        sent = primes_sent_to_ap(E, M, 1, monkeypatch)
         assert len(sent) <= most
         d = E.cm_order_discriminant
         assert split == len([p for p in PRIMES_BELOW_3000 if p <= M
@@ -569,14 +588,40 @@ class TestCharacterCoefficients:
                              and pow(d, (p - 1) // 2, p) == 1])
 
     def test_wrong_conductor_exponent_raises(self):
-        # 32a with N = 16: f would be (2), and the table learned at 5
-        # disagrees with ap at 13, the class's second prime (a_13 = 6);
-        # without the check a_n would come out wrong, not fail
+        # 32a with N = 16: f would be (2), and -1 = 1 mod 2, so eps(-1) =
+        # -1 cannot hold (the second-prime check fails too, at a_13)
         E = CurveModel(0, 0, 0, -1, 0, 16)
         with mock.patch.dict(ellcurve._PREFIXES, clear=True):
             with pytest.raises(ArithmeticError,
-                               match="a_13 = 6 .* is 16 the conductor"):
+                               match="mu_K does not inject .* is 16 the"):
                 an_coeffs(E, 1500)
+
+    @pytest.mark.parametrize("N", [9, 12])
+    def test_units_equal_mod_f_raise(self, N):
+        # 36a1 with N = 9 or 12: f would be (sqrt -3) or (2), and a unit
+        # u != 1 is 1 mod f (a cube root of unity mod sqrt -3, -1 mod 2), so
+        # eps(u) = 1/u cannot hold; the second-prime check let these pass
+        # with wrong a_n
+        E = CurveModel(0, 0, 0, 0, 1, N)
+        with mock.patch.dict(ellcurve._PREFIXES, clear=True):
+            with pytest.raises(ArithmeticError,
+                               match=f"mu_K does not inject .* is {N} the"):
+                an_coeffs(E, 1500)
+
+    def test_second_prime_of_a_class_is_checked(self, monkeypatch):
+        # 49a asks ap at 11, 23, 29, 37, 43 and 53 below 700, two split
+        # primes in each of three classes, so 53 is its class's second
+        real = ellcurve.ap
+
+        def flipped(E, p, invariants=None):
+            a = real(E, p, invariants)
+            return -a if p == 53 else a
+
+        monkeypatch.setattr(ellcurve, "ap", flipped)
+        with mock.patch.dict(ellcurve._PREFIXES, clear=True):
+            with pytest.raises(ArithmeticError,
+                               match="a_53 = 10 does not fit a Hecke character"):
+                an_coeffs(E49, 700)
 
 
 # (Cremona label, a-invariants, conductor, torsion structure): cyclic of

@@ -32,10 +32,10 @@ from test_analysis import _synthetic_orbit
 from test_lattice import curve_equation_residual
 
 E37 = CurveModel(0, 0, 1, -1, 0, 37, modular_degree=2, label="37a")
-E32 = CurveModel(0, 0, 0, -1, 0, 32, cm_discriminant=-4, modular_degree=1, label="32a")
-E49 = CurveModel(1, -1, 0, -2, -1, 49, cm_discriminant=-7, modular_degree=1, label="49a")
+E32 = CurveModel(0, 0, 0, -1, 0, 32, modular_degree=1, label="32a")
+E49 = CurveModel(1, -1, 0, -2, -1, 49, modular_degree=1, label="49a")
 # Cremona 32a1, the curve phi parametrizes at level 32 (the bundled 32a is 32a2)
-E32_1 = CurveModel(0, 0, 0, 4, 0, 32, cm_discriminant=-4, modular_degree=1, label="32a1")
+E32_1 = CurveModel(0, 0, 0, 4, 0, 32, modular_degree=1, label="32a1")
 
 PREC = 200
 

@@ -73,7 +73,6 @@ class CurveModel:
     a6: int
     conductor: int
     label: str = ""
-    cm_discriminant: object = None
     modular_degree: object = None
 
 
