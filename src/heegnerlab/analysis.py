@@ -179,47 +179,37 @@ def independence_report(
         raise ValueError(
             f"the relation search takes at most {_MAX_POINTS} admissible fields")
     entries = []
-    orbits = []
-    exact = []  # recognized rational points, aligned with orbits; None gaps
-    joined = []  # index in discs of each orbit
+    joined = {}  # index in discs -> (orbit, exact trace point or None)
     for i, (D, ok) in enumerate(zip(discs, admissible)):
         if not ok:
             entries.append(FieldEntry(discriminant=D, admissible=False,
                                       error="HeegnerConditionFailed"))
             continue
-        try:
-            orbit = orbit_points(E, D, precision_bits)
-        except HeegnerlabError as exc:
-            error = f"orbit: {type(exc).__name__}: {exc}"
-            entries.append(FieldEntry(D, admissible=True, error=error))
-            continue
-        entry, exact_pt = _orbit_entry(orbit)
+        entry, orbit, exact_pt = _field(E, D, precision_bits)
         if entry.error is None:  # the one fact that depends on B
             entry = entry.replace(prime_to_bound_part=arith.prime_to_B_part(
                 entry.class_number, B))
         entries.append(entry)
-        orbits.append(orbit)  # it joins the search even if a stage failed
-        exact.append(exact_pt)
-        joined.append(i)
+        if orbit is not None:  # it joins the search even if a stage failed
+            joined[i] = orbit, exact_pt
     relation = None
     verdict = "no_relation_up_to_bound"
-    if len(orbits) >= 2:
-        found = relation_search(orbits, B)
+    if len(joined) >= 2:
+        found = relation_search([o for o, _ in joined.values()], B)
         if found is not None:
             verdict = "relation_found_numerical"
             # a point with coefficient 0 takes no part: it needs no exact point
-            points = [INFINITY if n == 0 else P
-                      for n, P in zip(found.coefficients, exact)]
+            points = [INFINITY if n == 0 else P for n, (_, P)
+                      in zip(found.coefficients, joined.values())]
             if None not in points:
                 try:
                     if verify_relation(points, found, E):
                         verdict = "relation_found_verified"
                 except FieldMismatch:
                     pass
-            coefficients = [0] * len(discs)
-            for i, n in zip(joined, found.coefficients):
-                coefficients[i] = n
-            relation = Relation(tuple(coefficients), found.torsion_slack)
+            coefficients = dict(zip(joined, found.coefficients))
+            relation = found.replace(coefficients=tuple(
+                coefficients.get(i, 0) for i in range(len(discs))))
     odd_parts = [e.odd_part for e in entries if e.odd_part is not None]
     note = (
         "measured odd parts of the class numbers: "
@@ -239,13 +229,15 @@ def independence_report(
 
 
 @lru_cache(maxsize=32)
-def _orbit_entry(orbit):
-    """(entry but its B-part, exact trace point or None) of an orbit, kept
-    for the last 32 orbits: a field two reports share is traced once."""
-    h = len(orbit.torus_coordinates)  # one fiber point per ideal class
-    D, E = orbit.discriminant, orbit.curve
-    stage = "degree"
+def _field(E: CurveModel, D: int, precision_bits: int):
+    """(entry but its B-part, orbit or None, exact trace point or None) of
+    an admissible field, kept for the last 32 (E, D, precision_bits): two
+    reports that share a field evaluate and trace it once.  A domain error
+    at stage orbit, degree, trace or recognize is the entry's error."""
+    stage, orbit = "orbit", None
     try:
+        orbit = orbit_points(E, D, precision_bits)
+        stage = "degree"
         degs = tuple(orbit_degree(orbit, n) for n in (1, 2, 3))
         stage = "trace"
         tr = trace_point(orbit)
@@ -253,7 +245,8 @@ def _orbit_entry(orbit):
         recog, exact_pt = _recognize_trace(tr)
     except HeegnerlabError as exc:
         error = f"{stage}: {type(exc).__name__}: {exc}"
-        return FieldEntry(discriminant=D, admissible=True, error=error), None
+        return FieldEntry(D, admissible=True, error=error), orbit, None
+    h = len(orbit.torus_coordinates)  # one fiber point per ideal class
     div_ok = None
     if E.modular_degree is not None:
         div_ok = (degs[0] * math.factorial(E.modular_degree)) % h == 0
@@ -267,7 +260,7 @@ def _orbit_entry(orbit):
         trace_is_identity=tr.is_identity,
         divisibility_ok=div_ok,
     )
-    return entry, exact_pt
+    return entry, orbit, exact_pt
 
 
 def _recognize_trace(tr):

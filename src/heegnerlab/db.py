@@ -151,8 +151,12 @@ def load_database(path: str | None = None) -> tuple[CurveDatabaseEntry, ...]:
             resources.files("heegnerlab").joinpath("data/curves.json").read_text()
         )
     else:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+        try:
+            with open(path, encoding="utf-8") as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            reason = getattr(exc, "strerror", None) or exc
+            raise ParseError(f"cannot read {path}: {reason}") from None
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -302,10 +302,9 @@ def _ap_by_points(c4: int, c6: int, p: int) -> int | None:
     Each x0 with c = f(x0) != 0 gives the point P = (c x0, c^2) of y^2 = x^3
     + c^2 A x + c^3 B, with no square root: that curve is E when c is a
     square mod p, else its quadratic twist, of order p + 1 + a_p.  By
-    Lagrange a_p is among the u that P allows, (p + 1 -+ u) P = O: those in
-    [-H, H] by baby-step giant-step while the candidates are more than six,
-    else those with (p + 1) P = +-|u| P.  Mestre's theorem leaves none
-    ambiguous after every x0 for p > 457."""
+    Lagrange a_p is among the u that P allows, (p + 1 -+ u) P = O, which
+    baby-step giant-step finds in [-H, H] at every x0.  Mestre's theorem
+    leaves none ambiguous after every x0 for p > 457."""
     A, B = -27 * c4 % p, -54 * c6 % p
     H = math.isqrt(4 * p)
     candidates = None  # all of [-H, H]
@@ -315,36 +314,22 @@ def _ap_by_points(c4: int, c6: int, p: int) -> int | None:
             continue
         P, a = (c * x0 % p, c * c % p), c * c * A % p
         sign = 1 if pow(c, (p - 1) // 2, p) == 1 else -1  # -1: a twist point
-        if candidates is None or len(candidates) > 6:
-            found = {sign * u for u in _hasse_candidates(P, a, p, H)}
-            candidates = found if candidates is None else candidates & found
-        else:
-            Q = arith._multiple(p + 1, P, _add_mod, None, a, p)
-            allowed = set()
-            for m in {abs(u) for u in candidates}:
-                U = arith._multiple(m, P, _add_mod, None, a, p)
-                if Q == U:
-                    allowed.add(sign * m)
-                if Q == (U and (U[0], -U[1] % p)):  # -U, None for O
-                    allowed.add(-sign * m)
-            candidates &= allowed
+        found = {sign * u for u in _hasse_candidates(P, a, p, H)}
+        candidates = found if candidates is None else candidates & found
         if len(candidates) == 1:
             return candidates.pop()
     return None
 
 
-def ap(E: CurveModel, p: int, invariants=None) -> int:
+def ap(E: CurveModel, p: int) -> int:
     """a_p = p + 1 - #E(F_p) at every prime p of the minimal model E, from
     points alone and with no CM theory, so that it can check the Hecke
     character (_character_ap).  At a prime p not dividing 6 Delta it is the
     one candidate that every point tried allows (_ap_by_points).  At p | 6
-    Delta, and at the few small p that stay ambiguous, points are counted:
-    at a bad prime the count includes the singular point, so a_p is p minus
-    the nonsingular points, 1 split multiplicative, -1 non-split, 0
-    additive.  invariants, (Delta, c4, c6), spare a caller at many primes
-    (an_coeffs) recomputing them at each."""
-    disc, c4, c6 = invariants or (E.discriminant, *E.c_invariants)
-    a = _ap_by_points(c4, c6, p) if 6 * disc % p else None
+    Delta, and at the few small p that stay ambiguous, points are counted;
+    a bad prime's count includes the singular point, so a_p = p - #smooth
+    points: 1 split multiplicative, -1 non-split, 0 additive."""
+    a = _ap_by_points(*E.c_invariants, p) if 6 * E.discriminant % p else None
     if a is None:
         a = p + 1 - _count_points(E, p)
     if a * a > 4 * p:
@@ -378,14 +363,13 @@ def _character_ap(E: CurveModel, spf: list, M: int):
     y, p | 4 N(z - z') <= 16.  p | 6 Delta go to ap.  Certified given that
     N is E's conductor, as the parametrisation's level is."""
     disc, d = E.discriminant, E.cm_order_discriminant
-    inv = (disc, *E.c_invariants)
     dK = d and d // {-12: 4, -16: 4, -27: 9, -28: 4}.get(d, 1)
     if not dK or E.conductor % dK:
-        return lambda p: ap(E, p, inv)
+        return lambda p: ap(E, p)
     parts, table = [], {}  # table: key -> (eps, primes asked)
     for l, k in arith.factorize(E.conductor // -dK).items():
         if k % 2 and dK % l:
-            return lambda p: ap(E, p, inv)
+            return lambda p: ap(E, p)
         s, r = l ** (k // 2), k % 2 * ((dK * dK - dK) // 4 % l)
         parts.append((2 * s * l ** (k % 2), s * (dK - 2 * r), s))
     units = [(t, v) for t in range(-2, 3) for v in (-1, 0, 1)
@@ -407,12 +391,12 @@ def _character_ap(E: CurveModel, spf: list, M: int):
 
     def a_p(p):
         if p not in gen:
-            return 0 if 6 * disc % p else ap(E, p, inv)
+            return 0 if 6 * disc % p else ap(E, p)
         pi = gen[p]
         eps, seen = table.get(key(*pi), (None, 0))
         if seen == 2:
             return mul(eps, pi)[0]
-        a = ap(E, p, inv)
+        a = ap(E, p)
         z = [u for u in units if mul(u, pi)[0] == a]
         if len(z) != 1 or seen and z != [eps]:
             raise ArithmeticError(f"a_{p} = {a} does not fit a Hecke"

@@ -9,10 +9,10 @@ integer coordinates on the torus C/L (Lattice.torus), and sums them to
 trace points; only a trace is mapped to curve coordinates, and its flags
 (identity, half-lattice, real) are Lattice.near on its torus sum.
 Precision is chosen at orbit_points and eval_phi; an orbit and its trace
-read it from their lattice.  orbit_points keeps its last 32 orbits by (E, D,
-precision_bits), so each field's orbit is evaluated once per process, and
-of the classes [A], [A]^-1 [n] that w_N conj exchanges evaluates one: the
-other is eps conj(z) + c on the torus (_involution finds eps and c).
+read it from their lattice.  orbit_points keeps nothing: its callers keep
+what they reuse (analysis keeps each report field).  Of the classes [A],
+[A]^-1 [n] that w_N conj exchanges it evaluates one: the other is eps
+conj(z) + c on the torus (_involution finds eps and c).
 Recognition has one entry point per input shape, both one reader (_read):
 recognize for one point over Q, recognize_quadratic for one point over
 Q(sqrt(D)) in its fixed embedding (twist points with x in Q included).
@@ -238,7 +238,6 @@ def _partners(fiber, N: int) -> list[int]:
     return [index[qform.reduced(N * f.c, f.b, f.a // N)] for f in fiber]
 
 
-@lru_cache(maxsize=32)
 def orbit_points(E: CurveModel, D: int, precision_bits: int) -> OrbitEvaluation:
     """Evaluate phi at fiber representatives over level N = E.conductor and
     discriminant D, in one eval_phi pass, and store each class's torus
@@ -266,10 +265,7 @@ def orbit_points(E: CurveModel, D: int, precision_bits: int) -> OrbitEvaluation:
     for y >= 10^-3 (eval_phi's floor), |dphi/dtau| <= 4 pi |q| / (1 -
     |q|)^2 < 2^18.3 and y |dphi/dtau| < 2^8.4.  So phi moves by under
     2^-(prec+21): each value errs below 2^-(prec+3), Lattice.near's eta;
-    Lattice.orbit_torus checks near's other premise on the values.  The
-    last 32 orbits are kept by (E, D, precision_bits), so reports that
-    share a field evaluate its orbit once; a call that raises keeps
-    nothing."""
+    Lattice.orbit_torus checks near's other premise on the values."""
     N = E.conductor
     fiber = heegner_fiber(D, N)
     L = periods(E, precision_bits)

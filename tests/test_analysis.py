@@ -577,6 +577,24 @@ class TestFieldFailures:
             assert rep.relation == Relation(coefficients=(1, 1), torsion_slack=1)
             assert rep.verdict == "relation_found_numerical"
 
+    def test_reports_sharing_a_failed_field_run_it_once(self, monkeypatch):
+        # the field keeps its orbit-stage error as it keeps a success
+        real = analysis.orbit_points
+        seen = []
+
+        def failing(E, D, precision_bits):
+            seen.append(D)
+            if D == -11:
+                raise ConvergenceTooSlow("forced")
+            return real(E, D, precision_bits)
+
+        monkeypatch.setattr(analysis, "orbit_points", failing)
+        first = independence_report(E37, [-7, -11], 2, PREC)
+        second = independence_report(E37, [-11, -47], 2, PREC)
+        assert first.entries[1] == second.entries[0]
+        assert second.entries[0].error == "orbit: ConvergenceTooSlow: forced"
+        assert seen == [-7, -11, -47]
+
     def test_recognize_stage(self, monkeypatch):
         real = analysis.recognize_trace
         calls = []
@@ -624,7 +642,7 @@ class TestFieldFailures:
 
     def test_reports_sharing_a_field_evaluate_its_orbit_once(self,
                                                              monkeypatch):
-        # orbit_points keeps each (E, D, precision) orbit: the second report
+        # the report keeps each (E, D, precision) field: the second report
         # reads D = -47 from the first, as the benchmark's reports do
         real = modparam.eval_phi
         sizes = []
@@ -640,7 +658,6 @@ class TestFieldFailures:
         # partner under w_N and complex conjugation is evaluated is derived
         assert sizes == [1, 3, 4]
         assert first.entries[1] == second.entries[0]
-        assert orbit_points(E37, -47, PREC) is orbit_points(E37, -47, PREC)
 
     def test_reports_sharing_a_field_trace_it_once(self, monkeypatch):
         # the orbit's degrees, trace and recognition are kept with it, so

@@ -90,6 +90,29 @@ class TestCoeffs:
     def test_unknown_curve_exits_1(self, capsys):
         assert run_command(["coeffs", "--curve", "11a", "--terms", "5"]) == 1
 
+    @pytest.mark.parametrize("name, content, reason", [
+        ("missing.json", None, "No such file or directory"),
+        ("folder", "dir", "Is a directory"),
+        ("latin1.json", b"\xff\xfe", "'utf-8' codec can't decode"),
+    ])
+    def test_unreadable_database_exits_1(self, tmp_path, name, content,
+                                         reason):
+        # one error line and no traceback, as for any other domain error
+        path = tmp_path / name
+        if content == "dir":
+            path.mkdir()
+        elif content is not None:
+            path.write_bytes(content)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        proc = subprocess.run(
+            [sys.executable, "-m", "heegnerlab.cli", "coeffs", "--curve",
+             "37a", "--terms", "5", "--database", str(path)],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src}, timeout=60)
+        assert proc.returncode == 1 and proc.stdout == ""
+        [line] = proc.stderr.splitlines()
+        assert line.startswith(f"error: cannot read {path}: ") and reason in line
+
 
 class TestPoint:
     def test_37a_minus_7_trace(self, capsys):

@@ -1,6 +1,7 @@
 """Tests for the strict curve-database loader."""
 
 import json
+import re
 
 import pytest
 from hypothesis import assume, given, settings
@@ -96,6 +97,26 @@ class TestParsing:
         bad = dict(GOOD, **{field: value})
         with pytest.raises(ParseError):
             load_database(write_db(tmp_path, [bad]))
+
+    def test_missing_file_is_a_parse_error(self, tmp_path):
+        path = tmp_path / "missing.json"
+        with pytest.raises(ParseError, match=re.escape(
+                f"cannot read {path}: No such file")):
+            load_database(str(path))
+
+    def test_directory_is_a_parse_error(self, tmp_path):
+        with pytest.raises(ParseError, match=re.escape(
+                f"cannot read {tmp_path}: Is a directory")):
+            load_database(str(tmp_path))
+
+    def test_non_utf8_file_is_a_parse_error(self, tmp_path):
+        # a UnicodeDecodeError is a ValueError, which the CLI would print
+        # without naming the file
+        path = tmp_path / "curves.json"
+        path.write_bytes(json.dumps([GOOD]).encode("utf-16"))
+        with pytest.raises(ParseError, match=re.escape(
+                f"cannot read {path}: 'utf-8' codec")):
+            load_database(str(path))
 
     def test_error_names_entry(self, tmp_path):
         bad = dict(GOOD, conductor=-5)

@@ -370,6 +370,27 @@ class TestCMTraces:
         assert ap(E, p) == p + 1 - ellcurve_count_points(E, p)
         assert calls
 
+    @pytest.mark.parametrize("label", ["37a", "11a1", "32a", "49a", "27a1"])
+    def test_later_points_narrow_by_the_same_rule(self, label, monkeypatch):
+        # where the first x0 leaves several candidates, each later x0 cuts
+        # them by baby-step giant-step too; a_p is still the count
+        E, calls, narrowed = BAD_REDUCTION_CURVES[label], [], []
+        real = ellcurve._hasse_candidates
+
+        def spy(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(ellcurve, "_hasse_candidates", spy)
+        for p in PRIMES_BELOW_3000:
+            if 6 * E.discriminant % p:
+                calls.clear()
+                a = ap(E, p)
+                if len(calls) > 1:
+                    narrowed.append(p)
+                    assert a == p + 1 - ellcurve_count_points(E, p), p
+        assert narrowed
+
 
 class TestPointCounting:
     @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43])
@@ -545,9 +566,9 @@ def primes_sent_to_ap(E, M, residue, monkeypatch):
     d, calls = E.cm_order_discriminant, []
     real = ellcurve.ap
 
-    def spy(E, p, invariants=None):
+    def spy(E, p):
         calls.append(p)
-        return real(E, p, invariants)
+        return real(E, p)
 
     monkeypatch.setattr(ellcurve, "ap", spy)
     with mock.patch.dict(ellcurve._PREFIXES, clear=True):
@@ -613,8 +634,8 @@ class TestCharacterCoefficients:
         # primes in each of three classes, so 53 is its class's second
         real = ellcurve.ap
 
-        def flipped(E, p, invariants=None):
-            a = real(E, p, invariants)
+        def flipped(E, p):
+            a = real(E, p)
             return -a if p == 53 else a
 
         monkeypatch.setattr(ellcurve, "ap", flipped)

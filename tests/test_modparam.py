@@ -338,9 +338,9 @@ class TestCoefficientPrefix:
         monkeypatch.setattr(ellcurve, "_PREFIXES", {})
         primes = []
 
-        def counted(E, p, *invariants):
+        def counted(E, p):
             primes.append(p)
-            return ap(E, p, *invariants)
+            return ap(E, p)
 
         monkeypatch.setattr(ellcurve, "ap", counted)
         # one point at a time, term counts 400, 804, 199, 602, 804, 400, 602:
@@ -461,6 +461,19 @@ class TestOrbits:
         with pytest.raises(HeegnerConditionFailed):
             orbit_points(E37, -20, PREC)
 
+    def test_each_call_evaluates(self, monkeypatch):
+        # orbit_points keeps no orbit: its callers keep what they reuse
+        sizes = []
+
+        def counting(E, taus, prec):
+            sizes.append(len(taus))
+            return eval_phi(E, taus, prec)
+
+        monkeypatch.setattr(modparam, "eval_phi", counting)
+        first = orbit_points(E37, -47, PREC)
+        assert orbit_points(E37, -47, PREC) == first
+        assert sizes == [3, 3]
+
     def test_orbits_share_one_lattice(self):
         L = orbit_points(E37, -7, PREC).lattice
         assert orbit_points(E37, -83, PREC).lattice is L
@@ -513,7 +526,6 @@ class TestOrbits:
         else:
             shifted = orbit_points(E37, -83, PREC).torus_coordinates
             monkeypatch.undo()
-            orbit_points.cache_clear()  # it keeps the shifted orbit
             K = L.torus_bits
             for (A1, B1), (A, B) in zip(
                     shifted, orbit_points(E37, -83, PREC).torus_coordinates):
@@ -1078,11 +1090,9 @@ class TestPairing:
             taus.extend(ts)
             return eval_phi(E, ts, prec)
 
-        modparam.orbit_points.cache_clear()
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(modparam, "eval_phi", recording_eval_phi)
             orbit = modparam.orbit_points(E, D, 64)
-        modparam.orbit_points.cache_clear()
         evaluated = {i for i, f in enumerate(fiber)
                      if heegner_tau(f, 104) in taus}
         assert len(evaluated) == len(taus)
@@ -1115,15 +1125,12 @@ class TestPairing:
         return horner
 
     def test_ambiguous_sign_raises(self, monkeypatch):
-        # an earlier test may have kept these constants; a raise keeps none
-        modparam._involution.cache_clear()
         monkeypatch.setattr(modparam, "_horner53", self._fake_horner(0j, 0j))
         with pytest.raises(InvolutionUnresolved, match="2 signs"):
             modparam._involution(E37, periods(E37, PREC))
 
     def test_non_torsion_constant_raises(self, monkeypatch):
         # eps = -1 alone fits, and c = 2 phi(tau_0) = 0.246 is no torsion
-        modparam._involution.cache_clear()
         monkeypatch.setattr(modparam, "_horner53",
                             self._fake_horner(0.123 + 0j, 0.123 + 0.4567j))
         with pytest.raises(InvolutionUnresolved, match="not torsion"):
