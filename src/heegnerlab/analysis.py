@@ -37,28 +37,27 @@ def orbit_degree(orbit: OrbitEvaluation, n: int) -> int:
     """Number of distinct x(n P^sigma) over the orbit: as x(P) = x(Q)
     exactly when Q = +-P, the classes of n z^sigma in C/L up to sign.
 
-    The orbit stores each z as its torus_coordinates (A, B), exact mod 2^K,
-    and n (A, B) stands for n z.  Two classes merge when the difference or
-    the sum of their n (A, B) is near L (Lattice.near; its docstring shows
-    that two points of one class always are, given a premise on L's size).
-    Distinct classes within 2^10 times the radius 2^-(prec/2) max|w_i|
-    (slack 10) raise ClusterAmbiguous.  The identity is the class of 0.
+    The orbit stores each z as its torus_coordinates (A, B), exact mod 2^K, and
+    n (A, B) stands for n z.  Each joins the first class whose representative's
+    difference or sum with it is near L (Lattice.near, whose docstring shows
+    that two points of one class are, within 2^-9 of its radius); the identity
+    is the class of 0.  The orbit is one Gal(H/K) orbit (Gross, Heegner points
+    on X0(N), 1984), and x(n y^sigma) = x(n y^tau) exactly when sigma tau^-1
+    lies in the subgroup {rho : n y^rho = +-n y}: the classes are its cosets,
+    so unequal counts raise ClusterAmbiguous.
     """
     if not 1 <= n <= _TORSION_CAP:
         raise ValueError("n must be in 1..12")
     L = orbit.lattice
-    reps: list[tuple[int, int]] = []
+    counts: dict[tuple[int, int], int] = {}
     for A, B in orbit.torus_coordinates:
         a, b = n * A, n * B
-        offsets = [(a - e * ra, b - e * rb) for ra, rb in reps for e in (1, -1)]
-        close = [o for o in offsets if L.near(*o, slack=10)]
-        if any(L.near(*o) for o in close):
-            continue
-        if close:
-            raise ClusterAmbiguous(
-                "two classes within 2^10 times the merge radius")
-        reps.append((a, b))
-    return len(reps)
+        rep = next((r for r in counts if L.near(a - r[0], b - r[1])
+                    or L.near(a + r[0], b + r[1])), (a, b))
+        counts[rep] = counts.get(rep, 0) + 1
+    if len(sizes := set(counts.values())) > 1:
+        raise ClusterAmbiguous(f"x-classes of unequal sizes {sorted(sizes)}")
+    return len(counts)
 
 
 class Relation(arith._Record):

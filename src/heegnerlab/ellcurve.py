@@ -350,26 +350,26 @@ def _character_ap(E: CurveModel, spf: list, M: int):
     eps: (O_K/f)^* -> mu_K, eps(u) = 1/u on mu_K, and N = |d_K| N(f).  As
     1/u is one-to-one, mu_K injects into (O_K/f)^* for E's conductor, so a
     conductor on which it does not is refused (ArithmeticError).
-    E is over Q, so complex conjugation takes Frobenius at P to that at P',
-    and f to itself: over l^k || N/|d_K|, f is l^(k/2) at an unramified l
-    (k odd: ap throughout) and L^k at a ramified l, L = (l, w - r), w = (d_K
-    + sqrt d_K)/2 a root of x^2 + n0 mod l, n0 = (d_K^2 - d_K)/4, r = n0 mod
-    l.  pi's key, its reductions by each part's Hermite basis (A, 0), (B, C)
-    in (t, v), is pi mod f, as the parts are coprime.  At a class of
-    (O_K/f)^*/mu_K's first prime eps(pi) is the z in mu_K with Tr(z pi) =
-    ap, kept over the class as eps(u pi) = eps(pi)/u and checked at its
-    second (else ArithmeticError); z is unique as p does not divide 6 d: (z
-    - z') pi of trace 0 is (0, y), and p N(z - z') = |d_K| y^2/4 gives p |
-    y, p | 4 N(z - z') <= 16.  p | 6 Delta go to ap.  Certified given that
-    N is E's conductor, as the parametrisation's level is."""
+    E is over Q, so complex conjugation takes Frobenius at P to that at P', and
+    f to itself: over l^k || N/|d_K|, f is l^(k/2) at an unramified l (k odd is
+    refused, as is an N that d_K does not divide) and L^k at a ramified l, L =
+    (l, w - r), w = (d_K + sqrt d_K)/2 a root of x^2 + n0 mod l, n0 = (d_K^2 -
+    d_K)/4, r = n0 mod l.  pi's key, its reductions by each part's Hermite
+    basis (A, 0), (B, C) in (t, v), is pi mod f, as the parts are coprime.  At
+    a class of (O_K/f)^*/mu_K's first prime eps(pi) is the z in mu_K with Tr(z
+    pi) = ap, kept over the class as eps(u pi) = eps(pi)/u and checked at its
+    second (else ArithmeticError); z is unique as p does not divide 6 d: (z -
+    z') pi of trace 0 is (0, y), and p N(z - z') = |d_K| y^2/4 gives p | y, p |
+    4 N(z - z') <= 16.  p | 6 Delta go to ap.  Certified given that N is E's
+    conductor, as the parametrisation's level is."""
     disc, d = E.discriminant, E.cm_order_discriminant
     dK = d and d // {-12: 4, -16: 4, -27: 9, -28: 4}.get(d, 1)
-    if not dK or E.conductor % dK:
+    if not dK:
         return lambda p: ap(E, p)
     parts, table = [], {}  # table: key -> (eps, primes asked)
-    for l, k in arith.factorize(E.conductor // -dK).items():
-        if k % 2 and dK % l:
-            return lambda p: ap(E, p)
+    fits = E.conductor % dK == 0  # N = |d_K| N(f), f = conj(f)
+    for l, k in (arith.factorize(E.conductor // -dK) if fits else {}).items():
+        fits = fits and (k % 2 == 0 or dK % l == 0)
         s, r = l ** (k // 2), k % 2 * ((dK * dK - dK) // 4 % l)
         parts.append((2 * s * l ** (k % 2), s * (dK - 2 * r), s))
     units = [(t, v) for t in range(-2, 3) for v in (-1, 0, 1)
@@ -382,9 +382,10 @@ def _character_ap(E: CurveModel, spf: list, M: int):
     def key(t, v):
         return tuple(((t - v // C * B) % A, v % C) for A, B, C in parts)
 
-    if len({key(*u) for u in units}) < len(units):
-        raise ArithmeticError("mu_K does not inject into (O_K/f)^*: is"
-                              f" {E.conductor} the conductor?")
+    if not fits or len({key(*u) for u in units}) < len(units):
+        why = ("mu_K does not inject into (O_K/f)^*" if fits
+               else "no f = conj(f) has N = |d_K| N(f)")
+        raise ArithmeticError(f"{why}: is {E.conductor} the conductor?")
     gen = {q: (t, v) for v in range(1, math.isqrt(4 * M // -dK) + 1)
            for t in range(dK * v % 2, math.isqrt(4 * M + dK * v * v) + 1, 2)
            if spf[q := (t * t - dK * v * v) // 4] == q and 6 * disc % q}

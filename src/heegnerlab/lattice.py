@@ -127,7 +127,7 @@ class Lattice(_Record):
 
     @cached_property
     def _metric(self) -> tuple[int, int, int, int]:
-        # near's G_ij and slack-0 bail-out bound, once both premises hold
+        # near's G_ij and bail-out bound, once both premises hold
         K, h = self.torus_bits, self.precision_bits // 2
         with mp.workprec(K + 20):
             w1, w2 = mpc(self.omega1), mpc(self.omega2)
@@ -143,10 +143,10 @@ class Lattice(_Record):
                       for u, v in ((w1, w1), (w1, w2), (w2, w2))),
                     int(mp.ceil(mp.ldexp(scale2 / det, K - h))) + 1)
 
-    def near_bound(self, slack: int = 0) -> int:
+    def near_bound(self) -> int:
         """near's bail-out bound on both centred coordinates, in 2^-K
-        units: ceil(2^(K - h) scale^2 / det) + 1, times 2^slack."""
-        return self._metric[3] << slack
+        units: ceil(2^(K - h) scale^2 / det) + 1."""
+        return self._metric[3]
 
     def torsion_on_line(self, a: int, b: int, da: int, db: int, count: int,
                         limit: int) -> Iterator[tuple[int, list[int]]]:
@@ -171,24 +171,24 @@ class Lattice(_Record):
                     yield k, ts
             x = (x + da) & mask
 
-    def near(self, a: int, b: int, slack: int = 0) -> bool:
+    def near(self, a: int, b: int) -> bool:
         """Whether z = (a w1 + b w2) 2^-K, K = torus_bits, lies within R =
-        2^(slack - h) scale of L, h = precision_bits // 2, scale = max(|w1|,
-        |w2|): the one membership rule of orbit_degree, trace_point and
+        2^-h scale of L, h = precision_bits // 2, scale = max(|w1|, |w2|):
+        the one membership rule of orbit_degree, trace_point and
         relation_search, decided in integers on the lattice metric.
 
         It needs det = |Im(conj(w1) w2)| >= 2^-8 scale^2 (0.82 scale^2 on
         37a, 1 on 32a, 0.66 on 49a), else raises PrecisionUnachievable.  By
         Cramer's rule w = s w1 + t w2 has |s|, |t| <= |w| scale / det.  So a
         lattice point within R of z is the centred representative (da, db)
-        of (a, b) mod 2^K, both coordinates below near_bound(slack) < 2^(K -
-        h + 9 + slack) << 2^(K-1) units, as h >= 26.  The test bails out at
-        that bound, else compares |w|^2 with R^2 in integers: G11 da^2 + 2
-        G12 da db + G22 db^2 < 2^(3K - 2h + 2 slack), rounding the G_ij
-        moving the left side by a relative 2^-(K-18) at most.  A nonzero v =
-        m w1 + n w2, n != 0 say, has |w1| |v| >= |n| det, so lambda_1 >= det
-        / scale >= 2^-8 scale and, at slack 0, the next-nearest lattice
-        point is at least 2^-8 scale - R >= 2^10 R away.
+        of (a, b) mod 2^K, both coordinates below near_bound() < 2^(K - h +
+        9) << 2^(K-1) units, as h >= 26.  The test bails out at that bound,
+        else compares |w|^2 with R^2 in integers: G11 da^2 + 2 G12 da db +
+        G22 db^2 < 2^(3K - 2h), rounding the G_ij moving the left side by a
+        relative 2^-(K-18) at most.  A nonzero v = m w1 + n w2, n != 0 say,
+        has |w1| |v| >= |n| det, so lambda_1 >= det / scale >= 2^-8 scale
+        and the next-nearest lattice point is at least 2^-8 scale - R >=
+        2^10 R away.
 
         Margin for orbit_degree, given scale > 2^(12 + h - prec) (about 3 on
         the bundled curves; else raises as well): eval_phi errs below eta =
@@ -200,13 +200,13 @@ class Lattice(_Record):
         """
         K, h = self.torus_bits, self.precision_bits // 2
         g11, g12, g22, _ = self._metric
-        bound = self.near_bound(slack)
+        bound = self.near_bound()
         half, mask = 1 << (K - 1), (1 << K) - 1
         da, db = ((a + half) & mask) - half, ((b + half) & mask) - half
         if abs(da) >= bound or abs(db) >= bound:
             return False
         return (g11 * da * da + 2 * g12 * da * db + g22 * db * db
-                < 1 << (3 * K - 2 * h + 2 * slack))
+                < 1 << (3 * K - 2 * h))
 
     def distance(self, z: mpc) -> mpf:
         """Distance from z to the nearest lattice point."""

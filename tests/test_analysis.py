@@ -163,12 +163,23 @@ class TestClusterCount:
                                   (shifted, 0.625)])
         assert orbit_degree(orbit, 1) == 1
 
-    def test_dead_zone_raises(self):
-        # 2^5 times the merge tolerance 2^-(prec/2) of a period apart
+    def test_pair_beyond_the_radius_is_two_classes(self):
+        # 2^5 times the merge radius 2^-(prec/2) of a period apart: two
+        # points of one class lie within 2^-9 of that radius, so these are
+        # two classes
         with mp.workprec(PREC + 20):
             shifted = 0.625 + mp.ldexp(1, 5 - PREC // 2)
         orbit = _synthetic_orbit([(0.375, 0.625), (0.375, shifted)])
-        with pytest.raises(ClusterAmbiguous):
+        assert orbit_degree(orbit, 1) == 2
+
+    def test_classes_of_unequal_size_raise(self):
+        # three points, two of them one class: the classes of a Galois orbit
+        # are cosets of one subgroup, so sizes 2 and 1 cannot both occur
+        with mp.workprec(PREC + 20):
+            shifted = 0.375 + mp.ldexp(1, -PREC)
+        orbit = _synthetic_orbit([(0.375, 0.625), (0.125, 0.25),
+                                  (shifted, 0.625)])
+        with pytest.raises(ClusterAmbiguous, match=r"sizes \[1, 2\]"):
             orbit_degree(orbit, 1)
 
 
@@ -198,6 +209,16 @@ class TestOrbitDegree:
         degrees = [orbit_degree(orbit, n) for n in range(1, 13)]
         assert degrees[0] == 3
         assert all(3 % d == 0 for d in degrees)
+
+    @pytest.mark.parametrize("label, D, h", [("37a", -50003, 56),
+                                             ("49a", -6375, 60)])
+    def test_too_little_precision_raises(self, label, D, h):
+        # at 53 bits two of the h classes lie within the merge radius of
+        # each other and the counts come out unequal; at 200 bits all h
+        # classes are distinct
+        with pytest.raises(ClusterAmbiguous):
+            orbit_degree(orbit_points(CURVES[label], D, 53), 1)
+        assert orbit_degree(orbit_points(CURVES[label], D, PREC), 1) == h
 
     def test_n_out_of_range(self):
         orbit = orbit_points(E37, -7, PREC)
@@ -367,6 +388,17 @@ class TestIndependenceReport:
         # with a single usable orbit there is nothing to search
         assert rep.relation is None
         assert rep.verdict == "no_relation_up_to_bound"
+
+    def test_field_mismatch_leaves_the_relation_numerical(self,
+                                                          monkeypatch):
+        # exact points that the group law cannot combine do not verify
+        def mismatch(*args):
+            raise FieldMismatch("forced")
+
+        monkeypatch.setattr(analysis, "verify_relation", mismatch)
+        rep = independence_report(E37, [-7, -11], 20, PREC)
+        assert rep.relation == Relation(coefficients=(1, 1), torsion_slack=1)
+        assert rep.verdict == "relation_found_numerical"
 
     def test_no_relation_case(self):
         rep = independence_report(E32, [-7, -15], 8, PREC)

@@ -90,6 +90,20 @@ class TestCoeffs:
     def test_unknown_curve_exits_1(self, capsys):
         assert run_command(["coeffs", "--curve", "11a", "--terms", "5"]) == 1
 
+    def test_cm_conductor_no_character_has_exits_1(self, tmp_path, capsys):
+        # 36a1 stored with N = 72, which db accepts: 72/3 = 2^3 3 has an odd
+        # exponent at 2, inert in Q(sqrt -3), so no Hecke character has it
+        path = tmp_path / "curves.json"
+        path.write_text(json.dumps([{"label": "X", "conductor": 72,
+                                     "a_invariants": [0, 0, 0, 0, 1]}]))
+        argv = ["coeffs", "--curve", "X", "--terms", "12", "--database",
+                str(path)]
+        assert run_command(argv) == 1
+        captured = capsys.readouterr()
+        [line] = captured.err.splitlines()
+        assert captured.out == "" and line.startswith("error: ")
+        assert line.endswith("is 72 the conductor?")
+
     @pytest.mark.parametrize("name, content, reason", [
         ("missing.json", None, "No such file or directory"),
         ("folder", "dir", "Is a directory"),
@@ -162,6 +176,12 @@ class TestPoint:
         captured = capsys.readouterr()
         assert captured.out == "" and "no certificate" in captured.err
 
+    def test_identity_trace_text(self, capsys):
+        # h(-107) = 3 and the three conjugates of P sum to O on 37a
+        assert run_command(["point", "--curve", "37a", "--disc", "-107"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "37a, D = -107: orbit of 3 point(s)"
+        assert lines[-1] == "trace: identity"
 
     def test_incomplete_fiber_exits_1(self, capsys, monkeypatch):
         def incomplete(D, N):
@@ -224,6 +244,17 @@ class TestOrbitDegreeAndTorsion:
         assert code == 0
         assert doc["orbit_degree"] == 3
 
+    def test_too_little_precision_exits_1(self, capsys):
+        # at 53 bits two of the 56 classes of -50003 lie within the merge
+        # radius of each other: the classes come out of unequal size
+        argv = ["orbit-degree", "--curve", "37a", "--disc", "-50003",
+                "--mul", "1", "--prec", "53"]
+        assert run_command(argv) == 1
+        captured = capsys.readouterr()
+        [line] = captured.err.splitlines()
+        assert captured.out == ""
+        assert line == "error: x-classes of unequal sizes [1, 2]"
+
     def test_torsion_32a(self, capsys):
         code, doc = run_json(capsys, ["torsion", "--curve", "32a"])
         assert code == 0
@@ -263,6 +294,19 @@ class TestIndependence:
         code, doc = run_json(capsys, argv)
         assert code == 0
         assert [e["recognition"] for e in doc["entries"]] == want
+
+    def test_identity_trace_entry(self, capsys):
+        # the three conjugates of P for D = -107 sum to O on 37a
+        argv = ["independence", "--curve", "37a", "--discs", "-7,-107",
+                "--bound", "5"]
+        assert run_command(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[3:5] == ["  D = -107: h = 3 (odd part 3), orbit degrees"
+                              " (3, 3, 3)", "    trace is the identity"]
+        code, doc = run_json(capsys, argv)
+        assert code == 0
+        assert doc["entries"][1]["trace_is_identity"] is True
+        assert doc["entries"][1]["recognition"] == "trace is the identity"
 
     def test_bound_outside_1_to_50_exits_1(self, capsys):
         # refused before any orbit, even with one field and no search

@@ -629,6 +629,19 @@ class TestCharacterCoefficients:
                                match=f"mu_K does not inject .* is {N} the"):
                 an_coeffs(E, 1500)
 
+    @pytest.mark.parametrize("E", [
+        CurveModel(0, 0, 0, 0, 1, 72),  # 36a1: 72/3 = 2^3 3, 2 inert
+        CurveModel(0, 0, 1, 0, -7, 8),  # 27a1: 3 does not divide 8
+    ], ids=["36a1-N72", "27a1-N8"])
+    def test_conductor_no_character_has_raises(self, E):
+        # N = |d_K| N(f) with f = conj(f): an odd exponent at a prime
+        # unramified in K, or an N that d_K does not divide, is no CM
+        # conductor
+        with mock.patch.dict(ellcurve._PREFIXES, clear=True):
+            with pytest.raises(ArithmeticError, match=f"no f = conj[(]f[)]"
+                               f" has .* is {E.conductor} the conductor"):
+                an_coeffs(E, 12)
+
     def test_second_prime_of_a_class_is_checked(self, monkeypatch):
         # 49a asks ap at 11, 23, 29, 37, 43 and 53 below 700, two split
         # primes in each of three classes, so 53 is its class's second
